@@ -45,7 +45,6 @@ from .errors import (
     RangeError,
     RegimeError,
     SingularGradient,
-    StepCollapse,
 )
 from .exponents import (
     ProblemParams,

@@ -25,14 +25,9 @@ from typing import Callable, Union
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (
-    BoundaryDominanceViolated,
-    NewtonDivergence,
-    NotPHarmonic,
-    SingularGradient,
-)
+from .errors import BoundaryDominanceViolated, NewtonDivergence
 from .exponents import ProblemParams
-from .radial_ops import GridProfile, eval_profile, p_laplacian_radial
+from .radial_ops import GridProfile, check_p_harmonic, eval_profile
 from .reports import IdentityReport
 
 _EPS_LEVELS = tuple(10.0 ** -k for k in range(2, 11))  # 1e-2 ... 1e-10
@@ -82,7 +77,6 @@ class NewtonInfo:
     iterations: int        # Newton iterations across all levels
     residual: float        # final scaled RMS residual
     levels_done: int
-    mesh_size: int
 
 
 class _LevelStalled(Exception):
@@ -197,7 +191,6 @@ def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile,
         iterations=total_it,
         residual=norm_final,
         levels_done=done,
-        mesh_size=prob.mesh_size,
     )
     return GridProfile(r=r, u=u_final), info
 
@@ -212,33 +205,13 @@ def solve_annulus_dirichlet(prob: AnnulusProblem) -> GridProfile:
 # Comparison principle
 # ---------------------------------------------------------------------------
 
-def _check_p_harmonic(phi, params: ProblemParams, r_lo: float, r_hi: float, tol: float = 1e-8):
-    for ri in np.linspace(r_lo, r_hi, 7):
-        pt = eval_profile(phi, float(ri))
-        if pt.d1 == 0.0 and pt.d2 == 0.0:
-            continue  # locally constant: Delta_p = 0
-        try:
-            val = p_laplacian_radial(pt, params)
-        except SingularGradient as exc:
-            raise NotPHarmonic(
-                f"gradient of the comparison profile degenerates at r={ri:.6g} (p < 2)"
-            ) from exc
-        parts = abs(pt.d1) ** (params.p - 2.0) * (
-            (params.p - 1.0) * abs(pt.d2) + (params.n_dim - 1.0) / ri * abs(pt.d1)
-        ) if pt.d1 != 0.0 else abs(pt.d2)
-        if abs(val) > tol * max(1.0, parts):
-            raise NotPHarmonic(
-                f"Delta_p phi = {val:.3e} at r={ri:.6g} exceeds {tol:g} x scale"
-            )
-
-
 def comparison_check(prob: AnnulusProblem, phi, comparison_tol: float = 1e-8) -> IdentityReport:
     """min over the mesh of (u - phi) for -Delta_p u = f >= 0 = -Delta_p phi.
 
     phi must be p-harmonic on the annulus and dominated by the boundary data;
     then u >= phi throughout.
     """
-    _check_p_harmonic(phi, prob.params, prob.r_inner, prob.r_outer)
+    check_p_harmonic(phi, prob.params, prob.r_inner, prob.r_outer)
     phi_in = eval_profile(phi, prob.r_inner).value
     phi_out = eval_profile(phi, prob.r_outer).value
     slack = 1e-12

@@ -3,7 +3,7 @@ the self-verification suite.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameters outside the
 regime a subcommand needs), 2 numerical failure (Newton divergence, step
-collapse), 3 verification failure.
+collapse, overflow), 3 verification failure.
 
 Floats are serialized with ``repr`` (shortest round-trip decimals), so CSV
 output is byte-identical across runs and reading a column back with
@@ -18,14 +18,13 @@ import dataclasses
 import enum
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import barriers, bvp, shooting, verify
-from .errors import NewtonDivergence, PlapError, StepCollapse
+from .errors import NewtonDivergence, PlapError
 from .exponents import (
     ProblemParams,
     classify_regime,
@@ -49,8 +48,8 @@ subcommands:
 
 --n --p --q --gamma --a describe -Delta_p u = a r^gamma u^q (radial).
 --config PATH loads key=value defaults; explicit flags override them.
---out PATH writes to a file instead of stdout.  PLAP_THREADS caps sweep
-concurrency.  `plap <subcommand> --help` lists the full flag set.
+--out PATH writes to a file instead of stdout.
+`plap <subcommand> --help` lists the full flag set.
 """
 
 _BOUNDARY_TOL = 1e-9
@@ -278,8 +277,7 @@ def _run_sweep(args) -> int:
                      steps=args.steps, sign=_sign_from(args), r_max=args.r_max,
                      u0=args.u0)
     points = spec.points()
-    workers = _thread_cap(len(points))
-    outcomes = shooting.sweep_outcomes([s for _, s in points], max_workers=workers)
+    outcomes = shooting.sweep_outcomes([s for _, s in points])
     rows = []
     for (v, ivp), outc in zip(points, outcomes):
         pr = ivp.params
@@ -289,20 +287,6 @@ def _run_sweep(args) -> int:
         rows.append((v, outc.kind.value, outc.r_event, outc.tail_slope, boundary))
     _emit_csv(args.out, ("axis_value", "outcome", "r_event", "tail_slope", "boundary_case"), rows)
     return 0
-
-
-def _thread_cap(n_points: int) -> int:
-    env = os.environ.get("PLAP_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise _UsageExit(f"PLAP_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise _UsageExit(f"PLAP_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_points))
 
 
 def _build_counterexample(p: _Parser):
@@ -545,7 +529,7 @@ def dispatch(argv: list[str]) -> int:
     except _UsageExit as exc:
         print(f"plap {cmd}: {exc}\n\n{_USAGE}", file=sys.stderr, end="")
         return 1
-    except (NewtonDivergence, StepCollapse) as exc:
+    except (NewtonDivergence, OverflowError) as exc:
         print(f"plap {cmd}: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (PlapError, ValueError) as exc:

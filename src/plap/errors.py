@@ -51,10 +51,6 @@ class RegimeError(PlapError):
     """Operation stated only for lambda < 0 (p < N) was called outside that regime."""
 
 
-class StepCollapse(PlapError):
-    """Adaptive step size underflowed without reaching the end of the interval."""
-
-
 class NotDecaying(PlapError):
     """Decay-estimate report requested for a trajectory that is not positive decaying."""
 

@@ -32,9 +32,8 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NotPHarmonic, SingularGradient
 from .exponents import ProblemParams
-from .radial_ops import ProfileSpec, eval_profile, p_laplacian_radial
+from .radial_ops import ProfileSpec, check_p_harmonic, eval_profile
 from .reports import IdentityReport
 
 
@@ -144,29 +143,6 @@ class RadialCutoff:
         )
 
 
-def _scan_p_harmonic(profile: ProfileSpec, params: ProblemParams, lo: float, hi: float,
-                     tol: float = 1e-8) -> None:
-    for ri in np.linspace(lo, hi, 9):
-        pt = eval_profile(profile, float(ri))
-        if pt.d1 == 0.0 and pt.d2 == 0.0:
-            continue
-        try:
-            val = p_laplacian_radial(pt, params)
-        except SingularGradient as exc:
-            raise NotPHarmonic(
-                f"profile gradient degenerates at r={ri:.6g} with p={params.p} < 2"
-            ) from exc
-        parts = abs(pt.d1) ** (params.p - 2.0) * (
-            (params.p - 1.0) * abs(pt.d2)
-            + (params.n_dim - 1.0) / ri * abs(pt.d1)
-        ) if pt.d1 != 0.0 else abs(pt.d2)
-        if abs(val) > tol * max(1.0, parts):
-            raise NotPHarmonic(
-                f"Delta_p u = {val:.3e} at r={ri:.6g}; profile is not p-harmonic "
-                f"on the cutoff support"
-            )
-
-
 def caccioppoli_check(
     profile: ProfileSpec,
     params: ProblemParams,
@@ -177,7 +153,7 @@ def caccioppoli_check(
     pass iff LHS <= p^p RHS (1 + tol).  Integrals piecewise by adaptive
     quadrature (zeta' jumps only at the knots)."""
     p, n_dim = params.p, params.n_dim
-    _scan_p_harmonic(profile, params, float(cutoff.knots[0]), float(cutoff.knots[-1]))
+    check_p_harmonic(profile, params, float(cutoff.knots[0]), float(cutoff.knots[-1]))
 
     lhs = 0.0
     rhs = 0.0

@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     InterpolationError,
     NonPositiveValue,
+    NotPHarmonic,
     SingularGradient,
 )
 from .exponents import ProblemParams, lambda_exponent
@@ -289,6 +290,36 @@ def p_laplacian_radial(
     return abs(point.d1) ** (p - 2.0) * core
 
 
+def operator_scale(point: EvalPoint, params: ProblemParams) -> float:
+    """|V'|^{p-2}((p-1)|V''| + (N-1)|V'|/r): the size of the operator's two
+    expanded-form terms before they cancel (gradient factor 1 where V' = 0)."""
+    p, n = params.p, params.n_dim
+    grad_factor = abs(point.d1) ** (p - 2.0) if (point.d1 != 0.0 and p != 2.0) else 1.0
+    return grad_factor * ((p - 1.0) * abs(point.d2) + (n - 1.0) / point.r * abs(point.d1))
+
+
+def check_p_harmonic(
+    spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi: float, tol: float = 1e-8
+) -> None:
+    """Raise NotPHarmonic unless |Delta_p V| <= tol * max(1, operator_scale)
+    at nine equally spaced radii of [r_lo, r_hi]."""
+    for r in np.linspace(r_lo, r_hi, 9):
+        pt = eval_profile(spec, float(r))
+        if pt.d1 == 0.0 and pt.d2 == 0.0:
+            continue  # locally constant: Delta_p = 0
+        try:
+            val = p_laplacian_radial(pt, params)
+        except SingularGradient as exc:
+            raise NotPHarmonic(
+                f"profile gradient degenerates at r={r:.6g} with p={params.p} < 2"
+            ) from exc
+        if abs(val) > tol * max(1.0, operator_scale(pt, params)):
+            raise NotPHarmonic(
+                f"Delta_p V = {val:.3e} at r={r:.6g} exceeds {tol:g} x scale; "
+                f"profile is not p-harmonic on [{r_lo:.6g}, {r_hi:.6g}]"
+            )
+
+
 def fd_step_default(r: float) -> float:
     # Relative step for r > 1, absolute floor below; 1e-4 balances O(h^2)
     # truncation (~1e-8 rel) against value-cancellation noise eps/h^2 (~1e-8 rel).
@@ -335,12 +366,7 @@ def fd_agreement(
     pt = eval_profile(spec, r)
     closed = p_laplacian_radial(pt, params)
     fd = p_laplacian_fd(spec, r, params, h=h)
-    p, n = params.p, params.n_dim
-    grad_factor = abs(pt.d1) ** (p - 2.0) if (pt.d1 != 0.0 and p != 2.0) else 1.0
-    parts = grad_factor * (
-        (p - 1.0) * abs(pt.d2) + (n - 1.0) / pt.r * abs(pt.d1)
-    )
-    scale = max(abs(closed), abs(fd), parts, 1e-300)
+    scale = max(abs(closed), abs(fd), operator_scale(pt, params), 1e-300)
     residual = closed - fd
     return IdentityReport(
         label="p_laplacian_closed_vs_fd",

@@ -6,15 +6,16 @@ embedded difference against atol + rtol * max(|y0|, |y1|) per component, with
 step factor 0.9 * err^(-1/5) clipped to [0.2, 5].
 
 Events are scalar functions g(t, y); a sign change over an accepted step is
-refined by bisection on the dense interpolant to ~1e-10 relative in t.  The
-integrator never raises on difficult problems: it reports status
-"step_collapse" when h underflows (1e-14 * max(|t|, 1)) and "max_steps" when
-the step budget runs out, and leaves classification to the caller.
+refined by bisection on the dense interpolant to ~1e-10 relative in t, and
+the earliest root ends the integration.  The integrator never raises on
+difficult problems: it reports status "step_collapse" when h underflows
+(1e-14 * max(|t|, 1)) and "max_steps" when the step budget runs out, and
+leaves classification to the caller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,27 +45,24 @@ _SAFETY = 0.9
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Root of g(t, y) terminates (or is recorded during) the integration.
+    """Root of g(t, y) terminates the integration.
 
     direction > 0 fires only on increasing crossings, < 0 only on decreasing,
     0 on both.
     """
 
     fn: Callable[[float, np.ndarray], float]
-    terminal: bool = True
     direction: int = 0
 
 
 @dataclass
 class IntegrationResult:
-    ts: np.ndarray                      # accepted nodes, shape (n+1,)
+    ts: np.ndarray                      # accepted nodes, strictly increasing, shape (n+1,)
     ys: np.ndarray                      # states at nodes, shape (n+1, d)
     fs: np.ndarray                      # f at nodes (FSAL byproduct), shape (n+1, d)
     status: str                         # finished | event | step_collapse | max_steps
     event_index: int | None = None
     event_t: float | None = None
-    event_y: np.ndarray | None = None
-    events_hit: list = field(default_factory=list)   # (index, t, y) incl. non-terminal
     n_steps: int = 0
     n_rejected: int = 0
     n_fev: int = 0
@@ -133,12 +131,10 @@ def integrate(
 
     ts, ys, fs = [t], [y.copy()], [fy.copy()]
     g_prev = [ev.fn(t, y) for ev in events]
-    events_hit: list = []
     n_steps = n_rejected = 0
     status = "finished"
     event_index = None
     event_t = None
-    event_y = None
     k = np.empty((7, y.size))
 
     while t < t1:
@@ -205,19 +201,15 @@ def integrate(
             g_prev[ie] = g_new
 
         if triggered:
-            triggered.sort(key=lambda item: item[0])
-            for te, ie, ye in triggered:
-                events_hit.append((ie, te, ye))
-            te, ie, ye = triggered[0]
-            if events[ie].terminal:
-                status = "event"
-                event_index, event_t, event_y = ie, te, ye
+            te, ie, ye = min(triggered, key=lambda item: item[0])
+            status = "event"
+            event_index, event_t = ie, te
+            if te > t:  # a root on the last node is not appended twice
                 ts.append(te)
                 ys.append(ye)
                 fs.append(np.asarray(f(te, ye), dtype=float))
                 n_fev += 1
-                t, y, fy = te, ye, fs[-1]
-                break
+            break
 
         ts.append(t_new)
         ys.append(y_new.copy())
@@ -234,8 +226,6 @@ def integrate(
         status=status,
         event_index=event_index,
         event_t=event_t,
-        event_y=event_y,
-        events_hit=events_hit,
         n_steps=n_steps,
         n_rejected=n_rejected,
         n_fev=n_fev,

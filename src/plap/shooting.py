@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +63,6 @@ class IvpSpec:
     rtol: float = 1e-10
     atol: float = 1e-12
     delta0: float | None = None            # default 1e-6 * min(1, r_max)
-    blowup_threshold: float | None = None  # default 1e8 * u0
-    first_step: float | None = None        # default 0.1 * delta0
     max_step: float = math.inf             # refinement-study knob
 
     def __post_init__(self):
@@ -77,16 +74,15 @@ class IvpSpec:
             object.__setattr__(self, "delta0", 1e-6 * min(1.0, self.r_max))
         if not (0 < self.delta0 < 0.01 * self.r_max):
             raise ValueError(f"need 0 < delta0 << r_max, got {self.delta0}")
-        if self.blowup_threshold is None:
-            object.__setattr__(self, "blowup_threshold", 1e8 * self.u0)
-        if self.blowup_threshold <= self.u0:
-            raise ValueError("blowup_threshold must exceed u0")
-        if self.first_step is None:
-            object.__setattr__(self, "first_step", 0.1 * self.delta0)
         if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("rtol, atol must be positive")
         if not (self.max_step > 0):
             raise ValueError("max_step must be positive")
+
+    @property
+    def blowup_threshold(self) -> float:
+        """u above which a shot counts as blown up."""
+        return 1e8 * self.u0
 
 
 def series_coefficients(spec: IvpSpec) -> tuple[float, float]:
@@ -111,22 +107,49 @@ def series_state(spec: IvpSpec, r: float) -> np.ndarray:
     return np.array([u, w])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Accepted nodes of one shooting run plus the dense interpolant."""
+    """Accepted nodes of one shooting run plus the dense interpolant.
 
-    r: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    dense: bool
+    A view of the integrator result: event 0 is the zero crossing, event 1
+    the blow-up threshold.
+    """
+
     result: rk45.IntegrationResult
-    r_cross: float | None = None
-    r_blow: float | None = None
-    step_collapsed: bool = False
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.result.ts
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.result.ys[:, 0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.result.ys[:, 1]
 
     @property
     def status(self) -> str:
         return self.result.status
+
+    @property
+    def step_collapsed(self) -> bool:
+        return self.result.status == "step_collapse"
+
+    @property
+    def r_cross(self) -> float | None:
+        return self._event_radius(0)
+
+    @property
+    def r_blow(self) -> float | None:
+        return self._event_radius(1)
+
+    def _event_radius(self, index: int) -> float | None:
+        res = self.result
+        if res.status == "event" and res.event_index == index:
+            return float(res.event_t)
+        return None
 
     def du(self, params: ProblemParams) -> np.ndarray:
         """u' at the nodes, recovered from w."""
@@ -166,11 +189,10 @@ def integrate_ivp(spec: IvpSpec) -> Trajectory:
         dw = sgn * pr.amplitude * r ** (n1 + pr.gamma) * _odd_pow(u, pr.q)
         return np.array([du, dw])
 
+    threshold = spec.blowup_threshold
     events = [
-        rk45.EventSpec(fn=lambda t, y: y[0], terminal=True, direction=-1),
-        rk45.EventSpec(
-            fn=lambda t, y: y[0] - spec.blowup_threshold, terminal=True, direction=1
-        ),
+        rk45.EventSpec(fn=lambda t, y: y[0], direction=-1),
+        rk45.EventSpec(fn=lambda t, y: y[0] - threshold, direction=1),
     ]
     res = rk45.integrate(
         rhs,
@@ -179,31 +201,11 @@ def integrate_ivp(spec: IvpSpec) -> Trajectory:
         series_state(spec, spec.delta0),
         rtol=spec.rtol,
         atol=spec.atol,
-        first_step=spec.first_step,
+        first_step=0.1 * spec.delta0,
         max_step=spec.max_step,
         events=events,
     )
-
-    r, u, w = res.ts, res.ys[:, 0], res.ys[:, 1]
-    keep = np.concatenate(([True], np.diff(r) > 0))  # event node may duplicate
-    r, u, w = r[keep], u[keep], w[keep]
-
-    r_cross = r_blow = None
-    if res.status == "event":
-        if res.event_index == 0:
-            r_cross = float(res.event_t)
-        else:
-            r_blow = float(res.event_t)
-    return Trajectory(
-        r=r,
-        u=u,
-        w=w,
-        dense=True,
-        result=res,
-        r_cross=r_cross,
-        r_blow=r_blow,
-        step_collapsed=(res.status == "step_collapse"),
-    )
+    return Trajectory(res)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +496,6 @@ def scaling_covariance_report(
     )
 
 
-def sweep_outcomes(specs, max_workers: int | None = None):
-    """Classify a batch of specs; order-preserving, deterministic per point."""
-    def one(spec: IvpSpec) -> Outcome:
-        return classify_outcome(integrate_ivp(spec), spec)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            return list(ex.map(one, specs))
-    return [one(s) for s in specs]
+def sweep_outcomes(specs) -> list[Outcome]:
+    """Classify a batch of specs, in order, one shot after another."""
+    return [classify_outcome(integrate_ivp(spec), spec) for spec in specs]

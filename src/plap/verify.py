@@ -38,6 +38,7 @@ from .radial_ops import (
     PowerBarrier,
     eval_profile,
     fd_agreement,
+    operator_scale,
     p_laplacian_fd,
     p_laplacian_radial,
     power_transform_residual,
@@ -436,9 +437,7 @@ def _fd_rel(closed: float, spec, r: float, params: ProblemParams) -> tuple[float
     """
     pt = eval_profile(spec, r)
     radial = p_laplacian_radial(pt, params)
-    p, n = params.p, params.n_dim
-    grad_factor = abs(pt.d1) ** (p - 2.0) if (pt.d1 != 0.0 and p != 2.0) else 1.0
-    parts = grad_factor * ((p - 1.0) * abs(pt.d2) + (n - 1.0) / pt.r * abs(pt.d1))
+    parts = operator_scale(pt, params)
     fd = p_laplacian_fd(spec, r, params)
     scale = max(abs(closed), abs(fd), parts, 1e-300)
     return abs(closed - fd) / scale, abs(closed - radial) / max(abs(closed), abs(radial), parts, 1e-300)

@@ -21,23 +21,13 @@ def run(argv, capsys):
 
 @pytest.fixture(scope="module")
 def sweep_files(tmp_path_factory):
-    """One q-sweep written three ways: twice serially, once under a thread cap."""
+    """One q-sweep written twice."""
     d = tmp_path_factory.mktemp("sweep")
     argv = ["sweep", "--axis", "q", "--from", "2", "--to", "6", "--steps", "9",
             "--n", "3", "--p", "2", "--gamma", "0", "--u0", "1"]
-    paths = [d / name for name in ("a.csv", "b.csv", "threaded.csv")]
-    import os
-    assert cli.main(argv + ["--out", str(paths[0])]) == 0
-    assert cli.main(argv + ["--out", str(paths[1])]) == 0
-    old = os.environ.get("PLAP_THREADS")
-    os.environ["PLAP_THREADS"] = "4"
-    try:
-        assert cli.main(argv + ["--out", str(paths[2])]) == 0
-    finally:
-        if old is None:
-            del os.environ["PLAP_THREADS"]
-        else:
-            os.environ["PLAP_THREADS"] = old
+    paths = [d / name for name in ("a.csv", "b.csv")]
+    for path in paths:
+        assert cli.main(argv + ["--out", str(path)]) == 0
     return paths
 
 
@@ -64,14 +54,6 @@ class TestExitCodes:
         assert code == 1
         assert "minus sign" in err
 
-    def test_bad_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("PLAP_THREADS", "0")
-        code, _, err = run(
-            ["sweep", "--axis", "q", "--from", "3", "--to", "4", "--steps", "2",
-             "--n", "3", "--p", "2"], capsys)
-        assert code == 1
-        assert "PLAP_THREADS" in err
-
     def test_numerical_failure_exits_two(self, capsys, monkeypatch):
         def blow_up(prob):
             raise NewtonDivergence("stalled at the first continuation level",
@@ -82,6 +64,14 @@ class TestExitCodes:
             ["bvp", "--n", "3", "--p", "2", "--r-inner", "1", "--r-outer", "2",
              "--b-inner", "1", "--b-outer", "0"], capsys)
         assert code == 2
+        assert "numerical failure" in err
+
+    def test_overflowing_series_launch_exits_two(self, capsys):
+        # u0**q overflows in the origin series before any step is taken.
+        code, out, err = run(
+            ["shoot", "--n", "6", "--p", "5.97", "--q", "1500", "--u0", "2"], capsys)
+        assert code == 2
+        assert out == ""
         assert "numerical failure" in err
 
     def test_verify_single_green_criterion(self, capsys):
@@ -152,12 +142,8 @@ class TestConfigFile:
 
 class TestSweep:
     def test_byte_determinism(self, sweep_files):
-        a, b, _ = sweep_files
+        a, b = sweep_files
         assert a.read_bytes() == b.read_bytes()
-
-    def test_thread_cap_does_not_change_output(self, sweep_files):
-        a, _, threaded = sweep_files
-        assert a.read_bytes() == threaded.read_bytes()
 
     def test_boundary_column_flags_equation_critical_only(self, sweep_files):
         rows = list(csv.DictReader(io.StringIO(sweep_files[0].read_text())))

@@ -91,18 +91,6 @@ class TestEvents:
         assert res.status == "event"
         assert res.event_t == pytest.approx(2 * math.pi, rel=1e-8)
 
-    def test_non_terminal_events_recorded(self):
-        def f(t, y):
-            return np.array([math.cos(t)])
-
-        marker = EventSpec(fn=lambda t, y: y[0], terminal=False)
-        res = integrate(f, 0.1, 8.0, [math.sin(0.1)], events=[marker])
-        assert res.status == "finished"
-        roots = [t for (_, t, _) in res.events_hit]
-        assert len(roots) == 2
-        assert roots[0] == pytest.approx(math.pi, rel=1e-8)
-        assert roots[1] == pytest.approx(2 * math.pi, rel=1e-8)
-
     def test_two_events_earliest_terminal_wins(self):
         late = EventSpec(fn=lambda t, y: t - 2.5)
         early = EventSpec(fn=lambda t, y: t - 1.25)
@@ -147,3 +135,10 @@ class TestBookkeeping:
         assert res.ts.shape[0] == res.ys.shape[0] == res.fs.shape[0]
         assert res.ts[0] == 0.0 and res.ts[-1] == pytest.approx(1.0)
         assert np.all(np.diff(res.ts) > 0)
+        # A terminal event ends the nodes at the root, still strictly increasing.
+        ev = EventSpec(fn=lambda t, y: y[0] - 2.0)
+        hit = integrate(lambda t, y: y, 0.0, 1.0, [1.0], events=[ev])
+        assert hit.status == "event"
+        assert hit.ts.shape[0] == hit.ys.shape[0] == hit.fs.shape[0]
+        assert hit.ts[-1] == hit.event_t
+        assert np.all(np.diff(hit.ts) > 0)
