@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import BoundaryDominanceViolated, NewtonDivergence
 from .exponents import ProblemParams
@@ -37,6 +36,14 @@ _MAX_HALVINGS = 40
 _EPS_MACH = float(np.finfo(float).eps)
 
 RhsSpec = Union[None, Callable[[float], float], GridProfile]
+
+
+def solve_banded(l_and_u, ab, b):
+    """``scipy.linalg.solve_banded``, imported on first call: scipy.linalg
+    costs a cold start about 0.3 s that only this solver needs."""
+    from scipy.linalg import solve_banded as scipy_solve_banded
+
+    return scipy_solve_banded(l_and_u, ab, b)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exponents import ProblemParams
 from .radial_ops import ProfileSpec, check_p_harmonic, eval_profile
@@ -152,6 +151,8 @@ def caccioppoli_check(
     """LHS = int |u'|^p zeta^p r^{N-1}, RHS = int |u|^p |zeta'|^p r^{N-1};
     pass iff LHS <= p^p RHS (1 + tol).  Integrals piecewise by adaptive
     quadrature (zeta' jumps only at the knots)."""
+    from scipy.integrate import quad
+
     p, n_dim = params.p, params.n_dim
     check_p_harmonic(profile, params, float(cutoff.knots[0]), float(cutoff.knots[-1]))
 

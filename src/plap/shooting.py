@@ -66,10 +66,10 @@ class IvpSpec:
     max_step: float = math.inf             # refinement-study knob
 
     def __post_init__(self):
-        if not (self.u0 > 0):
-            raise ValueError(f"need u0 > 0, got {self.u0}")
-        if not (self.r_max > 0):
-            raise ValueError(f"need r_max > 0, got {self.r_max}")
+        if not (self.u0 > 0 and math.isfinite(self.u0)):
+            raise ValueError(f"need finite u0 > 0, got {self.u0}")
+        if not (self.r_max > 0 and math.isfinite(self.r_max)):
+            raise ValueError(f"need finite r_max > 0, got {self.r_max}")
         if self.delta0 is None:
             object.__setattr__(self, "delta0", 1e-6 * min(1.0, self.r_max))
         if not (0 < self.delta0 < 0.01 * self.r_max):

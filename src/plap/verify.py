@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import barriers, bvp, identities, shooting
 from .exponents import (
@@ -79,6 +78,15 @@ def _at_shot(r_max: float):
 def _subcritical_shot(u0: float, r_max: float = 30.0):
     spec = shooting.IvpSpec(params=ProblemParams(3, 2.0, 3.0), u0=u0, r_max=r_max)
     return spec, shooting.integrate_ivp(spec)
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """``scipy.integrate.solve_ivp``, imported on first call: scipy.integrate
+    (with the scipy.linalg it loads) costs a cold start about 0.6 s that only
+    the oracle needs."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, **options)
 
 
 def _oracle_p2_events(params: ProblemParams, u0: float, sgn: float, r_max: float,

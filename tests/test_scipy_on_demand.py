@@ -1,0 +1,116 @@
+"""scipy is imported on first use: only the annulus solver (scipy.linalg) and
+the verify oracles (scipy.integrate) load it, so every other subcommand starts
+without it.  The solvers call scipy through the module-level names
+``bvp.solve_banded`` and ``verify.solve_ivp``; the benchmark's tracer wraps
+exactly those names, so they are pinned here too."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from plap import AnnulusProblem, ProblemParams, bvp, solve_annulus_dirichlet_detailed, verify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+NO_SCIPY_COMMANDS = [
+    ["classify", "--n", "3", "--p", "2", "--gamma", "0", "--q", "4"],
+    ["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1"],
+    ["sweep", "--axis", "q", "--from", "2", "--to", "6", "--steps", "3",
+     "--n", "3", "--p", "2", "--u0", "1"],
+    ["counterexample", "--n", "3", "--p", "2", "--q", "4"],
+    ["hadamard", "--r1", "1", "--r2", "4", "--m1", "1", "--m2", "0.5", "--n", "3", "--p", "2"],
+    ["pohozaev", "--n", "3", "--p", "2", "--q", "4", "--u0", "1", "--r-eval", "3"],
+]
+
+# Runs in a fresh interpreter: after each step, record whether scipy is loaded.
+_CHILD = """
+import contextlib, io, json, sys
+steps = []
+def record(step, code=0):
+    steps.append((step, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+import plap
+record("import plap")
+from plap import cli
+record("import plap.cli")
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        record(argv[0], cli.main(argv))
+print(json.dumps(steps))
+"""
+
+
+def run_fresh(commands):
+    """[(step, exit code, loaded scipy modules)] from a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    def test_import_and_light_subcommands_never_load_scipy(self):
+        steps = run_fresh(NO_SCIPY_COMMANDS)
+        assert [s[0] for s in steps] == ["import plap", "import plap.cli"] + [
+            argv[0] for argv in NO_SCIPY_COMMANDS
+        ]
+        for step, code, loaded in steps:
+            assert code == 0, step
+            assert loaded == [], f"{step} loaded {loaded}"
+
+    @pytest.mark.parametrize(
+        "argv,module",
+        [
+            (["bvp", "--n", "3", "--p", "3", "--r-inner", "1", "--r-outer", "3",
+              "--b-inner", "1", "--b-outer", "0.2", "--f", "0.5"], "scipy.linalg"),
+            (["verify", "--only", "5"], "scipy.integrate"),
+        ],
+        ids=["bvp", "verify-5"],
+    )
+    def test_scipy_users_load_it(self, argv, module):
+        # Positive control: the probe above would see scipy if it were loaded.
+        (_, _, _), (_, _, at_cli), (step, code, loaded) = run_fresh([argv])
+        assert at_cli == []
+        assert code == 0, step
+        assert module in loaded
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a delegate that counts its calls."""
+    original = getattr(owner, name)
+    calls = []
+
+    def delegate(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, delegate)
+    return calls
+
+
+class TestScipyEntryPoints:
+    def test_annulus_solve_goes_through_bvp_solve_banded(self, monkeypatch):
+        prob = AnnulusProblem(ProblemParams(3, 3.0, 3.0), 1.0, 3.0, 1.0, 0.2,
+                              rhs=lambda r: 0.5)
+        ref, ref_info = solve_annulus_dirichlet_detailed(prob)
+        calls = counting(monkeypatch, bvp, "solve_banded")
+        prof, info = solve_annulus_dirichlet_detailed(prob)
+        assert len(calls) >= 1
+        assert info == ref_info
+        np.testing.assert_array_equal(prof.u, ref.u)
+
+    def test_oracle_goes_through_verify_solve_ivp(self, monkeypatch):
+        ref = verify.run_one(5)
+        calls = counting(monkeypatch, verify, "solve_ivp")
+        res = verify.run_one(5)
+        assert len(calls) >= 1
+        assert res == ref
+        assert res.passed

@@ -238,6 +238,8 @@ class TestSpecValidation:
             dict(u0=1.0, delta0=50.0),  # not << r_max
             dict(u0=1.0, max_step=0.0),
             dict(u0=1.0, rtol=0.0),
+            dict(u0=math.inf),
+            dict(u0=1.0, r_max=math.inf),
         ],
     )
     def test_rejects(self, kw):
