@@ -59,13 +59,15 @@ class AnnulusProblem:
     mesh_size: int = 256
 
     def __post_init__(self):
-        if not 0 < self.r_inner < self.r_outer:
-            raise ValueError("need 0 < r_inner < r_outer")
+        if not 0 < self.r_inner < self.r_outer < math.inf:
+            raise ValueError("need 0 < r_inner < r_outer < inf")
+        if not (math.isfinite(self.boundary_inner) and math.isfinite(self.boundary_outer)):
+            raise ValueError("boundary values must be finite")
         if not isinstance(self.mesh_size, int) or self.mesh_size < 16:
             raise ValueError(f"mesh_size must be an integer >= 16, got {self.mesh_size!r}")
         f = self.rhs_values(self.mesh_nodes())
-        if np.any(f < 0):
-            raise ValueError(f"rhs must be >= 0 where sampled, min = {f.min()}")
+        if not np.all((f >= 0) & (f < math.inf)):
+            raise ValueError(f"rhs must be finite and >= 0 where sampled: [{f.min()}, {f.max()}]")
 
     def mesh_nodes(self) -> np.ndarray:
         return np.linspace(self.r_inner, self.r_outer, self.mesh_size + 1)

@@ -23,6 +23,7 @@ increasing in q and vanishes exactly at q = q_E.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DimensionRegime
@@ -43,12 +44,12 @@ class ProblemParams:
             raise ValueError(f"n_dim must be an integer >= 1, got {self.n_dim!r}")
         if not self.p > 1:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if not self.gamma > -self.p:
-            raise ValueError(f"gamma must exceed -p = {-self.p}, got {self.gamma}")
-        if not self.q > self.p - 1:
-            raise ValueError(f"q must exceed p - 1 = {self.p - 1}, got {self.q}")
-        if not self.amplitude > 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+        if not -self.p < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed -p = {-self.p}, got {self.gamma}")
+        if not self.p - 1 < self.q < math.inf:
+            raise ValueError(f"q must be finite and exceed p - 1 = {self.p - 1}, got {self.q}")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and positive, got {self.amplitude}")
 
 
 @dataclass(frozen=True)

@@ -68,28 +68,30 @@ class IntegrationResult:
     n_fev: int = 0
 
     def sol(self, t):
-        """Dense evaluation at scalar or array t inside [ts[0], ts[-1]]."""
+        """Dense evaluation at scalar or array t inside [ts[0], ts[-1]].
+
+        Returns shape (m, d) for an array of m points and (d,) for a scalar.
+        """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < self.ts[0] - 1e-12) or np.any(t_arr > self.ts[-1] * (1 + 1e-12)):
             raise ValueError(
                 f"dense output queried outside [{self.ts[0]}, {self.ts[-1]}]"
             )
-        idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, len(self.ts) - 2)
-        out = np.empty((t_arr.size, self.ys.shape[1]))
-        for j, (ti, i) in enumerate(zip(t_arr, idx)):
-            out[j] = _hermite(
-                self.ts[i], self.ts[i + 1], self.ys[i], self.ys[i + 1],
-                self.fs[i], self.fs[i + 1], ti,
+        if self.ts.size == 1:
+            # A step collapse at launch leaves one node, whose f may be inf.
+            out = np.repeat(self.ys, t_arr.size, axis=0)
+        else:
+            i = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, self.ts.size - 2)
+            out = _hermite(
+                self.ts[i, None], self.ts[i + 1, None], self.ys[i], self.ys[i + 1],
+                self.fs[i], self.fs[i + 1], t_arr[:, None],
             )
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return out[0]
-        return out
+        return out[0] if np.ndim(t) == 0 else out
 
 
 def _hermite(t0, t1, y0, y1, f0, f1, t):
+    """Cubic Hermite interpolant of one step; broadcasts over leading axes."""
     h = t1 - t0
-    if h == 0.0:
-        return y0.copy()
     th = (t - t0) / h
     h00 = 2 * th**3 - 3 * th**2 + 1
     h10 = th**3 - 2 * th**2 + th
@@ -233,11 +235,8 @@ def integrate(
 
 
 def _refine_event(g, t0, t1, y0, y1, f0, f1, g0, rel_tol=1e-10, max_iter=200):
-    """Bisect g(t, herm(t)) = 0 inside one accepted step."""
-    a, b = t0, t1
-    ga = g0
-    if ga == 0.0:  # degenerate: root at left node already handled by caller
-        ga = g(a, _hermite(t0, t1, y0, y1, f0, f1, a))
+    """Bisect g(t, herm(t)) = 0 inside one accepted step; g0 = g(t0) != 0."""
+    a, b, ga = t0, t1, g0
     width_tol = rel_tol * max(abs(t0), abs(t1), 1e-30)
     for _ in range(max_iter):
         if (b - a) <= width_tol:

@@ -74,8 +74,8 @@ class IvpSpec:
             object.__setattr__(self, "delta0", 1e-6 * min(1.0, self.r_max))
         if not (0 < self.delta0 < 0.01 * self.r_max):
             raise ValueError(f"need 0 < delta0 << r_max, got {self.delta0}")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("rtol, atol must be positive")
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError(f"rtol, atol must be finite and positive: {self.rtol}, {self.atol}")
         if not (self.max_step > 0):
             raise ValueError("max_step must be positive")
 
@@ -157,9 +157,8 @@ class Trajectory:
 
     def sample(self, params: ProblemParams, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, u', w) at arbitrary radii inside the integrated range."""
-        ys = self.result.sol(r)
-        ys = np.atleast_2d(ys)
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        ys = self.result.sol(r_arr)
         u, w = ys[:, 0], ys[:, 1]
         return u, _du_from_w(r_arr, w, params), w
 
@@ -338,25 +337,23 @@ def _series_head(spec: IvpSpec, power: float) -> float:
     return lead + corr
 
 
-def _gl_panel(traj: Trajectory, spec: IvpSpec, a: float, b: float, power: float, signed: bool) -> float:
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pts = mid + half * _GL_X
-    u = np.atleast_2d(traj.result.sol(pts))[:, 0]
+def _cumulative_integral(
+    traj: Trajectory, spec: IvpSpec, power: float, signed: bool, edges: np.ndarray
+) -> np.ndarray:
+    """int_0^{e} r^{N-1+gamma} u^power dr at each edge e (series head + panels).
+
+    Gauss-Legendre panels between consecutive edges, all from one ``sol`` call.
+    """
     pr = spec.params
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = mid[:, None] + half[:, None] * _GL_X
+    u = traj.result.sol(pts.ravel())[:, 0].reshape(pts.shape)
     uq = np.sign(u) * np.abs(u) ** power if signed else np.abs(u) ** power
     vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * uq
-    return half * float(_GL_W @ vals)
-
-
-def _cumulative_integral(traj: Trajectory, spec: IvpSpec, power: float, signed: bool) -> np.ndarray:
-    """int_0^{r_i} r^{N-1+gamma} u^power dr at every node (series head + panels)."""
-    out = np.empty_like(traj.r)
-    acc = _series_head(spec, power)
-    out[0] = acc
-    for i in range(len(traj.r) - 1):
-        acc += _gl_panel(traj, spec, traj.r[i], traj.r[i + 1], power, signed)
-        out[i + 1] = acc
-    return out
+    # (1, 7) @ (7, 1) per panel rounds like a 7-point dot; an (m, 7) @ (7,) gemv does not.
+    panels = half * (vals[:, None, :] @ _GL_W[:, None])[:, 0, 0]
+    return np.cumsum(np.concatenate(([_series_head(spec, power)], panels)))
 
 
 def conservation_report(traj: Trajectory, spec: IvpSpec, tol_factor: float = 10.0) -> IdentityReport:
@@ -371,7 +368,7 @@ def conservation_report(traj: Trajectory, spec: IvpSpec, tol_factor: float = 10.
     """
     pr = spec.params
     sgn = float(spec.sign.value)
-    integral = _cumulative_integral(traj, spec, pr.q, signed=True)
+    integral = _cumulative_integral(traj, spec, pr.q, signed=True, edges=traj.r)
     resid = np.abs(traj.w - sgn * pr.amplitude * integral)
     scale = np.maximum(np.abs(traj.w), pr.amplitude * np.abs(integral))
     scale = np.maximum(scale, spec.atol)
@@ -409,11 +406,8 @@ def pohozaev_residual(
     pr = spec.params
     coeff = pohozaev_coefficient(pr)
 
-    j = int(np.searchsorted(traj.r, r_eval, side="right")) - 1
-    j = min(max(j, 0), len(traj.r) - 2)
-    integral = float(_cumulative_integral(traj, spec, pr.q + 1.0, signed=False)[j])
-    if r_eval > traj.r[j]:
-        integral += _gl_panel(traj, spec, traj.r[j], r_eval, pr.q + 1.0, signed=False)
+    edges = np.append(traj.r[traj.r < r_eval], r_eval)
+    integral = float(_cumulative_integral(traj, spec, pr.q + 1.0, signed=False, edges=edges)[-1])
 
     u_arr, du_arr, _ = traj.sample(pr, r_eval)
     u, du = float(u_arr[0]), float(du_arr[0])

@@ -180,6 +180,11 @@ class TestValidation:
             dict(mesh_size=8),
             dict(mesh_size=64.0),
             dict(rhs=lambda r: -1.0),
+            dict(r_outer=math.inf),
+            dict(boundary_inner=math.nan),
+            dict(boundary_outer=math.inf),
+            dict(rhs=lambda r: math.inf),
+            dict(rhs=lambda r: math.nan),
         ],
     )
     def test_rejects_bad_problems(self, kw):

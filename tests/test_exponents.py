@@ -141,6 +141,9 @@ class TestParamsValidation:
             dict(gamma=-2.0, p=2.0),  # gamma <= -p
             dict(a=0.0),
             dict(a=-1.0),
+            dict(q=math.inf),
+            dict(gamma=math.inf),
+            dict(a=math.inf),
         ],
     )
     def test_rejects_out_of_domain(self, kwargs):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from plap.rk45 import EventSpec, IntegrationResult, integrate
+from plap.rk45 import EventSpec, IntegrationResult, _hermite, integrate
 
 
 class TestAccuracy:
@@ -59,6 +59,34 @@ class TestDenseOutput:
         out = res.sol(0.5)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(math.sqrt(math.e), rel=1e-8)
+
+    def test_matches_per_point_hermite(self):
+        # Reference: one scalar _hermite call per point.  Broadcasting may
+        # round th**3 differently, so allow a few ulp of the O(1) values.
+        res = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0])
+        ts = np.linspace(0.0, 3.0, 401)
+        ref = []
+        for t in ts:
+            i = min(int(np.searchsorted(res.ts, t, side="right")) - 1, res.ts.size - 2)
+            ref.append(_hermite(res.ts[i], res.ts[i + 1], res.ys[i], res.ys[i + 1],
+                                res.fs[i], res.fs[i + 1], t))
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(res.sol(ts), np.array(ref), rtol=8 * eps, atol=8 * eps)
+
+    def test_nodes_reproduced_exactly(self):
+        res = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0])
+        out = res.sol(res.ts)
+        assert out.shape == (res.ts.size, 2)
+        assert np.array_equal(out, res.ys)
+
+    def test_one_node_result_returns_its_state(self):
+        # A step collapse at launch leaves one node, with f = inf there: the
+        # interpolant must be that node's state, not a 0 * inf = nan blend.
+        res = integrate(lambda t, y: np.array([np.inf]), 0.0, 1.0, [1.0])
+        assert res.status == "step_collapse"
+        assert res.ts.size == 1
+        assert np.array_equal(res.sol(0.0), res.ys[0])
+        assert np.array_equal(res.sol(np.array([0.0, 0.0])), res.ys[[0, 0]])
 
     def test_outside_span_raises(self):
         res = integrate(lambda t, y: y, 0.0, 1.0, [1.0])

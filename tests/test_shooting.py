@@ -23,7 +23,14 @@ from plap import (
     scaling_exponent,
     sweep_outcomes,
 )
-from plap.shooting import series_coefficients, series_state
+from plap.shooting import (
+    _GL_W,
+    _GL_X,
+    _cumulative_integral,
+    _series_head,
+    series_coefficients,
+    series_state,
+)
 
 SUBCRITICAL = ProblemParams(n_dim=3, p=2.0, q=3.0, gamma=0.0)
 CRITICAL = ProblemParams(n_dim=3, p=2.0, q=5.0, gamma=0.0)
@@ -167,6 +174,21 @@ class TestDecayReport:
             decay_slope_report(traj, spec)
 
 
+class TestQuadrature:
+    def test_matches_per_panel_loop(self):
+        # Reference: one 7-point Gauss-Legendre panel per node interval, added
+        # in order to the series head, with sol queried one point at a time.
+        traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
+        q, n = spec.params.q, spec.params.n_dim
+        ref = [_series_head(spec, q)]
+        for a, b in zip(traj.r[:-1], traj.r[1:]):
+            pts = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
+            u = np.array([traj.result.sol(t)[0] for t in pts])
+            ref.append(ref[-1] + 0.5 * (b - a) * float(_GL_W @ (pts ** (n - 1.0) * u**q)))
+        got = _cumulative_integral(traj, spec, q, signed=True, edges=traj.r)
+        np.testing.assert_allclose(got, ref, rtol=64 * np.finfo(float).eps, atol=0)
+
+
 class TestPohozaevResidual:
     def test_critical_balance(self):
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
@@ -180,6 +202,17 @@ class TestPohozaevResidual:
         rep = pohozaev_residual(traj, spec, 5.0, tol=1e-4)
         assert rep.passed
         assert rep.rel_residual() <= 1e-4
+
+    def test_returns_plain_python_scalars(self):
+        # An r_eval inside a node interval ends the quadrature on a partial
+        # panel, one at the last node on a whole one; both report plain types.
+        traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
+        for r_eval in (float(0.5 * (traj.r[10] + traj.r[11])), float(traj.r[-1])):
+            rep = pohozaev_residual(traj, spec, r_eval)
+            assert type(rep.passed) is bool and rep.passed
+            assert type(rep.lhs) is float
+            assert type(rep.residual) is float and type(rep.scale) is float
+            assert rep.rel_residual() <= 1e-6
 
     def test_rejects_evaluation_at_crossing(self):
         # The terminal crossing is the last node; positivity fails exactly there.
@@ -240,6 +273,8 @@ class TestSpecValidation:
             dict(u0=1.0, rtol=0.0),
             dict(u0=math.inf),
             dict(u0=1.0, r_max=math.inf),
+            dict(u0=1.0, rtol=math.inf),
+            dict(u0=1.0, atol=math.inf),
         ],
     )
     def test_rejects(self, kw):
