@@ -142,6 +142,10 @@ def counterexample_residual_grid(
     points: int = 2000,
 ):
     """(r, residual) on a log grid; the standard nonnegativity sweep."""
+    if not 0 < r_min < r_max < math.inf:
+        raise ValueError(f"need 0 < r_min < r_max < inf, got [{r_min}, {r_max}]")
+    if points < 2:
+        raise ValueError(f"need at least 2 grid points, got {points}")
     r = np.geomspace(r_min, r_max, points)
     lhs, rhs = _counterexample_sides(consts, params, r)
     return r, lhs - rhs
@@ -267,10 +271,12 @@ class HadamardInput:
     log_mode: bool = False
 
     def __post_init__(self):
-        if not 0 < self.r1 < self.r2:
-            raise ValueError("need 0 < r1 < r2")
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError("sphere minima must be nonnegative")
+        if not 0 < self.r1 < self.r2 < math.inf:
+            raise ValueError("need 0 < r1 < r2 < inf")
+        if not (0 <= self.m1 < math.inf and 0 <= self.m2 < math.inf):
+            raise ValueError("sphere minima must be finite and nonnegative")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam!r}")
         if not self.log_mode and self.lam == 0.0:
             raise ValueError("lam = 0 degenerates the power interpolant; use log_mode (N = p)")
 

@@ -7,13 +7,16 @@ Discretization: uniform mesh, conservative midpoint fluxes
 
 with the degenerate |u'|^{p-2} regularized through eps.  The Jacobian is the
 symmetric tridiagonal with off-diagonals c_{i+1/2} = rm^{N-1} phi'(D)/dr,
-phi'(D) = (D^2+eps^2)^{(p-4)/2}((p-1)D^2+eps^2) > 0, so each Newton system is
-an M-matrix solved by banded elimination.  eps continues geometrically
-1e-2 -> 1e-10 (a single exact level for p = 2, where eps drops out of the
-flux); each level warm-starts from the previous one.  If Newton stops
-converging at some level the last converged solution is returned and the
-achieved eps is reported -- for p > 2 the Jacobian degenerates wherever the
-discrete gradient vanishes, and chasing eps below that point buys no accuracy.
+phi'(D) = (D^2+eps^2)^{(p-4)/2}((p-1)D^2+eps^2) > 0.  Each Newton system
+J x = b is solved exactly by two prefix sums: the fluxes G_i = c_i (x_{i+1} -
+x_i) satisfy G_i - G_{i-1} = b_i, so G is the running sum of b shifted until
+the increments G_i / c_i add up to zero (the Dirichlet ends), and x is their
+running sum.  eps continues geometrically 1e-2 -> 1e-10 (a single exact level
+for p = 2, where eps drops out of the flux); each level warm-starts from the
+previous one.  If Newton stops converging at some level the last converged
+solution is returned and the achieved eps is reported -- for p > 2 the
+Jacobian degenerates wherever the discrete gradient vanishes, and chasing eps
+below that point buys no accuracy.
 """
 
 from __future__ import annotations
@@ -38,12 +41,16 @@ _EPS_MACH = float(np.finfo(float).eps)
 RhsSpec = Union[None, Callable[[float], float], GridProfile]
 
 
-def solve_banded(l_and_u, ab, b):
-    """``scipy.linalg.solve_banded``, imported on first call: scipy.linalg
-    costs a cold start about 0.3 s that only this solver needs."""
-    from scipy.linalg import solve_banded as scipy_solve_banded
-
-    return scipy_solve_banded(l_and_u, ab, b)
+def solve_banded(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x_1..x_n with c_{i-1} x_{i-1} - (c_{i-1} + c_i) x_i + c_i x_{i+1} = b_i and
+    x_0 = x_{n+1} = 0, for the n + 1 weights c_0..c_n, by the two prefix sums
+    of the module docstring.  A zero or NaN weight gives a non-finite x,
+    without a warning."""
+    with np.errstate(all="ignore"):
+        inv_c = 1.0 / c
+        flux = np.concatenate(([0.0], np.cumsum(b)))
+        flux -= (flux @ inv_c) / np.sum(inv_c)
+        return np.cumsum(flux * inv_c)[:-1]
 
 
 @dataclass(frozen=True)
@@ -130,14 +137,7 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps, scale):
     for it in range(_MAX_NEWTON_ITER):
         if norm <= max(_NEWTON_TOL, floor / scale):
             return u, it, norm
-        ab = np.zeros((3, n))
-        ab[0, 1:] = c[1:n]
-        ab[1, :] = -(c[:n] + c[1 : n + 1])
-        ab[2, :-1] = c[1:n]
-        try:
-            delta = solve_banded((1, 1), ab, -res)
-        except Exception:
-            raise _LevelStalled(norm)
+        delta = solve_banded(c, -res)
         if not np.all(np.isfinite(delta)):
             raise _LevelStalled(norm)
         t = 1.0

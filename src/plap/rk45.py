@@ -126,9 +126,10 @@ def integrate(
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     y = np.asarray(y0, dtype=float).copy()
     t = t0
-    fy = np.asarray(f(t, y), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fy = np.asarray(f(t, y), dtype=float)
+        h = first_step if first_step is not None else _initial_step(f, t0, y, fy, t1, rtol, atol)
     n_fev = 1
-    h = first_step if first_step is not None else _initial_step(f, t0, y, fy, t1, rtol, atol)
     h = min(h, max_step, t1 - t0)
 
     ts, ys, fs = [t], [y.copy()], [fy.copy()]

@@ -80,6 +80,24 @@ class TestCounterexample:
             _, res = counterexample_residual_grid(consts, pr, points=400)
             assert np.min(res) >= 0.0
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(r_max=math.inf),
+            dict(r_min=math.nan),
+            dict(r_max=math.nan),
+            dict(r_min=2.0, r_max=1.0),
+            dict(r_min=0.0),
+            dict(r_min=-2.0, r_max=-1.0),
+            dict(points=1),  # one point would pass the nonnegativity sweep
+            dict(points=0),
+        ],
+    )
+    def test_grid_rejects_bad_range(self, kw):
+        pr = params()
+        with pytest.raises(ValueError):
+            counterexample_residual_grid(build_counterexample(pr), pr, **kw)
+
     def test_origin_is_singular_for_the_closed_form(self):
         consts = build_counterexample(params())
         with pytest.raises(OriginSingularity):
@@ -203,6 +221,12 @@ class TestHadamardBound:
             dict(r1=2.0, r2=1.0, m1=1.0, m2=1.0, lam=-1.0),
             dict(r1=1.0, r2=2.0, m1=-0.1, m2=1.0, lam=-1.0),
             dict(r1=1.0, r2=2.0, m1=1.0, m2=1.0),  # lam = 0 without log_mode
+            dict(r1=1.0, r2=math.inf, m1=1.0, m2=0.5, lam=-1.0),
+            dict(r1=math.nan, r2=2.0, m1=1.0, m2=0.5, lam=-1.0),
+            dict(r1=1.0, r2=2.0, m1=math.nan, m2=0.5, lam=-1.0),
+            dict(r1=1.0, r2=2.0, m1=1.0, m2=math.inf, lam=-1.0),
+            dict(r1=1.0, r2=2.0, m1=1.0, m2=0.5, lam=math.nan),
+            dict(r1=1.0, r2=2.0, m1=1.0, m2=0.5, lam=-math.inf),
         ],
     )
     def test_input_validation(self, kw):

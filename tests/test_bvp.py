@@ -1,6 +1,7 @@
 """Annulus Dirichlet solver: closed-form accuracy, convergence, comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from plap import (
     AnnulusProblem,
     BoundaryDominanceViolated,
     GridProfile,
+    NewtonDivergence,
     NotPHarmonic,
     PowerBarrier,
     ProblemParams,
@@ -17,6 +19,7 @@ from plap import (
     solve_annulus_dirichlet,
     solve_annulus_dirichlet_detailed,
 )
+from plap.bvp import solve_banded
 
 
 def params(n=3, p=2.0):
@@ -87,6 +90,46 @@ class TestSolverDiagnostics:
         )
         prof = solve_annulus_dirichlet(prob)
         assert prof.u[0] == 2.0 and prof.u[-1] == 0.25
+
+
+def newton_matrix(c):
+    """Dense tridiag(c_{i-1}, -(c_{i-1} + c_i), c_i) for the n + 1 weights c."""
+    inner = c[1:-1]
+    return np.diag(-(c[:-1] + c[1:])) + np.diag(inner, 1) + np.diag(inner, -1)
+
+
+class TestNewtonSolve:
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+    def test_matches_dense_solve(self, n, scale):
+        rng = np.random.default_rng(n)
+        c = scale * rng.uniform(0.5, 2.0, n + 1)
+        b = scale * rng.standard_normal(n)
+        J = newton_matrix(c)
+        x = solve_banded(c, b)
+        assert np.linalg.norm(J @ x - b) / np.linalg.norm(b) <= 1e-10
+        dense = np.linalg.solve(J, b)
+        assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+    def test_zero_weight_gives_non_finite_without_warning(self):
+        c = np.ones(6)
+        c[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = solve_banded(c, np.ones(5))
+        assert not np.all(np.isfinite(x))
+
+    def test_vanishing_jacobian_is_newton_divergence(self):
+        # p < 2 and a slope near 1e150: phi'(D) underflows to 0 on every
+        # midpoint, so the first Newton system is singular.
+        prob = AnnulusProblem(
+            params=params(3, 1.5), r_inner=1.0, r_outer=2.0,
+            boundary_inner=1e148, boundary_outer=0.0, mesh_size=32,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonDivergence):
+                solve_annulus_dirichlet_detailed(prob)
 
 
 class TestStructure:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -73,6 +74,25 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hadamard", "--r1", "1", "--r2", "inf", "--m1", "1", "--m2", "0.5",
+             "--n", "3", "--p", "2"],
+            ["hadamard", "--r1", "1", "--r2", "2", "--m1", "nan", "--m2", "0.5",
+             "--n", "3", "--p", "2"],
+            ["counterexample", "--n", "3", "--p", "2", "--q", "4", "--r-max", "inf"],
+        ],
+        ids=["hadamard-r2-inf", "hadamard-m1-nan", "counterexample-r-max-inf"],
+    )
+    def test_non_finite_barrier_input_is_usage_error(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "plap <subcommand>" in err
 
     def test_verify_single_green_criterion(self, capsys):
         code, out, err = run(["verify", "--only", "1"], capsys)

@@ -1,6 +1,7 @@
 """Radial shooting: outcomes, frozen event radii, invariants, scaling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ class TestOutcomes:
         out = classify_outcome(traj, spec)
         assert out.kind is OutcomeKind.INDETERMINATE
         assert "not monotone" in out.reason
+
+    def test_overflowing_launch_collapses_without_warning(self):
+        # The series launch state overflows the rhs at the first node; the
+        # launch evaluation runs under the same errstate as every later stage.
+        params = ProblemParams(n_dim=3, p=2.971, q=124.7, gamma=0.322)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, _ = shoot(params, 1.631, r_max=100.0, sign=EquationSign.PLUS)
+        assert traj.result.status == "step_collapse"
+        assert len(traj.r) == 1
 
     def test_outcome_field_consistency(self):
         with pytest.raises(ValueError):
