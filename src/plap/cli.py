@@ -1,13 +1,18 @@
 """Command-line front end: parameter entry, sweeps, CSV/JSON emission, and
 the self-verification suite.
 
-Exit codes: 0 success, 1 usage error (bad flags or parameters outside the
-regime a subcommand needs), 2 numerical failure (Newton divergence, step
-collapse, overflow), 3 verification failure.
+Exit codes: 0 success, 1 usage error (bad flags, parameters outside the
+regime a subcommand needs, or an --out path that cannot be written), 2
+numerical failure (Newton divergence, step collapse, overflow), 3
+verification failure.
 
 Floats are serialized with ``repr`` (shortest round-trip decimals), so CSV
 output is byte-identical across runs and reading a column back with
 ``float`` reproduces the values exactly.
+
+Importing this module loads neither numpy nor the numerical modules; each
+subcommand imports what it uses when it is dispatched, so ``classify``,
+``--help`` and flag errors run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -16,14 +21,13 @@ import argparse
 import csv
 import dataclasses
 import enum
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import barriers, bvp, shooting, verify
 from .errors import NewtonDivergence, PlapError
 from .exponents import (
     ProblemParams,
@@ -33,6 +37,9 @@ from .exponents import (
     pohozaev_coefficient,
     serrin_critical,
 )
+
+if TYPE_CHECKING:
+    from . import shooting
 
 _USAGE = """plap <subcommand> [flags]
 
@@ -106,6 +113,7 @@ def _params_from(args, q: float | None = None) -> ProblemParams:
 
 
 def _sign_from(args) -> shooting.EquationSign:
+    from . import shooting
     return shooting.EquationSign.MINUS if args.sign == "minus" else shooting.EquationSign.PLUS
 
 
@@ -123,25 +131,27 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_csv(out: str | None, header, rows):
-    fh = open(out, "w", newline="") if out else sys.stdout
+def _write(out: str | None, text: str):
+    if not out:
+        sys.stdout.write(text)
+        return
     try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
-    finally:
-        if out:
-            fh.close()
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageExit(f"cannot write {out!r}: {exc.strerror or exc}")
+
+
+def _emit_csv(out: str | None, header, rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_fmt(x) for x in row] for row in rows)
+    _write(out, buf.getvalue())
 
 
 def _emit_json(out: str | None, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +182,8 @@ class SweepSpec:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
 
     def points(self) -> list[tuple[float, shooting.IvpSpec]]:
+        import numpy as np
+        from . import shooting
         out = []
         for v in np.linspace(self.from_, self.to, self.steps):
             v = float(v)
@@ -223,6 +235,7 @@ def _build_shoot(p: _Parser):
 
 
 def _run_shoot(args) -> int:
+    from . import shooting
     spec = shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=_sign_from(args),
         r_max=args.r_max, rtol=args.rtol, atol=args.atol, delta0=args.delta0,
@@ -264,6 +277,7 @@ def _build_sweep(p: _Parser):
 
 
 def _run_sweep(args) -> int:
+    from . import shooting
     axis = SweepAxis(args.axis)
     if args.q is None:
         if axis is not SweepAxis.Q:
@@ -298,6 +312,8 @@ def _build_counterexample(p: _Parser):
 
 
 def _run_counterexample(args) -> int:
+    import numpy as np
+    from . import barriers
     pr = _params_from(args)
     consts = barriers.build_counterexample(pr)
     r, res = barriers.counterexample_residual_grid(
@@ -335,6 +351,8 @@ def _build_hadamard(p: _Parser):
 
 
 def _run_hadamard(args) -> int:
+    import numpy as np
+    from . import barriers
     if args.log_mode:
         inp = barriers.HadamardInput(args.r1, args.r2, args.m1, args.m2, log_mode=True)
     elif args.lam is not None:
@@ -368,6 +386,7 @@ def _build_pohozaev(p: _Parser):
 def _run_pohozaev(args) -> int:
     if args.sign != "minus":
         raise _UsageExit("the balance identity holds for the minus sign only")
+    from . import shooting
     spec = shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=shooting.EquationSign.MINUS,
         r_max=args.r_max, rtol=args.rtol, atol=args.atol, delta0=args.delta0,
@@ -395,6 +414,7 @@ def _build_bvp(p: _Parser):
 
 
 def _run_bvp(args) -> int:
+    from . import bvp
     pr = ProblemParams(n_dim=args.n, p=args.p, q=max(args.p, 2.0))
     f = args.f
     prob = bvp.AnnulusProblem(
@@ -420,6 +440,7 @@ def _build_verify(p: _Parser):
 
 
 def _run_verify(args) -> int:
+    from . import verify
     indices = None
     if args.only is not None:
         try:
@@ -430,12 +451,7 @@ def _run_verify(args) -> int:
         if bad:
             raise _UsageExit(f"criterion numbers must be in 1..{len(verify.CRITERIA)}: {bad}")
     results = verify.run_all(indices)
-    lines = "".join(res.line() + "\n" for res in results)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+    _write(args.out, "".join(res.line() + "\n" for res in results))
     n_fail = sum(1 for res in results if not res.passed)
     if n_fail:
         print(f"{n_fail} of {len(results)} checks failed", file=sys.stderr)
@@ -495,7 +511,7 @@ def _config_tokens(parser: _Parser, path: str) -> list[str]:
         key, value = (tok.strip() for tok in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         action = known.get(flag)
-        if action is None:
+        if action is None or action.dest in ("config", "help"):
             raise _UsageExit(f"{path}:{lineno}: unknown key {key!r} for this subcommand")
         if action.nargs == 0:
             if value.lower() in ("1", "true", "yes"):

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+import plap.bvp
 from plap import cli, shooting
 from plap.errors import NewtonDivergence
 
@@ -60,7 +61,7 @@ class TestExitCodes:
             raise NewtonDivergence("stalled at the first continuation level",
                                    last_residual=1.0, flux_eps=1e-2)
 
-        monkeypatch.setattr(cli.bvp, "solve_annulus_dirichlet_detailed", blow_up)
+        monkeypatch.setattr(plap.bvp, "solve_annulus_dirichlet_detailed", blow_up)
         code, _, err = run(
             ["bvp", "--n", "3", "--p", "2", "--r-inner", "1", "--r-outer", "2",
              "--b-inner", "1", "--b-outer", "0"], capsys)
@@ -93,6 +94,22 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "plap <subcommand>" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            CLASSIFY_ARGS,
+            ["hadamard", "--r1", "1", "--r2", "4", "--m1", "1", "--m2", "2", "--lam", "-1"],
+        ],
+        ids=["json-writer", "csv-writer"],
+    )
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        dest = tmp_path / "missing" / "out.txt"
+        code, out, err = run(argv + ["--out", str(dest)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"plap {argv[0]}: cannot write {str(dest)!r}: ")
+        assert not dest.exists()
 
     def test_verify_single_green_criterion(self, capsys):
         code, out, err = run(["verify", "--only", "1"], capsys)
@@ -158,6 +175,15 @@ class TestConfigFile:
         code, _, err = run(["classify", "--config", str(cfg)], capsys)
         assert code == 1
         assert "wibble" in err
+
+    @pytest.mark.parametrize("line", ["config = other.cfg", "help = true"])
+    def test_config_and_help_keys_are_rejected(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = 3\np = 2\nq = 4\n{line}\n")
+        code, out, err = run(["classify", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{cfg}:4: unknown key {line.split()[0]!r}" in err
 
 
 class TestSweep:

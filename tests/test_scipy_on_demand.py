@@ -1,25 +1,38 @@
-"""scipy is imported on first use: only the verify oracles and
-``identities.caccioppoli_check`` (scipy.integrate) load it, so every other
-subcommand, the annulus solver included, starts without it.  The annulus solver's Newton systems go through plap's own
-``bvp.solve_banded`` and the oracles call scipy through ``verify.solve_ivp``;
-the benchmark's tracer wraps exactly those names, so they are pinned here too."""
+"""The start-up contract: what each entry point imports.
+
+``import plap`` and ``import plap.cli`` load neither numpy nor the numerical
+modules; the package resolves its exported names on first access, and each
+subcommand imports what it uses when it is dispatched.  scipy is imported on
+first use: only the verify oracles and ``identities.caccioppoli_check``
+(scipy.integrate) load it, so every other subcommand, the annulus solver
+included, starts without it.  The annulus solver's Newton systems go through
+plap's own ``bvp.solve_banded`` and the oracles call scipy through
+``verify.solve_ivp``; the benchmark's tracer wraps exactly those names, so
+they are pinned here too."""
 
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plap
 from plap import AnnulusProblem, ProblemParams, bvp, solve_annulus_dirichlet_detailed, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+CLASSIFY = ["classify", "--n", "3", "--p", "2", "--q", "4"]
+SHOOT = ["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1"]
+NUMERICAL_MODULES = [f"plap.{m}" for m in (
+    "barriers", "bvp", "identities", "radial_ops", "rk45", "shooting", "verify")]
+
 NO_SCIPY_COMMANDS = [
     ["classify", "--n", "3", "--p", "2", "--gamma", "0", "--q", "4"],
-    ["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1"],
+    SHOOT,
     ["sweep", "--axis", "q", "--from", "2", "--to", "6", "--steps", "3",
      "--n", "3", "--p", "2", "--u0", "1"],
     ["counterexample", "--n", "3", "--p", "2", "--q", "4"],
@@ -29,12 +42,14 @@ NO_SCIPY_COMMANDS = [
      "--b-inner", "1", "--b-outer", "0.2", "--f", "0.5"],
 ]
 
-# Runs in a fresh interpreter: after each step, record whether scipy is loaded.
+# Runs in a fresh interpreter: after each step, record the numpy, plap and
+# scipy modules loaded.
 _CHILD = """
 import contextlib, io, json, sys
 steps = []
 def record(step, code=0):
-    steps.append((step, code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+    steps.append((step, code, sorted(
+        m for m in sys.modules if m.split(".")[0] in ("numpy", "plap", "scipy"))))
 import plap
 record("import plap")
 from plap import cli
@@ -47,7 +62,7 @@ print(json.dumps(steps))
 
 
 def run_fresh(commands):
-    """[(step, exit code, loaded scipy modules)] from a fresh interpreter."""
+    """[(step, exit code, loaded numpy/plap/scipy modules)] from a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -58,7 +73,28 @@ def run_fresh(commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def of(package, loaded):
+    return [m for m in loaded if m.split(".")[0] == package]
+
+
 class TestStartup:
+    def test_import_classify_and_help_load_no_numpy(self):
+        steps = run_fresh([CLASSIFY, ["--help"]])
+        assert [s[0] for s in steps] == ["import plap", "import plap.cli", "classify", "--help"]
+        for step, code, loaded in steps:
+            assert code == 0, step
+            assert of("numpy", loaded) == [], step
+            assert not set(NUMERICAL_MODULES) & set(loaded), f"{step} loaded {loaded}"
+        assert steps[1][2] == ["plap", "plap.cli", "plap.errors", "plap.exponents"]
+
+    def test_shoot_loads_only_the_shooting_stack(self):
+        (_, _, _), (_, _, _), (step, code, loaded) = run_fresh([SHOOT])
+        assert code == 0, step
+        # Positive control: the probe sees numpy and shooting once they load.
+        assert "numpy" in loaded and "plap.shooting" in loaded
+        for module in ("plap.bvp", "plap.identities", "plap.verify"):
+            assert module not in loaded
+
     def test_import_and_light_subcommands_never_load_scipy(self):
         steps = run_fresh(NO_SCIPY_COMMANDS)
         assert [s[0] for s in steps] == ["import plap", "import plap.cli"] + [
@@ -66,7 +102,7 @@ class TestStartup:
         ]
         for step, code, loaded in steps:
             assert code == 0, step
-            assert loaded == [], f"{step} loaded {loaded}"
+            assert of("scipy", loaded) == [], f"{step} loaded {of('scipy', loaded)}"
 
     @pytest.mark.parametrize(
         "argv,module", [(["verify", "--only", "5"], "scipy.integrate")], ids=["verify-5"]
@@ -74,7 +110,7 @@ class TestStartup:
     def test_scipy_users_load_it(self, argv, module):
         # Positive control: the probe above would see scipy if it were loaded.
         (_, _, _), (_, _, at_cli), (step, code, loaded) = run_fresh([argv])
-        assert at_cli == []
+        assert of("scipy", at_cli) == []
         assert code == 0, step
         assert module in loaded
 
@@ -113,3 +149,56 @@ class TestTracedEntryPoints:
         assert len(calls) >= 1
         assert res == ref
         assert res.passed
+
+
+# The package's public names, pinned: resolving them on first access must not
+# change the set.
+EXPORTED = [
+    "AnnulusProblem", "BoundaryDominanceViolated", "Counterexample",
+    "CounterexampleConstants", "CrossedZero", "CutoffBarrier", "DimensionRegime",
+    "DomainError", "EquationSign", "EvalPoint", "GridProfile", "HadamardInput",
+    "IdentityReport", "InterpolationError", "IvpSpec", "LogBarrier",
+    "NegativeWeightExponent", "NewtonDivergence", "NewtonInfo", "NonPositiveValue",
+    "NotDecaying", "NotPHarmonic", "NotSupercritical", "OriginSingularity", "Outcome",
+    "OutcomeKind", "PlapError", "PowerBarrier", "ProblemParams", "RadialCutoff",
+    "RangeError", "RecursionSpec", "Regime", "RegimeError", "SingularGradient",
+    "Trajectory", "barriers", "build_counterexample", "bvp", "caccioppoli_check",
+    "classify_outcome", "classify_regime", "comparison_check", "conservation_report",
+    "counterexample_plap", "counterexample_residual", "counterexample_residual_grid",
+    "cutoff_barrier_plap", "cutoff_bracket_report", "cutoff_plap_bound",
+    "decay_slope_report", "equation_critical", "errors", "eval_profile", "exponents",
+    "extremal_log_sequence", "fd_agreement", "hadamard_lower_bound",
+    "hadamard_monotonicity_check", "identities", "integrate_ivp", "lambda_exponent",
+    "log_barrier_plap", "moser_recursion_bound", "p_laplacian_fd", "p_laplacian_radial",
+    "pohozaev_coefficient", "pohozaev_residual", "power_transform_residual",
+    "radial_ops", "recursion_bound_report", "reports", "rescaled_spec", "rk45",
+    "scaling_covariance_report", "scaling_exponent", "serrin_critical", "shooting",
+    "solve_annulus_dirichlet", "solve_annulus_dirichlet_detailed", "sweep_outcomes",
+]
+
+
+class TestLazyPackage:
+    def test_all_is_the_exported_set(self):
+        assert len(EXPORTED) == 81
+        assert sorted(plap.__all__) == EXPORTED
+        assert set(EXPORTED) <= set(dir(plap))
+
+    def test_names_resolve_to_their_defining_objects(self):
+        for name in plap.__all__:
+            obj = getattr(plap, name)
+            if isinstance(obj, types.ModuleType):
+                assert obj is sys.modules[f"plap.{name}"]
+            else:
+                assert obj.__module__.startswith("plap."), name
+                assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+    def test_star_import(self):
+        ns = {}
+        exec("from plap import *", ns)
+        assert sorted(set(ns) - {"__builtins__"}) == EXPORTED
+        assert ns["ProblemParams"] is ProblemParams
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            plap.no_such_name  # noqa: B018
+        assert not hasattr(plap, "no_such_name")
