@@ -5,18 +5,31 @@ Discretization: uniform mesh, conservative midpoint fluxes
 
     F_{i+1/2} = rm^{N-1} (D^2 + eps^2)^{(p-2)/2} D,   D = (u_{i+1}-u_i)/dr,
 
-with the degenerate |u'|^{p-2} regularized through eps.  The Jacobian is the
-symmetric tridiagonal with off-diagonals c_{i+1/2} = rm^{N-1} phi'(D)/dr,
-phi'(D) = (D^2+eps^2)^{(p-4)/2}((p-1)D^2+eps^2) > 0.  Each Newton system
-J x = b is solved exactly by two prefix sums: the fluxes G_i = c_i (x_{i+1} -
-x_i) satisfy G_i - G_{i-1} = b_i, so G is the running sum of b shifted until
-the increments G_i / c_i add up to zero (the Dirichlet ends), and x is their
-running sum.  eps continues geometrically 1e-2 -> 1e-10 (a single exact level
-for p = 2, where eps drops out of the flux); each level warm-starts from the
-previous one.  If Newton stops converging at some level the last converged
-solution is returned and the achieved eps is reported -- for p > 2 the
-Jacobian degenerates wherever the discrete gradient vanishes, and chasing eps
-below that point buys no accuracy.
+with the degenerate |u'|^{p-2} regularized through eps.  The residual
+F_{i+1/2} - F_{i-1/2} + dr r_i^{N-1} f_i is minus the gradient of the convex
+discrete energy
+
+    E(u) = dr sum rm^{N-1} Phi(D) - sum dr r_i^{N-1} f_i u_i,
+    Phi(D) = (D^2 + eps^2)^{p/2} / p   (D^2 / 2 at p = 2),
+
+and its Jacobian is the symmetric tridiagonal with off-diagonals
+c_{i+1/2} = rm^{N-1} phi'(D)/dr, phi'(D) = (D^2+eps^2)^{(p-4)/2}((p-1)D^2+eps^2)
+> 0, so the Newton step descends E and each step length backtracks (Armijo)
+on E.  Each Newton system J x = b is solved exactly by two prefix sums: the
+fluxes G_i = c_i (x_{i+1} - x_i) satisfy G_i - G_{i-1} = b_i, so G is the
+running sum of b shifted until the increments G_i / c_i add up to zero (the
+Dirichlet ends), and x is their running sum.
+
+eps continues geometrically 1e-2 -> 1e-10 (a single exact level for p = 2,
+where eps drops out of the flux); each level warm-starts from the previous
+one.  Mesh sequencing gives the first level its start: from mesh 256 up the
+same problem is first solved at eps = 1e-2 on a mesh four times coarser (the
+same rule applied again below it) and interpolated, so the Newton count per
+level does not grow with the mesh; a coarser mesh starts from the straight
+line between the boundary values.  If Newton stops converging at some level
+the last converged solution is returned and the achieved eps is reported --
+for p > 2 the Jacobian degenerates wherever the discrete gradient vanishes,
+and chasing eps below that point buys no accuracy.
 """
 
 from __future__ import annotations
@@ -36,6 +49,9 @@ _EPS_LEVELS = tuple(10.0 ** -k for k in range(2, 11))  # 1e-2 ... 1e-10
 _NEWTON_TOL = 1e-11
 _MAX_NEWTON_ITER = 100
 _MAX_HALVINGS = 40
+_ARMIJO = 0.25  # sufficient energy decrease, as a fraction of the slope (< 1/2)
+_COARSEN = 4
+_SEQUENCE_MIN_MESH = 256  # coarser meshes start from the straight line
 _EPS_MACH = float(np.finfo(float).eps)
 
 RhsSpec = Union[None, Callable[[float], float], GridProfile]
@@ -50,7 +66,14 @@ def solve_banded(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         inv_c = 1.0 / c
         flux = np.concatenate(([0.0], np.cumsum(b)))
         flux -= (flux @ inv_c) / np.sum(inv_c)
-        return np.cumsum(flux * inv_c)[:-1]
+        w = flux * inv_c
+        # x_i sums w from either end (the whole sum is zero); take the end with
+        # the smaller accumulated |w|, so where c spans many decades the
+        # roundoff of the large increments never reaches the small ones
+        from_inner = np.cumsum(w)[:-1]
+        from_outer = -np.cumsum(w[::-1])[::-1][1:]
+        acc = np.cumsum(np.abs(w))[:-1]
+        return np.where(acc <= np.sum(np.abs(w)) - acc, from_inner, from_outer)
 
 
 @dataclass(frozen=True)
@@ -90,7 +113,7 @@ class AnnulusProblem:
 @dataclass(frozen=True)
 class NewtonInfo:
     flux_eps: float        # achieved continuation level
-    iterations: int        # Newton iterations across all levels
+    iterations: int        # Newton iterations across all levels and meshes
     residual: float        # final scaled RMS residual
     levels_done: int
 
@@ -109,80 +132,95 @@ def _flux_and_dflux(D: np.ndarray, p: float, eps: float):
     return flux, dflux
 
 
-def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps, scale):
-    """Damped Newton at one eps level; mutates and returns u.
+def _phi_increment(D: np.ndarray, h: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """Phi(D + h) - Phi(D) per midpoint, for Phi(D) = (D^2 + eps^2)^{p/2} / p
+    (D^2 / 2 at p = 2), computed without subtracting two nearly equal
+    energies, so a short step still has an accurate energy change."""
+    if p == 2.0:
+        return h * (D + 0.5 * h)
+    m2 = D * D + eps * eps
+    return m2 ** (p / 2.0) / p * np.expm1(p / 2.0 * np.log1p(h * (2.0 * D + h) / m2))
 
-    Progress is measured in the scaled RMS norm: the Jacobian is symmetric
-    positive definite, so the Newton step is a guaranteed descent direction
-    for the 2-norm of the residual (not for the max-norm, which can refuse
-    to decrease across a gradient-degenerate region and fake a stall).
-    The residual of one evaluation also cannot drop below its own roundoff
-    (flux magnitudes and c * u per node), so the tolerance is floored there.
+
+def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
+    """Damped Newton at one eps level; mutates and returns (u, iterations,
+    scaled RMS residual).
+
+    The step delta = J^{-1}(-res) descends the energy E of the module
+    docstring with slope -res . delta < 0.  Its length t halves until E falls
+    by at least _ARMIJO * t * (res . delta); near the solution E is quadratic
+    and t = 1 passes.  The fraction is large enough to reject the full step
+    where it overshoots, as it does by about a factor 2 where Phi grows like
+    |D|^p with p < 2, and E barely moves.  E's change is summed from per-
+    midpoint increments (_phi_increment), never as a difference of two
+    energies, so it stays resolved down to the stopping test.
+
+    Newton stops when the RMS residual is _NEWTON_TOL times the largest flux
+    or load term, or the roundoff of evaluating the residual (flux
+    magnitudes and c * u per node) if that is larger; the reported residual
+    is the RMS over that scale.  Constant data with no load has no flux, a
+    zero residual, and stops at once.
     """
-    n = len(u) - 2
-    rms = math.sqrt(n)
+    rms = math.sqrt(len(u) - 2)
 
     def residual(uu):
         D = np.diff(uu) / dr
         flux, dflux = _flux_and_dflux(D, p, eps)
         fl = r_mid_pow * flux
         c = r_mid_pow * dflux / dr
-        floor = 8.0 * _EPS_MACH * (
-            float(np.max(np.abs(fl))) + float(np.max(c)) * float(np.max(np.abs(uu)))
-        )
-        return fl[1:] - fl[:-1] + rhs_term, c, floor
+        scale = max(float(np.max(np.abs(fl))), float(np.max(np.abs(rhs_term))))
+        floor = 8.0 * _EPS_MACH * (scale + float(np.max(c)) * float(np.max(np.abs(uu))))
+        res = fl[1:] - fl[:-1] + rhs_term
+        norm = float(np.linalg.norm(res)) / rms
+        return D, res, c, norm, max(_NEWTON_TOL * scale, floor), scale
 
-    res, c, floor = residual(u)
-    norm = float(np.linalg.norm(res)) / (scale * rms)
-    for it in range(_MAX_NEWTON_ITER):
-        if norm <= max(_NEWTON_TOL, floor / scale):
-            return u, it, norm
+    for it in range(_MAX_NEWTON_ITER + 1):
+        D, res, c, norm, tol, scale = residual(u)
+        if norm <= tol:
+            return u, it, norm / scale if norm else 0.0
+        if it == _MAX_NEWTON_ITER:
+            break
         delta = solve_banded(c, -res)
-        if not np.all(np.isfinite(delta)):
-            raise _LevelStalled(norm)
+        slope = float(res @ delta)
+        if not (np.all(np.isfinite(delta)) and slope > 0.0):
+            raise _LevelStalled(norm / scale)
+        dD = np.diff(delta, prepend=0.0, append=0.0) / dr
+        load = float(rhs_term @ delta)
         t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = u.copy()
-            trial[1:-1] += t * delta
-            res_t, c_t, floor_t = residual(trial)
-            norm_t = float(np.linalg.norm(res_t)) / (scale * rms)
-            if norm_t < (1.0 - 1e-4 * t) * norm or norm_t <= _NEWTON_TOL:
-                u, res, c, norm, floor = trial, res_t, c_t, norm_t, floor_t
-                break
-            t *= 0.5
-        else:
-            raise _LevelStalled(norm)
-    if norm <= max(_NEWTON_TOL, floor / scale):
-        return u, _MAX_NEWTON_ITER, norm
-    raise _LevelStalled(norm)
+        with np.errstate(all="ignore"):  # an overflowing trial has dE = nan: rejected
+            for _ in range(_MAX_HALVINGS):
+                dE = dr * float(r_mid_pow @ _phi_increment(D, t * dD, p, eps)) - t * load
+                if dE <= -_ARMIJO * t * slope:
+                    break
+                t *= 0.5
+            else:
+                raise _LevelStalled(norm / scale)
+        u[1:-1] += t * delta
+    raise _LevelStalled(norm / scale)
 
 
-def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile, NewtonInfo]:
-    """Solve and report the continuation/Newton diagnostics."""
+def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, NewtonInfo]:
+    """u on the nodes r, for the load samples f, continued through the eps
+    levels; NewtonInfo.iterations includes those of every coarser mesh."""
     p = prob.params.p
-    n_dim = prob.params.n_dim
-    r = prob.mesh_nodes()
+    mesh = len(r) - 1
+    iterations = 0
+    if p != 2.0 and mesh >= _SEQUENCE_MIN_MESH:
+        r_c = np.linspace(r[0], r[-1], mesh // _COARSEN + 1)
+        u_c, coarse = _continuation(prob, r_c, np.interp(r_c, r, f), levels[:1])
+        u = np.interp(r, r_c, u_c)
+        iterations = coarse.iterations
+    else:
+        u = np.linspace(prob.boundary_inner, prob.boundary_outer, mesh + 1)
     dr = float(r[1] - r[0])
-    r_mid_pow = (0.5 * (r[:-1] + r[1:])) ** (n_dim - 1.0)
-    rhs_term = dr * r[1:-1] ** (n_dim - 1.0) * prob.rhs_values(r)[1:-1]
+    r_mid_pow = (0.5 * (r[:-1] + r[1:])) ** (prob.params.n_dim - 1.0)
+    rhs_term = dr * r[1:-1] ** (prob.params.n_dim - 1.0) * f[1:-1]
 
-    u = np.linspace(prob.boundary_inner, prob.boundary_outer, len(r))
-    levels = (0.0,) if p == 2.0 else _EPS_LEVELS
-    # residual scale: the magnitude of what the residual differences (fluxes
-    # at the initial slope) and of the load, never below 1
-    flux0, _ = _flux_and_dflux(np.diff(u) / dr, p, levels[0])
-    scale = max(
-        1.0,
-        float(np.max(np.abs(rhs_term))),
-        float(np.max(np.abs(r_mid_pow * flux0))),
-    )
-
-    total_it = 0
     done = 0
     best = None
     for eps in levels:
         try:
-            u, it, norm = _newton_level(u.copy(), r_mid_pow, rhs_term, dr, p, eps, scale)
+            u, it, norm = _newton_level(u.copy(), r_mid_pow, rhs_term, dr, p, eps)
         except _LevelStalled as stall:
             if best is None:
                 raise NewtonDivergence(
@@ -191,17 +229,24 @@ def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile,
                     flux_eps=eps,
                 ) from None
             break
-        total_it += it
+        iterations += it
         done += 1
-        best = (u.copy(), eps, norm)
+        best = (u, eps, norm)
     u_final, eps_final, norm_final = best
-    info = NewtonInfo(
+    return u_final, NewtonInfo(
         flux_eps=eps_final,
-        iterations=total_it,
+        iterations=iterations,
         residual=norm_final,
         levels_done=done,
     )
-    return GridProfile(r=r, u=u_final), info
+
+
+def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile, NewtonInfo]:
+    """Solve and report the continuation/Newton diagnostics."""
+    r = prob.mesh_nodes()
+    levels = (0.0,) if prob.params.p == 2.0 else _EPS_LEVELS
+    u, info = _continuation(prob, r, prob.rhs_values(r), levels)
+    return GridProfile(r=r, u=u), info
 
 
 def solve_annulus_dirichlet(prob: AnnulusProblem) -> GridProfile:

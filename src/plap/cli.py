@@ -1,10 +1,11 @@
 """Command-line front end: parameter entry, sweeps, CSV/JSON emission, and
 the self-verification suite.
 
-Exit codes: 0 success, 1 usage error (bad flags, parameters outside the
-regime a subcommand needs, or an --out path that cannot be written), 2
-numerical failure (Newton divergence, step collapse, overflow), 3
-verification failure.
+Exit codes: 0 success (``--help`` included), 1 usage error (bad flags,
+parameters outside the regime a subcommand needs, or an --out path that
+cannot be written), 2 numerical failure (Newton divergence, step collapse,
+overflow), 3 verification failure.  --out is opened before anything is
+computed; a run that then exits 1 or 2 removes the file if it created it.
 
 Floats are serialized with ``repr`` (shortest round-trip decimals), so CSV
 output is byte-identical across runs and reading a column back with
@@ -24,6 +25,7 @@ import enum
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -68,11 +70,19 @@ class _UsageExit(Exception):
         super().__init__(message)
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the contract here is exit 1 + grammar."""
+    """argparse exits 2 on bad flags; the contract here is exit 1 + grammar.
+    Its other exit, after printing --help, becomes a return of 0."""
 
     def error(self, message):  # noqa: D102 - argparse hook
         raise _UsageExit(message)
+
+    def exit(self, status=0, message=None):  # noqa: D102 - argparse hook
+        raise _HelpShown
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +141,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _open_out(out: str, mode: str):
+    try:
+        return open(out, mode, newline="")
+    except OSError as exc:
+        raise _UsageExit(f"cannot write {out!r}: {exc.strerror or exc}")
+
+
+def _claim_out(out: str | None) -> bool:
+    """Check that --out can be written before anything is computed; True if
+    this created the file (empty), so a failed run can remove it again."""
+    if not out:
+        return False
+    existed = os.path.exists(out)
+    _open_out(out, "a").close()
+    return not existed
+
+
 def _write(out: str | None, text: str):
     if not out:
         sys.stdout.write(text)
         return
-    try:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _UsageExit(f"cannot write {out!r}: {exc.strerror or exc}")
+    with _open_out(out, "w") as fh:
+        fh.write(text)
 
 
 def _emit_csv(out: str | None, header, rows):
@@ -534,6 +558,7 @@ def dispatch(argv: list[str]) -> int:
     build, run = _SUBCOMMANDS[cmd]
     parser = _Parser(prog=f"plap {cmd}", add_help=True)
     build(parser)
+    created = False
     try:
         config_path, rest = _extract_config(argv[1:])
         tokens = rest
@@ -541,16 +566,20 @@ def dispatch(argv: list[str]) -> int:
             tokens = _config_tokens(parser, config_path) + rest
         args = parser.parse_args(tokens)
         args.config = config_path
+        created = _claim_out(args.out)
         return run(args)
+    except _HelpShown:
+        return 0
     except _UsageExit as exc:
-        print(f"plap {cmd}: {exc}\n\n{_USAGE}", file=sys.stderr, end="")
-        return 1
+        message, code = f"plap {cmd}: {exc}\n\n{_USAGE}", 1
     except (NewtonDivergence, OverflowError) as exc:
-        print(f"plap {cmd}: numerical failure: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"plap {cmd}: numerical failure: {exc}\n", 2
     except (PlapError, ValueError) as exc:
-        print(f"plap {cmd}: {exc}\n\n{_USAGE}", file=sys.stderr, end="")
-        return 1
+        message, code = f"plap {cmd}: {exc}\n\n{_USAGE}", 1
+    if created:
+        os.remove(args.out)
+    sys.stderr.write(message)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -98,18 +98,28 @@ def newton_matrix(c):
     return np.diag(-(c[:-1] + c[1:])) + np.diag(inner, 1) + np.diag(inner, -1)
 
 
+def assert_matches_dense_solve(c, b):
+    J = newton_matrix(c)
+    x = solve_banded(c, b)
+    assert np.linalg.norm(J @ x - b) / np.linalg.norm(b) <= 1e-10
+    dense = np.linalg.solve(J, b)
+    assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
 class TestNewtonSolve:
     @pytest.mark.parametrize("n", [1, 5, 1024])
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
     def test_matches_dense_solve(self, n, scale):
         rng = np.random.default_rng(n)
-        c = scale * rng.uniform(0.5, 2.0, n + 1)
-        b = scale * rng.standard_normal(n)
-        J = newton_matrix(c)
-        x = solve_banded(c, b)
-        assert np.linalg.norm(J @ x - b) / np.linalg.norm(b) <= 1e-10
-        dense = np.linalg.solve(J, b)
-        assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
+        assert_matches_dense_solve(scale * rng.uniform(0.5, 2.0, n + 1),
+                                   scale * rng.standard_normal(n))
+
+    def test_weights_spanning_twelve_decades(self):
+        # c dips from 1e12 to 1 mid-mesh, as where a load makes the gradient
+        # vanish; summing x from one end only left a scaled residual of 1e-2
+        s = np.linspace(0.0, 1.0, 1025)
+        assert_matches_dense_solve(10.0 ** (12.0 * np.abs(2.0 * s - 1.0)),
+                                   np.random.default_rng(1024).standard_normal(1024))
 
     def test_zero_weight_gives_non_finite_without_warning(self):
         c = np.ones(6)
@@ -130,6 +140,66 @@ class TestNewtonSolve:
             warnings.simplefilter("error")
             with pytest.raises(NewtonDivergence):
                 solve_annulus_dirichlet_detailed(prob)
+
+
+def p_harmonic(n, p, r1, r2, b1, b2):
+    """(phi, max |phi'''| on [r1, r2]) for the p-harmonic phi with phi(r1) = b1,
+    phi(r2) = b2: c1 + c2 r^lam, or c1 + c2 log r at p = N."""
+    if p == n:
+        base, d3 = np.log, lambda r: 2.0 / r ** 3
+    else:
+        lam = (p - n) / (p - 1.0)
+        base = lambda r: r ** lam  # noqa: E731
+        d3 = lambda r: abs(lam * (lam - 1.0) * (lam - 2.0)) * r ** (lam - 3.0)  # noqa: E731
+    c2 = (b2 - b1) / (base(r2) - base(r1))
+    c1 = b1 - c2 * base(r1)
+    return (lambda r: c1 + c2 * base(r)), abs(c2) * max(d3(r1), d3(r2))
+
+
+class TestConvergence:
+    # N = 3 on [1, 3], boundary values (1, 0.2), constant load: backtracking on
+    # the RMS residual diverged in 16 of these 36 cases and took up to 98
+    # iterations in the others.
+    @pytest.mark.parametrize("f", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("mesh", [1024, 2048, 4096, 8192])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+    def test_grid_converges_above_the_p_harmonic_profile(self, p, mesh, f):
+        prob = AnnulusProblem(
+            params=params(3, p), r_inner=1.0, r_outer=3.0,
+            boundary_inner=1.0, boundary_outer=0.2, rhs=lambda r: f, mesh_size=mesh,
+        )
+        sol, info = solve_annulus_dirichlet_detailed(prob)
+        assert info.levels_done == 9
+        # one bound for every mesh, coarse-mesh iterations included
+        assert info.iterations <= 50
+        phi, d3max = p_harmonic(3, p, 1.0, 3.0, 1.0, 0.2)
+        h = 2.0 / mesh
+        # comparison principle, up to the midpoint-flux discretization bound
+        assert np.min(sol.u - phi(sol.r)) >= -(2.0 * h * h * d3max + 1e-6)
+
+    def test_small_fluxes_still_converge(self):
+        # Fluxes near 1e-8: a residual scale floored at 1 stopped Newton after
+        # 5 iterations, 4e-5 away from the closed form.
+        n, p, r1, r2, b1, b2 = 6, 4.0, 0.892976, 3.04348, 1.13862, 1.1381
+        prob = AnnulusProblem(
+            params=params(n, p), r_inner=r1, r_outer=r2,
+            boundary_inner=b1, boundary_outer=b2, mesh_size=256,
+        )
+        sol, _ = solve_annulus_dirichlet_detailed(prob)
+        phi, _ = p_harmonic(n, p, r1, r2, b1, b2)
+        assert np.max(np.abs(sol.u - phi(sol.r))) <= 1e-8
+
+    @pytest.mark.parametrize("mesh", [64, 1024])
+    def test_constant_data_without_load_returns_at_once(self, mesh):
+        prob = AnnulusProblem(
+            params=params(3, 4.0), r_inner=1.0, r_outer=2.0,
+            boundary_inner=0.7, boundary_outer=0.7, mesh_size=mesh,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, info = solve_annulus_dirichlet_detailed(prob)
+        assert np.all(sol.u == 0.7)
+        assert (info.iterations, info.residual, info.levels_done) == (0, 0.0, 9)
 
 
 class TestStructure:

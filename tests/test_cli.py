@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import plap.bvp
+import plap.verify
 from plap import cli, shooting
 from plap.errors import NewtonDivergence
 
@@ -68,6 +69,25 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("existing", [None, "kept\n"])
+    def test_numerical_failure_leaves_out_as_it_was(self, capsys, monkeypatch, tmp_path,
+                                                    existing):
+        def blow_up(prob):
+            raise NewtonDivergence("stalled at the first continuation level",
+                                   last_residual=1.0, flux_eps=1e-2)
+
+        monkeypatch.setattr(plap.bvp, "solve_annulus_dirichlet_detailed", blow_up)
+        dest = tmp_path / "u.csv"
+        if existing is not None:
+            dest.write_text(existing)
+        code, _, err = run(
+            ["bvp", "--n", "3", "--p", "2", "--r-inner", "1", "--r-outer", "2",
+             "--b-inner", "1", "--b-outer", "0", "--out", str(dest)], capsys)
+        assert code == 2
+        assert "numerical failure" in err
+        # a file the run created is removed again; one that was there is untouched
+        assert (dest.read_text() if dest.exists() else None) == existing
+
     def test_overflowing_series_launch_exits_two(self, capsys):
         # u0**q overflows in the origin series before any step is taken.
         code, out, err = run(
@@ -110,6 +130,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"plap {argv[0]}: cannot write {str(dest)!r}: ")
         assert not dest.exists()
+
+    def test_unwritable_out_is_caught_before_computing(self, capsys, monkeypatch, tmp_path):
+        def must_not_run(indices):
+            raise AssertionError("the board ran before --out was checked")
+
+        monkeypatch.setattr(plap.verify, "run_all", must_not_run)
+        dest = tmp_path / "missing" / "board.txt"
+        code, out, err = run(["verify", "--only", "6", "--out", str(dest)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"plap verify: cannot write {str(dest)!r}: ")
+
+    def test_subcommand_help_returns_zero(self, capsys):
+        parser = cli._Parser(prog="plap classify")
+        cli._build_classify(parser)
+        assert run(["classify", "--help"], capsys) == (0, parser.format_help(), "")
 
     def test_verify_single_green_criterion(self, capsys):
         code, out, err = run(["verify", "--only", "1"], capsys)
