@@ -61,6 +61,9 @@ from .exponents import ProblemParams, serrin_critical
 from .radial_ops import CutoffBarrier, LogBarrier, _odd_pow
 from .reports import IdentityReport
 
+_CUTOFF_BRACKET_TOL = 1e-6
+_HADAMARD_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # Counterexample
@@ -117,7 +120,7 @@ def _counterexample_sides(consts, params, r):
 
 
 def counterexample_residual(
-    consts: CounterexampleConstants, params: ProblemParams, r: float, tol: float = 0.0
+    consts: CounterexampleConstants, params: ProblemParams, r: float
 ) -> IdentityReport:
     """residual = -Delta_p Gamma - a r^gamma Gamma^q at one r; >= 0 for all r > 0."""
     lhs, rhs = _counterexample_sides(consts, params, float(r))
@@ -129,8 +132,8 @@ def counterexample_residual(
         rhs=float(rhs),
         residual=residual,
         scale=scale,
-        tol=tol,
-        passed=residual >= -tol * scale,
+        tol=0.0,
+        passed=residual >= 0.0,
     )
 
 
@@ -200,7 +203,6 @@ def cutoff_bracket_report(
     params: ProblemParams,
     r: float,
     printed_bracket: bool = False,
-    tol: float = 1e-6,
 ) -> IdentityReport:
     """Closed form (chain-rule or the printed 2(p-1) bracket) vs the FD oracle."""
     from .radial_ops import p_laplacian_fd
@@ -210,7 +212,7 @@ def cutoff_bracket_report(
     fd = -p_laplacian_fd(spec, r, params)
     residual = closed - fd
     scale = max(abs(closed), abs(fd), 1e-300)
-    passed = abs(residual) <= tol * scale
+    passed = abs(residual) <= _CUTOFF_BRACKET_TOL * scale
     note = ""
     if printed_bracket and not passed:
         note = "printed bracket constant 2(p-1) disagrees with the FD oracle"
@@ -220,7 +222,7 @@ def cutoff_bracket_report(
         rhs=fd,
         residual=residual,
         scale=scale,
-        tol=tol,
+        tol=_CUTOFF_BRACKET_TOL,
         passed=passed,
         note=note,
     )
@@ -297,8 +299,8 @@ def hadamard_lower_bound(inp: HadamardInput, r):
     return out if out.shape else float(out)
 
 
-def hadamard_monotonicity_check(samples, lam: float, tol: float = 1e-8) -> IdentityReport:
-    """min consecutive increment of g(r) = m(r) r^{-lam}; pass iff >= -tol.
+def hadamard_monotonicity_check(samples, lam: float) -> IdentityReport:
+    """min consecutive increment of g(r) = m(r) r^{-lam}; pass iff >= -1e-8.
 
     Stated for lam < 0 (p < N) and for minima of *global* supersolutions;
     trajectories that stop being supersolutions (e.g. after crossing zero)
@@ -321,7 +323,7 @@ def hadamard_monotonicity_check(samples, lam: float, tol: float = 1e-8) -> Ident
         rhs=float(g[-1]),
         residual=worst,
         scale=max(1.0, float(np.max(np.abs(g)))),
-        tol=tol,
-        passed=worst >= -tol,
+        tol=_HADAMARD_TOL,
+        passed=worst >= -_HADAMARD_TOL,
         note=f"min increment of m(r) r^(-lam) over {len(r)} samples",
     )

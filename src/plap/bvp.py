@@ -53,6 +53,7 @@ _ARMIJO = 0.25  # sufficient energy decrease, as a fraction of the slope (< 1/2)
 _COARSEN = 4
 _SEQUENCE_MIN_MESH = 256  # coarser meshes start from the straight line
 _EPS_MACH = float(np.finfo(float).eps)
+_COMPARISON_TOL = 1e-8
 
 RhsSpec = Union[None, Callable[[float], float], GridProfile]
 
@@ -259,7 +260,7 @@ def solve_annulus_dirichlet(prob: AnnulusProblem) -> GridProfile:
 # Comparison principle
 # ---------------------------------------------------------------------------
 
-def comparison_check(prob: AnnulusProblem, phi, comparison_tol: float = 1e-8) -> IdentityReport:
+def comparison_check(prob: AnnulusProblem, phi) -> IdentityReport:
     """min over the mesh of (u - phi) for -Delta_p u = f >= 0 = -Delta_p phi.
 
     phi must be p-harmonic on the annulus and dominated by the boundary data;
@@ -287,7 +288,7 @@ def comparison_check(prob: AnnulusProblem, phi, comparison_tol: float = 1e-8) ->
         rhs=float(phi_mesh[i_min]),
         residual=residual,
         scale=1.0,
-        tol=comparison_tol,
-        passed=residual >= -comparison_tol,
+        tol=_COMPARISON_TOL,
+        passed=residual >= -_COMPARISON_TOL,
         note=f"min(u - phi) at r={sol.r[i_min]:.6g}; flux_eps={info.flux_eps:g}",
     )

@@ -21,13 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import enum
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import NewtonDivergence, PlapError
@@ -89,11 +87,10 @@ class _Parser(argparse.ArgumentParser):
 # Flag groups
 # ---------------------------------------------------------------------------
 
-def _add_param_flags(p: _Parser, *, with_q: bool = True):
+def _add_param_flags(p: _Parser):
     p.add_argument("--n", type=int, required=True, help="dimension N (integer >= 1)")
     p.add_argument("--p", type=float, required=True, help="p-Laplacian exponent, p > 1")
-    if with_q:
-        p.add_argument("--q", type=float, required=True, help="nonlinearity power, q > p-1")
+    p.add_argument("--q", type=float, required=True, help="nonlinearity power, q > p-1")
     p.add_argument("--gamma", type=float, default=0.0, help="weight exponent (default 0)")
     p.add_argument("--a", type=float, default=1.0, help="amplitude a > 0 (default 1)")
 
@@ -115,10 +112,9 @@ def _add_out_flag(p: _Parser):
                    help="key=value file of flag defaults; explicit flags override")
 
 
-def _params_from(args, q: float | None = None) -> ProblemParams:
+def _params_from(args) -> ProblemParams:
     return ProblemParams(
-        n_dim=args.n, p=args.p, q=args.q if q is None else q,
-        gamma=args.gamma, amplitude=args.a,
+        n_dim=args.n, p=args.p, q=args.q, gamma=args.gamma, amplitude=args.a,
     )
 
 
@@ -176,51 +172,6 @@ def _emit_csv(out: str | None, header, rows):
 
 def _emit_json(out: str | None, obj):
     _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Sweep spec
-# ---------------------------------------------------------------------------
-
-class SweepAxis(enum.Enum):
-    Q = "q"
-    U0 = "u0"
-    GAMMA = "gamma"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    base: ProblemParams
-    axis: SweepAxis
-    from_: float
-    to: float
-    steps: int
-    sign: shooting.EquationSign
-    r_max: float
-    u0: float
-
-    def __post_init__(self):
-        if not self.from_ < self.to:
-            raise ValueError(f"need from < to, got {self.from_} >= {self.to}")
-        if not (isinstance(self.steps, int) and self.steps >= 2):
-            raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
-
-    def points(self) -> list[tuple[float, shooting.IvpSpec]]:
-        import numpy as np
-        from . import shooting
-        out = []
-        for v in np.linspace(self.from_, self.to, self.steps):
-            v = float(v)
-            params, u0 = self.base, self.u0
-            if self.axis is SweepAxis.Q:
-                params = dataclasses.replace(self.base, q=v)
-            elif self.axis is SweepAxis.GAMMA:
-                params = dataclasses.replace(self.base, gamma=v)
-            else:
-                u0 = v
-            out.append((v, shooting.IvpSpec(
-                params=params, u0=u0, sign=self.sign, r_max=self.r_max)))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +235,7 @@ def _run_shoot(args) -> int:
 
 
 def _build_sweep(p: _Parser):
-    p.add_argument("--axis", choices=tuple(a.value for a in SweepAxis), required=True)
+    p.add_argument("--axis", choices=("q", "u0", "gamma"), required=True)
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -301,23 +252,35 @@ def _build_sweep(p: _Parser):
 
 
 def _run_sweep(args) -> int:
+    import numpy as np
     from . import shooting
-    axis = SweepAxis(args.axis)
     if args.q is None:
-        if axis is not SweepAxis.Q:
+        if args.axis != "q":
             raise _UsageExit("--q is required unless --axis q")
         base_q = max(args.from_, args.p)  # placeholder; replaced per point
     else:
         base_q = args.q
     base = ProblemParams(n_dim=args.n, p=args.p, q=base_q,
                          gamma=args.gamma, amplitude=args.a)
-    spec = SweepSpec(base=base, axis=axis, from_=args.from_, to=args.to,
-                     steps=args.steps, sign=_sign_from(args), r_max=args.r_max,
-                     u0=args.u0)
-    points = spec.points()
-    outcomes = shooting.sweep_outcomes([s for _, s in points])
+    if not args.from_ < args.to:
+        raise _UsageExit(f"need from < to, got {args.from_} >= {args.to}")
+    if args.steps < 2:
+        raise _UsageExit(f"steps must be an integer >= 2, got {args.steps!r}")
+    sign = _sign_from(args)
+    values = [float(v) for v in np.linspace(args.from_, args.to, args.steps)]
+    specs = []
+    for v in values:
+        params, u0 = base, args.u0
+        if args.axis == "q":
+            params = dataclasses.replace(base, q=v)
+        elif args.axis == "gamma":
+            params = dataclasses.replace(base, gamma=v)
+        else:
+            u0 = v
+        specs.append(shooting.IvpSpec(params=params, u0=u0, sign=sign, r_max=args.r_max))
+    outcomes = shooting.sweep_outcomes(specs)
     rows = []
-    for (v, ivp), outc in zip(points, outcomes):
+    for v, ivp, outc in zip(values, specs, outcomes):
         pr = ivp.params
         boundary = False
         if pr.n_dim > pr.p:
@@ -471,6 +434,8 @@ def _run_verify(args) -> int:
             indices = [int(tok) for tok in args.only.split(",") if tok.strip()]
         except ValueError:
             raise _UsageExit(f"--only expects comma-separated integers, got {args.only!r}")
+        if not indices:
+            raise _UsageExit(f"--only selects no criteria: {args.only!r}")
         bad = [i for i in indices if not 1 <= i <= len(verify.CRITERIA)]
         if bad:
             raise _UsageExit(f"criterion numbers must be in 1..{len(verify.CRITERIA)}: {bad}")

@@ -35,6 +35,9 @@ from .exponents import ProblemParams
 from .radial_ops import ProfileSpec, check_p_harmonic, eval_profile
 from .reports import IdentityReport
 
+_RECURSION_TOL = 1e-12
+_CACCIOPPOLI_TOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # Recursion bound
@@ -70,9 +73,7 @@ def extremal_log_sequence(spec: RecursionSpec) -> np.ndarray:
     return out
 
 
-def recursion_bound_report(
-    spec: RecursionSpec, log_phi: Sequence[float], tol: float = 1e-12
-) -> IdentityReport:
+def recursion_bound_report(spec: RecursionSpec, log_phi: Sequence[float]) -> IdentityReport:
     """Check phi_n^{k^{-n}} <= c^{k/(k-1)^2} phi0 for a given log-sequence."""
     log_phi = np.asarray(log_phi, dtype=float)
     n = np.arange(len(log_phi))
@@ -88,15 +89,15 @@ def recursion_bound_report(
         rhs=log_bound,
         residual=margin,
         scale=scale,
-        tol=tol,
-        passed=margin >= -tol * scale,
+        tol=_RECURSION_TOL,
+        passed=margin >= -_RECURSION_TOL * scale,
         note=f"log-space margin; max of phi_n^(k^-n) at n={i_worst}",
     )
 
 
-def moser_recursion_bound(spec: RecursionSpec, tol: float = 1e-12) -> IdentityReport:
+def moser_recursion_bound(spec: RecursionSpec) -> IdentityReport:
     """Bound check for the extremal (equality-case) sequence."""
-    return recursion_bound_report(spec, extremal_log_sequence(spec), tol=tol)
+    return recursion_bound_report(spec, extremal_log_sequence(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +147,9 @@ def caccioppoli_check(
     profile: ProfileSpec,
     params: ProblemParams,
     cutoff: RadialCutoff,
-    tol: float = 1e-8,
 ) -> IdentityReport:
     """LHS = int |u'|^p zeta^p r^{N-1}, RHS = int |u|^p |zeta'|^p r^{N-1};
-    pass iff LHS <= p^p RHS (1 + tol).  Integrals piecewise by adaptive
+    pass iff LHS <= p^p RHS (1 + 1e-8).  Integrals piecewise by adaptive
     quadrature (zeta' jumps only at the knots)."""
     from scipy.integrate import quad
 
@@ -181,7 +181,7 @@ def caccioppoli_check(
         rhs=bound,
         residual=lhs - bound,
         scale=max(lhs, bound, 1e-300),
-        tol=tol,
-        passed=lhs <= bound * (1.0 + tol),
+        tol=_CACCIOPPOLI_TOL,
+        passed=lhs <= bound * (1.0 + _CACCIOPPOLI_TOL),
         note=f"ratio LHS/(p^p RHS) = {ratio:.12g}",
     )

@@ -38,6 +38,9 @@ from .exponents import ProblemParams, lambda_exponent
 from .reports import IdentityReport
 
 GRADIENT_FLOOR = 1e-12
+_P_HARMONIC_TOL = 1e-8
+_FD_AGREEMENT_TOL = 1e-6
+_POWER_TRANSFORM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -266,9 +269,7 @@ def _odd_pow(x: float, e: float) -> float:
     return math.copysign(abs(x) ** e, x)
 
 
-def p_laplacian_radial(
-    point: EvalPoint, params: ProblemParams, gradient_floor: float = GRADIENT_FLOOR
-) -> float:
+def p_laplacian_radial(point: EvalPoint, params: ProblemParams) -> float:
     """Expanded-form Delta_p V = |V'|^{p-2}((p-1)V'' + (N-1)/r V').
 
     The floor (relative to max(1, |V''| r)) guards the degenerate set
@@ -277,7 +278,7 @@ def p_laplacian_radial(
     if point.r <= 0:
         raise DomainError(f"p_laplacian_radial needs r > 0, got r={point.r}")
     p, n = params.p, params.n_dim
-    floor = gradient_floor * max(1.0, abs(point.d2) * point.r)
+    floor = GRADIENT_FLOOR * max(1.0, abs(point.d2) * point.r)
     if abs(point.d1) <= floor:
         if p < 2.0:
             raise SingularGradient(
@@ -298,10 +299,8 @@ def operator_scale(point: EvalPoint, params: ProblemParams) -> float:
     return grad_factor * ((p - 1.0) * abs(point.d2) + (n - 1.0) / point.r * abs(point.d1))
 
 
-def check_p_harmonic(
-    spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi: float, tol: float = 1e-8
-) -> None:
-    """Raise NotPHarmonic unless |Delta_p V| <= tol * max(1, operator_scale)
+def check_p_harmonic(spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi: float) -> None:
+    """Raise NotPHarmonic unless |Delta_p V| <= 1e-8 * max(1, operator_scale)
     at nine equally spaced radii of [r_lo, r_hi]."""
     for r in np.linspace(r_lo, r_hi, 9):
         pt = eval_profile(spec, float(r))
@@ -313,9 +312,9 @@ def check_p_harmonic(
             raise NotPHarmonic(
                 f"profile gradient degenerates at r={r:.6g} with p={params.p} < 2"
             ) from exc
-        if abs(val) > tol * max(1.0, operator_scale(pt, params)):
+        if abs(val) > _P_HARMONIC_TOL * max(1.0, operator_scale(pt, params)):
             raise NotPHarmonic(
-                f"Delta_p V = {val:.3e} at r={r:.6g} exceeds {tol:g} x scale; "
+                f"Delta_p V = {val:.3e} at r={r:.6g} exceeds {_P_HARMONIC_TOL:g} x scale; "
                 f"profile is not p-harmonic on [{r_lo:.6g}, {r_hi:.6g}]"
             )
 
@@ -350,13 +349,7 @@ def p_laplacian_fd(
     return (flux_plus - flux_minus) / (2.0 * h) / r ** (n - 1.0)
 
 
-def fd_agreement(
-    spec: ProfileSpec,
-    r: float,
-    params: ProblemParams,
-    h: float | None = None,
-    tol: float = 1e-6,
-) -> IdentityReport:
+def fd_agreement(spec: ProfileSpec, r: float, params: ProblemParams) -> IdentityReport:
     """Closed form vs FD oracle at one point.
 
     The scale is the size of the two expanded-form terms before cancellation,
@@ -365,7 +358,7 @@ def fd_agreement(
     """
     pt = eval_profile(spec, r)
     closed = p_laplacian_radial(pt, params)
-    fd = p_laplacian_fd(spec, r, params, h=h)
+    fd = p_laplacian_fd(spec, r, params)
     scale = max(abs(closed), abs(fd), operator_scale(pt, params), 1e-300)
     residual = closed - fd
     return IdentityReport(
@@ -374,8 +367,8 @@ def fd_agreement(
         rhs=fd,
         residual=residual,
         scale=scale,
-        tol=tol,
-        passed=abs(residual) <= tol * scale,
+        tol=_FD_AGREEMENT_TOL,
+        passed=abs(residual) <= _FD_AGREEMENT_TOL * scale,
     )
 
 
@@ -399,7 +392,7 @@ def power_point(point: EvalPoint, alpha: float) -> EvalPoint:
 
 
 def power_transform_residual(
-    spec: ProfileSpec, alpha: float, r: float, params: ProblemParams, tol: float = 1e-8
+    spec: ProfileSpec, alpha: float, r: float, params: ProblemParams
 ) -> IdentityReport:
     """Pointwise chain-rule identity for the power transform u -> u^alpha:
 
@@ -429,6 +422,6 @@ def power_transform_residual(
         rhs=rhs,
         residual=residual,
         scale=scale,
-        tol=tol,
-        passed=abs(residual) <= tol * scale,
+        tol=_POWER_TRANSFORM_TOL,
+        passed=abs(residual) <= _POWER_TRANSFORM_TOL * scale,
     )

@@ -38,6 +38,8 @@ _B4 = np.array(
 )
 
 _COLLAPSE_FLOOR = 1e-14
+_EVENT_REL_TOL = 1e-10
+_EVENT_MAX_ITER = 200
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
@@ -73,7 +75,10 @@ class IntegrationResult:
         Returns shape (m, d) for an array of m points and (d,) for a scalar.
         """
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.ts[0] - 1e-12) or np.any(t_arr > self.ts[-1] * (1 + 1e-12)):
+        t_lo, t_hi = self.ts[0], self.ts[-1]
+        if np.any(t_arr < t_lo - 1e-12 * max(1.0, abs(t_lo))) or np.any(
+            t_arr > t_hi + 1e-12 * max(1.0, abs(t_hi))
+        ):
             raise ValueError(
                 f"dense output queried outside [{self.ts[0]}, {self.ts[-1]}]"
             )
@@ -100,37 +105,27 @@ def _hermite(t0, t1, y0, y1, f0, f1, t):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
-def _initial_step(f, t0, y0, f0, t1, rtol, atol):
-    # Hairer-Norsett-Wanner-style cheap guess, clamped to the span.
-    sc = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / sc) ** 2))
-    d1 = np.sqrt(np.mean((f0 / sc) ** 2))
-    h = 1e-6 * (t1 - t0) if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    return min(h, 0.1 * (t1 - t0))
-
-
 def integrate(
     f: Callable[[float, np.ndarray], np.ndarray],
     t0: float,
     t1: float,
     y0: Sequence[float],
+    first_step: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    first_step: float | None = None,
     max_step: float = np.inf,
     events: Sequence[EventSpec] = (),
     max_steps: int = 2_000_000,
 ) -> IntegrationResult:
-    """Integrate y' = f(t, y) forward from t0 to t1 (t1 > t0)."""
+    """Integrate y' = f(t, y) forward from t0 to t1 (t1 > t0), trying first_step first."""
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     y = np.asarray(y0, dtype=float).copy()
     t = t0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fy = np.asarray(f(t, y), dtype=float)
-        h = first_step if first_step is not None else _initial_step(f, t0, y, fy, t1, rtol, atol)
     n_fev = 1
-    h = min(h, max_step, t1 - t0)
+    h = min(first_step, max_step, t1 - t0)
 
     ts, ys, fs = [t], [y.copy()], [fy.copy()]
     g_prev = [ev.fn(t, y) for ev in events]
@@ -235,11 +230,11 @@ def integrate(
     )
 
 
-def _refine_event(g, t0, t1, y0, y1, f0, f1, g0, rel_tol=1e-10, max_iter=200):
+def _refine_event(g, t0, t1, y0, y1, f0, f1, g0):
     """Bisect g(t, herm(t)) = 0 inside one accepted step; g0 = g(t0) != 0."""
     a, b, ga = t0, t1, g0
-    width_tol = rel_tol * max(abs(t0), abs(t1), 1e-30)
-    for _ in range(max_iter):
+    width_tol = _EVENT_REL_TOL * max(abs(t0), abs(t1), 1e-30)
+    for _ in range(_EVENT_MAX_ITER):
         if (b - a) <= width_tol:
             break
         mid = 0.5 * (a + b)

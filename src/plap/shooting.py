@@ -43,6 +43,10 @@ from .radial_ops import _odd_pow
 from .reports import IdentityReport
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
+_DECAY_SLOPE_TOL = 0.05
+_CONSERVATION_TOL_FACTOR = 10.0
+_SCALING_SAMPLES = 40
+_SCALING_TOL = 1e-6
 
 
 class EquationSign(enum.Enum):
@@ -286,7 +290,7 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
     )
 
 
-def decay_slope_report(traj: Trajectory, spec: IvpSpec, slope_tol: float = 0.05) -> IdentityReport:
+def decay_slope_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:
     """Final-decade log-log slopes of u and |u'| against the decay exponents.
 
     Targets: slope(u) <= (gamma+p)/(p-1-q), slope(|u'|) <= (gamma+q+1)/(p-1-q)
@@ -309,8 +313,8 @@ def decay_slope_report(traj: Trajectory, spec: IvpSpec, slope_tol: float = 0.05)
         rhs=slope_du,
         residual=excess,
         scale=1.0,
-        tol=slope_tol,
-        passed=excess <= slope_tol,
+        tol=_DECAY_SLOPE_TOL,
+        passed=excess <= _DECAY_SLOPE_TOL,
         note=f"targets: slope(u) <= {target_u:.6g}, slope(|u'|) <= {target_du:.6g}",
     )
 
@@ -356,12 +360,12 @@ def _cumulative_integral(
     return np.cumsum(np.concatenate(([_series_head(spec, power)], panels)))
 
 
-def conservation_report(traj: Trajectory, spec: IvpSpec, tol_factor: float = 10.0) -> IdentityReport:
+def conservation_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:
     """w(r) -+ a int_0^r s^{N-1+gamma} u^q ds = 0 at every node.
 
     The check's quadrature samples the dense interpolant (locally 4th
     order), so its own error floor is ~rtol^{4/5}, not rtol; the tolerance
-    is tol_factor * rtol^{4/5}.  Nodes where w has not yet grown past the
+    is 10 * rtol^{4/5}.  Nodes where w has not yet grown past the
     accumulated absolute allowance (10 * atol) are judged absolutely --
     near the origin w ~ r^{N+gamma} sits below atol and a relative
     comparison there only measures the integrator's (permitted) noise.
@@ -375,7 +379,7 @@ def conservation_report(traj: Trajectory, spec: IvpSpec, tol_factor: float = 10.
     excess = np.maximum(resid - 10.0 * spec.atol, 0.0) / scale
     worst = float(np.max(excess))
     i_worst = int(np.argmax(excess))
-    tol = tol_factor * spec.rtol ** 0.8
+    tol = _CONSERVATION_TOL_FACTOR * spec.rtol ** 0.8
     return IdentityReport(
         label="w_conservation",
         lhs=float(traj.w[i_worst]),
@@ -454,9 +458,7 @@ def rescaled_spec(spec: IvpSpec, lam: float) -> IvpSpec:
     )
 
 
-def scaling_covariance_report(
-    spec: IvpSpec, lam: float = 2.0, n_samples: int = 40, tol: float = 1e-6
-) -> IdentityReport:
+def scaling_covariance_report(spec: IvpSpec, lam: float = 2.0) -> IdentityReport:
     """Compare lam^kappa u(lam r) against the rescaled shot, max rel error."""
     traj = integrate_ivp(spec)
     spec2 = rescaled_spec(spec, lam)
@@ -467,7 +469,7 @@ def scaling_covariance_report(
     hi = 0.99 * min(traj.r[-1] / lam, traj2.r[-1])
     if hi <= lo:
         raise RangeError("trajectories do not overlap after rescaling")
-    r = np.geomspace(lo, hi, n_samples)
+    r = np.geomspace(lo, hi, _SCALING_SAMPLES)
     u_base, _, _ = traj.sample(spec.params, lam * r)
     u_resc, _, _ = traj2.sample(spec.params, r)
     # keep clear of an approaching zero crossing, where the relative error
@@ -484,9 +486,9 @@ def scaling_covariance_report(
         rhs=float(u_resc[np.argmax(rel)]),
         residual=worst,
         scale=1.0,
-        tol=tol,
-        passed=worst <= tol,
-        note=f"lam={lam}, kappa={kappa:.6g}, {n_samples} overlap samples",
+        tol=_SCALING_TOL,
+        passed=worst <= _SCALING_TOL,
+        note=f"lam={lam}, kappa={kappa:.6g}, {_SCALING_SAMPLES} overlap samples",
     )
 
 

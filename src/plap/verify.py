@@ -366,7 +366,7 @@ def _c08_comparison():
             rhs=lambda rr, A=amp, w=om: A * (1.0 + math.cos(w * rr) ** 2),
             mesh_size=192,
         )
-        rep = bvp.comparison_check(prob, phi, comparison_tol=1e-8)
+        rep = bvp.comparison_check(prob, phi)
         worst = min(worst, rep.residual)
     if worst < -1e-8:
         return False, f"comparison margin violated: min(u - phi) = {worst:.3e}"
@@ -473,7 +473,7 @@ def _c10_fd_oracle():
                                            c1=float(rng.uniform(0.0, 1.0)))
         pr = ProblemParams(n, p, max(p, 2.0))
         r = float(np.exp(rng.uniform(np.log(0.4), np.log(20.0))))
-        rep = fd_agreement(phi, r, pr, tol=1e-6)
+        rep = fd_agreement(phi, r, pr)
         worst = max(worst, rep.rel_residual())
         count += 1
         if not rep.passed:
@@ -574,7 +574,7 @@ def _c11_blowup_power_transform():
     for prof, prm, (lo, hi) in profiles:
         for alpha in (1.0, 2.0, 3.0):
             for r in np.geomspace(lo, hi, 10):
-                rep = power_transform_residual(prof, alpha, float(r), prm, tol=1e-8)
+                rep = power_transform_residual(prof, alpha, float(r), prm)
                 worst_pt = max(worst_pt, rep.rel_residual())
                 if not rep.passed:
                     return False, (
@@ -606,7 +606,7 @@ def _c12_scaling_covariance():
             pr = dataclasses.replace(base, q=q)
             u0 = float(rng.uniform(0.5, 2.0))
             spec = shooting.IvpSpec(params=pr, u0=u0, r_max=50.0)
-            rep = shooting.scaling_covariance_report(spec, lam=2.0, tol=1e-6)
+            rep = shooting.scaling_covariance_report(spec, lam=2.0)
             worst = max(worst, rep.residual)
             if not rep.passed:
                 tags.append(f"{kind} (N={n},p={p:.3g},q={q:.3g}): rel {rep.residual:.2e}")

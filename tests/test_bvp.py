@@ -247,7 +247,7 @@ class TestComparison:
             params=pr, r_inner=1.0, r_outer=2.0,
             boundary_inner=1.0, boundary_outer=0.0, mesh_size=512,
         )
-        rep = comparison_check(prob, phi, comparison_tol=1e-6)
+        rep = comparison_check(prob, phi)
         assert rep.passed
         assert abs(rep.residual) < 1e-6
 

@@ -161,9 +161,12 @@ class TestExitCodes:
         assert "1 of 1 checks failed" in err
 
     def test_verify_rejects_out_of_range_selector(self, capsys):
-        code, _, err = run(["verify", "--only", "13"], capsys)
-        assert code == 1
-        assert "criterion numbers" in err
+        # An empty selection would check nothing and still exit 0.
+        for only, message in (("13", "criterion numbers"), (",", "selects no criteria"),
+                              ("", "selects no criteria")):
+            code, out, err = run(["verify", "--only", only], capsys)
+            assert (code, out) == (1, "")
+            assert message in err
 
 
 class TestClassify:

@@ -10,7 +10,7 @@ from plap.rk45 import EventSpec, IntegrationResult, _hermite, integrate
 
 class TestAccuracy:
     def test_exponential(self):
-        res = integrate(lambda t, y: y, 0.0, 2.0, [1.0], rtol=1e-10, atol=1e-12)
+        res = integrate(lambda t, y: y, 0.0, 2.0, [1.0], rtol=1e-10, atol=1e-12, first_step=1e-3)
         assert res.status == "finished"
         assert res.ys[-1, 0] == pytest.approx(math.e**2, rel=1e-9)
 
@@ -19,7 +19,7 @@ class TestAccuracy:
         def f(t, y):
             return np.array([y[1], -y[0]])
 
-        res = integrate(f, 0.0, 20 * math.pi, [1.0, 0.0], rtol=1e-11, atol=1e-13)
+        res = integrate(f, 0.0, 20 * math.pi, [1.0, 0.0], rtol=1e-11, atol=1e-13, first_step=1e-3)
         energy = res.ys[:, 0] ** 2 + res.ys[:, 1] ** 2
         assert np.max(np.abs(energy - 1.0)) < 1e-8
         assert res.ys[-1, 0] == pytest.approx(1.0, abs=1e-8)
@@ -32,30 +32,31 @@ class TestAccuracy:
         exact = math.exp(math.sin(3.0))
         errs = []
         for rtol in (1e-6, 1e-10):
-            res = integrate(f, 0.0, 3.0, [1.0], rtol=rtol, atol=rtol * 1e-2)
+            res = integrate(f, 0.0, 3.0, [1.0], rtol=rtol, atol=rtol * 1e-2, first_step=1e-3)
             errs.append(abs(res.ys[-1, 0] - exact))
         assert errs[1] < errs[0]
         assert errs[1] < 1e-9
 
     def test_rejects_backward_span(self):
         with pytest.raises(ValueError):
-            integrate(lambda t, y: y, 1.0, 0.0, [1.0])
+            integrate(lambda t, y: y, 1.0, 0.0, [1.0], first_step=1e-3)
 
 
 class TestDenseOutput:
     def test_hermite_matches_exact_solution(self):
         # Dense output is cubic between nodes, so its error is O(h^4) and
         # shrinks with max_step even when the stepper is already exact.
-        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-12)
+        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-12, first_step=1e-3)
         ts = np.linspace(0.0, 1.0, 257)
         assert np.max(np.abs(res.sol(ts)[:, 0] - np.exp(ts))) < 1e-6
         fine = integrate(
-            lambda t, y: y, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-12, max_step=0.02
+            lambda t, y: y, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-12, max_step=0.02,
+            first_step=1e-3,
         )
         assert np.max(np.abs(fine.sol(ts)[:, 0] - np.exp(ts))) < 2e-9
 
     def test_scalar_query_shape(self):
-        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0])
+        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], first_step=1e-3)
         out = res.sol(0.5)
         assert out.shape == (1,)
         assert out[0] == pytest.approx(math.sqrt(math.e), rel=1e-8)
@@ -63,7 +64,9 @@ class TestDenseOutput:
     def test_matches_per_point_hermite(self):
         # Reference: one scalar _hermite call per point.  Broadcasting may
         # round th**3 differently, so allow a few ulp of the O(1) values.
-        res = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0])
+        res = integrate(
+            lambda t, y: np.array([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0], first_step=1e-3
+        )
         ts = np.linspace(0.0, 3.0, 401)
         ref = []
         for t in ts:
@@ -74,22 +77,27 @@ class TestDenseOutput:
         np.testing.assert_allclose(res.sol(ts), np.array(ref), rtol=8 * eps, atol=8 * eps)
 
     def test_nodes_reproduced_exactly(self):
-        res = integrate(lambda t, y: np.array([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0])
-        out = res.sol(res.ts)
-        assert out.shape == (res.ts.size, 2)
-        assert np.array_equal(out, res.ys)
+        # The negative span checks both ends of the query window when t < 0.
+        for f, t0, t1, y0 in (
+            (lambda t, y: np.array([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0]),
+            (lambda t, y: y, -2.0, -1.0, [1.0]),
+        ):
+            res = integrate(f, t0, t1, y0, first_step=1e-3)
+            out = res.sol(res.ts)
+            assert out.shape == (res.ts.size, len(y0))
+            assert np.array_equal(out, res.ys)
 
     def test_one_node_result_returns_its_state(self):
         # A step collapse at launch leaves one node, with f = inf there: the
         # interpolant must be that node's state, not a 0 * inf = nan blend.
-        res = integrate(lambda t, y: np.array([np.inf]), 0.0, 1.0, [1.0])
+        res = integrate(lambda t, y: np.array([np.inf]), 0.0, 1.0, [1.0], first_step=1e-3)
         assert res.status == "step_collapse"
         assert res.ts.size == 1
         assert np.array_equal(res.sol(0.0), res.ys[0])
         assert np.array_equal(res.sol(np.array([0.0, 0.0])), res.ys[[0, 0]])
 
     def test_outside_span_raises(self):
-        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0])
+        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], first_step=1e-3)
         with pytest.raises(ValueError):
             res.sol(1.5)
 
@@ -98,14 +106,14 @@ class TestEvents:
     def test_terminal_root_location(self):
         # y = e^t crosses 5 at t = log 5.
         ev = EventSpec(fn=lambda t, y: y[0] - 5.0)
-        res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], events=[ev])
+        res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], events=[ev], first_step=1e-3)
         assert res.status == "event"
         assert res.event_index == 0
         # Root accuracy is set by the dense interpolant, not the step tolerance.
         assert res.event_t == pytest.approx(math.log(5.0), rel=1e-7)
         assert res.ts[-1] == res.event_t
         fine = integrate(
-            lambda t, y: y, 0.0, 3.0, [1.0], events=[ev], max_step=0.02
+            lambda t, y: y, 0.0, 3.0, [1.0], events=[ev], max_step=0.02, first_step=1e-3
         )
         assert fine.event_t == pytest.approx(math.log(5.0), rel=1e-10)
 
@@ -115,14 +123,14 @@ class TestEvents:
             return np.array([math.cos(t)])
 
         up_only = EventSpec(fn=lambda t, y: y[0], direction=1)
-        res = integrate(f, 0.1, 8.0, [math.sin(0.1)], events=[up_only])
+        res = integrate(f, 0.1, 8.0, [math.sin(0.1)], events=[up_only], first_step=1e-3)
         assert res.status == "event"
         assert res.event_t == pytest.approx(2 * math.pi, rel=1e-8)
 
     def test_two_events_earliest_terminal_wins(self):
         late = EventSpec(fn=lambda t, y: t - 2.5)
         early = EventSpec(fn=lambda t, y: t - 1.25)
-        res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], events=[late, early])
+        res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], events=[late, early], first_step=1e-3)
         assert res.status == "event"
         assert res.event_index == 1
         assert res.event_t == pytest.approx(1.25, rel=1e-9)
@@ -134,17 +142,19 @@ class TestFailureModes:
         def f(t, y):
             return y * y
 
-        res = integrate(f, 0.0, 2.0, [1.0], rtol=1e-10, atol=1e-12)
+        res = integrate(f, 0.0, 2.0, [1.0], rtol=1e-10, atol=1e-12, first_step=1e-3)
         assert res.status == "step_collapse"
         assert res.ts[-1] == pytest.approx(1.0, abs=1e-3)
 
     def test_max_steps(self):
-        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], max_step=1e-5, max_steps=100)
+        res = integrate(
+            lambda t, y: y, 0.0, 1.0, [1.0], max_step=1e-5, max_steps=100, first_step=1e-3
+        )
         assert res.status == "max_steps"
         assert res.n_steps == 100
 
     def test_max_step_respected(self):
-        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], max_step=0.01)
+        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], max_step=0.01, first_step=1e-3)
         assert np.max(np.diff(res.ts)) <= 0.01 + 1e-12
 
     def test_first_step_honored(self):
@@ -154,18 +164,18 @@ class TestFailureModes:
 
 class TestBookkeeping:
     def test_fsal_evaluation_count(self):
-        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], rtol=1e-8, atol=1e-10)
+        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], rtol=1e-8, atol=1e-10, first_step=1e-3)
         # One seed evaluation plus six per attempted step.
         assert res.n_fev == 1 + 6 * (res.n_steps + res.n_rejected)
 
     def test_nodes_and_states_align(self):
-        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0])
+        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], first_step=1e-3)
         assert res.ts.shape[0] == res.ys.shape[0] == res.fs.shape[0]
         assert res.ts[0] == 0.0 and res.ts[-1] == pytest.approx(1.0)
         assert np.all(np.diff(res.ts) > 0)
         # A terminal event ends the nodes at the root, still strictly increasing.
         ev = EventSpec(fn=lambda t, y: y[0] - 2.0)
-        hit = integrate(lambda t, y: y, 0.0, 1.0, [1.0], events=[ev])
+        hit = integrate(lambda t, y: y, 0.0, 1.0, [1.0], events=[ev], first_step=1e-3)
         assert hit.status == "event"
         assert hit.ts.shape[0] == hit.ys.shape[0] == hit.fs.shape[0]
         assert hit.ts[-1] == hit.event_t
