@@ -103,7 +103,8 @@ def _add_shot_flags(p: _Parser):
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12)
     p.add_argument("--delta0", type=float, default=None,
-                   help="series hand-off radius (default 1e-6 min(1, r_max))")
+                   help="series hand-off radius (default 1e-6 min(1, r_max), shrunk "
+                        "until the series term is 1e-6 of u0)")
 
 
 def _add_out_flag(p: _Parser):
@@ -226,8 +227,7 @@ def _run_shoot(args) -> int:
         parts.append(f"r_event={outcome.r_event!r}")
     if outcome.tail_slope is not None:
         parts.append(f"tail_slope={outcome.tail_slope!r}")
-    if outcome.reason:
-        parts.append(f"reason={outcome.reason}")
+    parts.append(f"reason={outcome.reason}")
     print("  ".join(parts), file=sys.stderr)
     if traj.step_collapsed and outcome.kind is shooting.OutcomeKind.INDETERMINATE:
         return 2
@@ -431,7 +431,8 @@ def _run_verify(args) -> int:
     indices = None
     if args.only is not None:
         try:
-            indices = [int(tok) for tok in args.only.split(",") if tok.strip()]
+            # dict.fromkeys drops repeated selectors and keeps first-seen order
+            indices = list(dict.fromkeys(int(tok) for tok in args.only.split(",") if tok.strip()))
         except ValueError:
             raise _UsageExit(f"--only expects comma-separated integers, got {args.only!r}")
         if not indices:

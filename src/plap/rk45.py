@@ -9,8 +9,9 @@ Events are scalar functions g(t, y); a sign change over an accepted step is
 refined by bisection on the dense interpolant to ~1e-10 relative in t, and
 the earliest root ends the integration.  The integrator never raises on
 difficult problems: it reports status "step_collapse" when h underflows
-(1e-14 * max(|t|, 1)) and "max_steps" when the step budget runs out, and
-leaves classification to the caller.
+(1e-14 * max(|t|, first_step): near t = 0 the step first tried, not 1, sets
+the scale, so a launch at a tiny t0 can step) and "max_steps" when the step
+budget runs out, and leaves classification to the caller.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def integrate(
     k = np.empty((7, y.size))
 
     while t < t1:
-        if h < _COLLAPSE_FLOOR * max(abs(t), 1.0):
+        if h < _COLLAPSE_FLOOR * max(abs(t), first_step):
             status = "step_collapse"
             break
         if n_steps >= max_steps:

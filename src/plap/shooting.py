@@ -14,7 +14,23 @@ hand-off radius delta0 comes from the origin series
     ku   = (p-1)/(p+gamma) (a u0^q / (N+gamma))^{1/(p-1)},
     w(r) = -+ a u0^q r^{N+gamma}/(N+gamma),
 
-so the hand-off error is O(delta0^{2s}) relative.
+so the hand-off error is O(delta0^{2s}) relative.  The default delta0,
+``launch_radius``, is 1e-6 min(1, r_max), shrunk where needed until
+ku delta0^s <= 1e-6 u0.
+
+Every label rests on an event the integrator computes:
+
+- plus sign: u increases, and once r u'/u >= 1 the shot continues in
+  s = log u with state (r, log w), so the blow-up radius is the r reached at
+  s = log(blowup_threshold), in a step count that grows like q, where steps
+  in r collapse as u^q steepens;
+- minus sign, K < 0 (q < q_E, or N <= p): every positive radial solution
+  crosses zero, so a shot still positive at r_max continues past it to its
+  crossing;
+- minus sign, K >= 0 (q >= q_E): the Pohozaev identity below rules out a
+  first zero (at one, its right side is (1-p)|u'|^p R^N < 0 <= a K int),
+  so a computed crossing is indeterminate and a positive shot is judged on
+  its final decade.
 
 The Pohozaev identity carries the amplitude (it reduces to the a = 1 display
 after the rescaling v = a^{1/(q-p+1)} u):
@@ -47,6 +63,8 @@ _DECAY_SLOPE_TOL = 0.05
 _CONSERVATION_TOL_FACTOR = 10.0
 _SCALING_SAMPLES = 40
 _SCALING_TOL = 1e-6
+_R_FAR = 1e300          # continued shots stop here: every certified event lies before it
+_K_ROUNDING = 1e-12     # |K| below this share of its (gamma+N)p/(q+1) term counts as K = 0
 
 
 class EquationSign(enum.Enum):
@@ -66,7 +84,7 @@ class IvpSpec:
     r_max: float = 100.0
     rtol: float = 1e-10
     atol: float = 1e-12
-    delta0: float | None = None            # default 1e-6 * min(1, r_max)
+    delta0: float | None = None            # default: launch_radius(params, u0, r_max)
     max_step: float = math.inf             # refinement-study knob
 
     def __post_init__(self):
@@ -74,8 +92,10 @@ class IvpSpec:
             raise ValueError(f"need finite u0 > 0, got {self.u0}")
         if not (self.r_max > 0 and math.isfinite(self.r_max)):
             raise ValueError(f"need finite r_max > 0, got {self.r_max}")
+        if not self.params.n_dim + self.params.gamma > 0:
+            raise ValueError("the origin series needs N + gamma > 0")
         if self.delta0 is None:
-            object.__setattr__(self, "delta0", 1e-6 * min(1.0, self.r_max))
+            object.__setattr__(self, "delta0", launch_radius(self.params, self.u0, self.r_max))
         if not (0 < self.delta0 < 0.01 * self.r_max):
             raise ValueError(f"need 0 < delta0 << r_max, got {self.delta0}")
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
@@ -87,6 +107,26 @@ class IvpSpec:
     def blowup_threshold(self) -> float:
         """u above which a shot counts as blown up."""
         return 1e8 * self.u0
+
+
+def launch_radius(params: ProblemParams, u0: float, r_max: float) -> float:
+    """The default hand-off radius: 1e-6 min(1, r_max), shrunk where needed to
+    (1e-6 u0 / ku)^{1/s}, so the series term ku r^s stays within 1e-6 of u0.
+
+    ku is formed in log space, as u0^q under- or overflows for large q.  The
+    radius stays above 1e-300^{1/(N-1)}, below which r^{-(N-1)} in the rhs
+    overflows.
+    """
+    pr = params
+    s = (pr.p + pr.gamma) / (pr.p - 1.0)
+    log_ku = math.log((pr.p - 1.0) / (pr.p + pr.gamma)) + (
+        math.log(pr.amplitude) + pr.q * math.log(u0) - math.log(pr.n_dim + pr.gamma)
+    ) / (pr.p - 1.0)
+    default = 1e-6 * min(1.0, r_max)
+    log_shrunk = (math.log(1e-6 * u0) - log_ku) / s
+    if log_shrunk >= math.log(default):
+        return default
+    return max(math.exp(log_shrunk), 1e-300 ** (1.0 / max(pr.n_dim - 1, 1)))
 
 
 def series_coefficients(spec: IvpSpec) -> tuple[float, float]:
@@ -115,11 +155,14 @@ def series_state(spec: IvpSpec, r: float) -> np.ndarray:
 class Trajectory:
     """Accepted nodes of one shooting run plus the dense interpolant.
 
-    A view of the integrator result: event 0 is the zero crossing, event 1
-    the blow-up threshold.
+    A view of the integrator result in r, whose event 0 is the zero crossing
+    and event 1 the switch of a plus shot to s = log u.  ``blowup`` is that
+    second phase, with state (r, log w); it only supplies ``r_blow``, so the
+    nodes and the dense output end where it starts.
     """
 
     result: rk45.IntegrationResult
+    blowup: rk45.IntegrationResult | None = None
 
     @property
     def r(self) -> np.ndarray:
@@ -135,24 +178,26 @@ class Trajectory:
 
     @property
     def status(self) -> str:
-        return self.result.status
+        """The integrator status; a blow-up phase that reached the threshold ends in "event"."""
+        if self.blowup is None:
+            return self.result.status
+        return "event" if self.blowup.status == "finished" else self.blowup.status
 
     @property
     def step_collapsed(self) -> bool:
-        return self.result.status == "step_collapse"
+        return self.status == "step_collapse"
 
     @property
     def r_cross(self) -> float | None:
-        return self._event_radius(0)
+        res = self.result
+        if res.status == "event" and res.event_index == 0:
+            return float(res.event_t)
+        return None
 
     @property
     def r_blow(self) -> float | None:
-        return self._event_radius(1)
-
-    def _event_radius(self, index: int) -> float | None:
-        res = self.result
-        if res.status == "event" and res.event_index == index:
-            return float(res.event_t)
+        if self.blowup is not None and self.blowup.status == "finished":
+            return float(self.blowup.ys[-1, 0])
         return None
 
     def du(self, params: ProblemParams) -> np.ndarray:
@@ -178,37 +223,80 @@ def integrate_ivp(spec: IvpSpec) -> Trajectory:
     """Shoot from delta0 to r_max; halt at a zero crossing or at blow-up.
 
     Step-size underflow is recorded on the trajectory (step_collapsed), not
-    raised: classification decides whether it is a blow-up signature.
+    raised: classification reports it as indeterminate.
     """
+    return _shoot(spec, spec.delta0, series_state(spec, spec.delta0), spec.r_max, spec.max_step)
+
+
+def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Trajectory:
+    """Integrate (u, w) in r from (r0, y0) to r_end; a plus shot switches to
+    s = log u where r u'/u reaches 1 and runs on to the blow-up threshold."""
     pr = spec.params
     sgn = float(spec.sign.value)
     n1 = pr.n_dim - 1.0
     inv_pm1 = 1.0 / (pr.p - 1.0)
 
+    # Beyond r_logs, r^{N-1+gamma} or r^{-(N-1)} may leave the float range,
+    # so each term is formed as the exponential of a sum of logs.
+    r_logs = 1e100 ** (1.0 / max(n1 + pr.gamma, n1, 1.0))
+    log_a = math.log(pr.amplitude)
+
     def rhs(r, y):
         u, w = y
+        if r > r_logs:
+            log_r = math.log(r)
+            with np.errstate(divide="ignore", over="ignore"):
+                du, dw = np.exp([(np.log(abs(w)) - n1 * log_r) * inv_pm1,
+                                 log_a + (n1 + pr.gamma) * log_r + pr.q * np.log(abs(u))])
+            return np.array([math.copysign(du, w), sgn * math.copysign(dw, u)])
         mag = abs(w) * r ** -n1 if n1 else abs(w)
         du = math.copysign(mag ** inv_pm1, w) if w else 0.0
         dw = sgn * pr.amplitude * r ** (n1 + pr.gamma) * _odd_pow(u, pr.q)
         return np.array([du, dw])
 
-    threshold = spec.blowup_threshold
-    events = [
-        rk45.EventSpec(fn=lambda t, y: y[0], direction=-1),
-        rk45.EventSpec(fn=lambda t, y: y[0] - threshold, direction=1),
-    ]
+    def switch(r, y):
+        """r u'/u - 1, with u' = (w / r^{N-1})^{1/(p-1)} > 0."""
+        with np.errstate(over="ignore"):  # inf at a tiny launch radius, as in rhs
+            return r * (abs(y[1]) * r ** -n1) ** inv_pm1 / y[0] - 1.0
+
+    events = [rk45.EventSpec(fn=lambda t, y: y[0], direction=-1)]
+    if spec.sign is EquationSign.PLUS:
+        events.append(rk45.EventSpec(fn=switch, direction=1))
+    # As np.float64, r ** -(N-1) overflowing at a tiny launch radius gives inf,
+    # which rk45 rejects, where a Python float raises OverflowError.
     res = rk45.integrate(
-        rhs,
-        spec.delta0,
-        spec.r_max,
-        series_state(spec, spec.delta0),
-        rtol=spec.rtol,
-        atol=spec.atol,
-        first_step=0.1 * spec.delta0,
-        max_step=spec.max_step,
-        events=events,
+        rhs, np.float64(r0), r_end, y0,
+        rtol=spec.rtol, atol=spec.atol, first_step=0.1 * r0, max_step=max_step, events=events,
     )
+    if res.status == "event" and res.event_index == 1:
+        # Start from the last accepted node: the event node is interpolated.
+        return Trajectory(res, _blowup_phase(spec, float(res.ts[-2]), res.ys[-2]))
     return Trajectory(res)
+
+
+def _blowup_phase(spec: IvpSpec, r0: float, y0) -> rk45.IntegrationResult:
+    """Integrate a plus shot in s = log u from (r0, y0) to s = log(blowup_threshold).
+
+    State (r, log w): dr/ds = u/u' and d(log w)/ds = a r^{N-1+gamma} u^q / w * dr/ds,
+    each formed as the exponential of a sum of logs, because u^q and w overflow
+    near blow-up for large q.  The threshold is reached at a finite s, where
+    r is the blow-up radius.
+    """
+    pr = spec.params
+    n1 = pr.n_dim - 1.0
+    inv_pm1 = 1.0 / (pr.p - 1.0)
+    log_a = math.log(pr.amplitude)
+
+    def rhs(s, y):
+        log_r = np.log(y[0])
+        log_dr = s - (y[1] - n1 * log_r) * inv_pm1
+        return np.exp([log_dr, log_a + (n1 + pr.gamma) * log_r + pr.q * s - y[1] + log_dr])
+
+    s0, s1 = math.log(y0[0]), math.log(spec.blowup_threshold)
+    return rk45.integrate(
+        rhs, s0, s1, [r0, math.log(y0[1])],
+        rtol=spec.rtol, atol=spec.atol, first_step=1e-3 * (s1 - s0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +329,8 @@ class Outcome:
             self.tail_slope is not None and self.tail_slope < 0
         ):
             raise ValueError("PositiveDecaying needs tail_slope < 0")
+        if not self.reason:
+            raise ValueError("every Outcome needs the reason for its label")
 
     @property
     def r_event(self) -> float | None:
@@ -252,21 +342,42 @@ class Outcome:
 
 
 def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
-    """CrossesZero / BlowsUp / PositiveDecaying (final-decade test) / Indeterminate."""
+    """Label a shot by an event it computed, under the theory's sign rules.
+
+    A plus shot, or a minus shot with K < 0, still running at r_max continues
+    from its last node to r = 1e300, so no label depends on r_max.  A minus
+    shot with K >= 0 cannot cross zero; if positive at r_max it is judged on
+    its final decade [r_max/10, r_max].  Every outcome carries its reason.
+    """
+    if spec.sign is EquationSign.PLUS:
+        if traj.status == "finished":
+            traj = _continue(traj, spec)
+        if traj.r_blow is not None:
+            return Outcome(OutcomeKind.BLOWS_UP, r_blow=traj.r_blow, reason=(
+                f"u reached {spec.blowup_threshold:.6g} at r={traj.r_blow:.6g}"
+                f"{_beyond(traj.r_blow, spec)}, integrated in log u"))
+        return _unresolved(traj, "before blow-up")
+
+    pr = spec.params
+    if pr.n_dim > pr.p:
+        k = pohozaev_coefficient(pr)
+        crossing_forced = k < -_K_ROUNDING * (pr.n_dim + pr.gamma) * pr.p / (pr.q + 1.0)
+        sign_k = f"K={k:.3g}<0" if crossing_forced else f"K={k:.3g}>=0"
+    else:
+        crossing_forced, sign_k = True, "N<=p"
+    if crossing_forced:
+        if traj.status == "finished":
+            traj = _continue(traj, spec)
+        if traj.r_cross is not None:
+            return Outcome(OutcomeKind.CROSSES_ZERO, r_cross=traj.r_cross, reason=(
+                f"crossed at r={traj.r_cross:.6g}{_beyond(traj.r_cross, spec)}, {sign_k}"))
+        return _unresolved(traj, f"before a crossing, although {sign_k} forces one")
     if traj.r_cross is not None:
-        return Outcome(OutcomeKind.CROSSES_ZERO, r_cross=traj.r_cross)
-    if traj.r_blow is not None:
-        return Outcome(OutcomeKind.BLOWS_UP, r_blow=traj.r_blow)
-    if traj.step_collapsed:
-        grew = traj.u[-1] > 10.0 * spec.u0 and traj.w[-1] > 0
-        if spec.sign is EquationSign.PLUS and grew:
-            return Outcome(OutcomeKind.BLOWS_UP, r_blow=float(traj.r[-1]))
-        return Outcome(
-            OutcomeKind.INDETERMINATE,
-            reason=f"step collapse at r={traj.r[-1]:.6g} without blow-up signature",
-        )
+        return Outcome(OutcomeKind.INDETERMINATE, reason=(
+            f"crossed at r={traj.r_cross:.6g}, but {sign_k}: the Pohozaev identity "
+            "rules out a first zero"))
     if traj.status != "finished":
-        return Outcome(OutcomeKind.INDETERMINATE, reason=f"integrator status {traj.status}")
+        return _unresolved(traj, f"with {sign_k}")
 
     # Final decade [r_max/10, r_max]: transients near the origin must not
     # pollute the slope fit.
@@ -280,7 +391,9 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
         r_dec = r_fill
     if np.all(u_dec > 0) and np.all(du_dec < 0):
         slope = float(np.polyfit(np.log(r_dec), np.log(u_dec), 1)[0])
-        return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope)
+        return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope, reason=(
+            f"positive and decreasing on [{lo:.6g}, {spec.r_max:.6g}], {sign_k} "
+            "rules out a crossing"))
     if np.all(u_dec > 0):
         return Outcome(
             OutcomeKind.INDETERMINATE, reason="u positive but not monotone in final decade"
@@ -288,6 +401,21 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
     return Outcome(
         OutcomeKind.INDETERMINATE, reason="sign behavior unresolved in final decade"
     )
+
+
+def _continue(traj: Trajectory, spec: IvpSpec) -> Trajectory:
+    """The shot continued past r_max from the last node of ``traj``."""
+    return _shoot(spec, float(traj.r[-1]), traj.result.ys[-1], _R_FAR, math.inf)
+
+
+def _beyond(r: float, spec: IvpSpec) -> str:
+    return " beyond r_max" if r > spec.r_max else ""
+
+
+def _unresolved(traj: Trajectory, what: str) -> Outcome:
+    r_end = traj.r[-1] if traj.blowup is None else traj.blowup.ys[-1, 0]
+    return Outcome(OutcomeKind.INDETERMINATE, reason=(
+        f"integrator status {traj.status} at r={r_end:.6g} {what}"))
 
 
 def decay_slope_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:

@@ -153,6 +153,12 @@ class TestExitCodes:
         assert out.count("\n") == 1 and "PASS" in out
         assert err == ""
 
+    def test_verify_runs_a_repeated_selector_once(self, capsys):
+        code, out, err = run(["verify", "--only", "9,1,9,1"], capsys)
+        assert code == 3
+        assert [line.split()[1] for line in out.splitlines()] == ["9", "1"]
+        assert "1 of 2 checks failed" in err
+
     def test_verify_red_criterion_exits_three(self, capsys):
         # The recursion-grid check is deliberately red (the bound needs c >= 1).
         code, out, err = run(["verify", "--only", "9"], capsys)
@@ -249,6 +255,7 @@ class TestShootCsv:
         assert cli.main(argv) == 0
         err = capsys.readouterr().err
         assert "outcome=crosses_zero" in err
+        assert "reason=crossed at r=6.89685, K=-0.5<0" in err
 
         spec = shooting.IvpSpec(
             params=cli.ProblemParams(n_dim=3, p=2.0, q=3.0), u0=1.0,

@@ -146,6 +146,13 @@ class TestFailureModes:
         assert res.status == "step_collapse"
         assert res.ts[-1] == pytest.approx(1.0, abs=1e-3)
 
+    def test_launch_at_a_tiny_radius_steps(self):
+        # y' = y / t (y = t / t0) from t0 = 1e-20: a step of 1e-21 is far
+        # below 1e-14 but a tenth of t0, so it is no collapse.
+        res = integrate(lambda t, y: y / t, 1e-20, 1e-18, [1.0], first_step=1e-21)
+        assert res.status == "finished"
+        assert res.ys[-1, 0] == pytest.approx(100.0, rel=1e-8)
+
     def test_max_steps(self):
         res = integrate(
             lambda t, y: y, 0.0, 1.0, [1.0], max_step=1e-5, max_steps=100, first_step=1e-3

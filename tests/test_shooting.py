@@ -17,6 +17,7 @@ from plap import (
     classify_outcome,
     conservation_report,
     decay_slope_report,
+    equation_critical,
     integrate_ivp,
     pohozaev_residual,
     rescaled_spec,
@@ -80,27 +81,113 @@ class TestOutcomes:
         assert out.kind is OutcomeKind.BLOWS_UP
         assert out.r_blow == pytest.approx(R_BLOW, rel=1e-8)
 
-    def test_short_range_growth_is_indeterminate(self):
+    def test_crossing_beyond_r_max_matches_dop853(self):
+        # q = 0.97 q_E < q_E crosses at r ~ 113, past r_max = 100: the shot
+        # continues to it rather than being labelled positive_decaying.
+        from plap.verify import _oracle_p2_events
+
+        params = ProblemParams(n_dim=3, p=2.0, q=4.85, gamma=0.0)
+        traj, spec = shoot(params, 1.0, r_max=100.0)
+        out = classify_outcome(traj, spec)
+        oracle = _oracle_p2_events(params, 1.0, -1.0, 1e4, spec.blowup_threshold)
+        assert out.kind is OutcomeKind.CROSSES_ZERO
+        assert out.r_cross == pytest.approx(oracle.t_events[0][0], rel=1e-6)
+
+    def test_blowup_radius_matches_closed_form(self):
+        # u = (1 - r^2/3)^{-1/2} solves Delta u = u^5 in R^3 (the Aubin-Talenti
+        # profile with r^2 -> -r^2), and reaches 1e8 at r^2 = 3 (1 - 1e-16).
+        traj, spec = shoot(CRITICAL, 1.0, r_max=100.0, sign=EquationSign.PLUS)
+        out = classify_outcome(traj, spec)
+        assert out.r_blow == pytest.approx(math.sqrt(3.0 * (1.0 - 1e-16)), rel=1e-9)
+
+    def test_short_range_growth_blows_up_beyond_r_max(self):
+        # Every plus shot blows up at a finite radius, so a shot still finite
+        # at r_max continues to its blow-up instead of being judged there.
         traj, spec = shoot(SUBCRITICAL, 1.0, r_max=1.0, sign=EquationSign.PLUS)
         out = classify_outcome(traj, spec)
-        assert out.kind is OutcomeKind.INDETERMINATE
-        assert "not monotone" in out.reason
+        assert out.kind is OutcomeKind.BLOWS_UP
+        assert out.r_blow == pytest.approx(R_BLOW, rel=1e-8)
+        assert "beyond r_max" in out.reason
 
-    def test_overflowing_launch_collapses_without_warning(self):
-        # The series launch state overflows the rhs at the first node; the
-        # launch evaluation runs under the same errstate as every later stage.
+    def test_large_series_term_shrinks_the_launch(self):
+        # At 1e-6 the series term ku r^s (ku ~ 9e12) put u(delta0) at 841 or
+        # -838; the default launch radius keeps it within 1e-6 of u0.
         params = ProblemParams(n_dim=3, p=2.971, q=124.7, gamma=0.322)
+        for sign in EquationSign:
+            spec = IvpSpec(params=params, u0=1.631, r_max=100.0, sign=sign)
+            ku, s = series_coefficients(spec)
+            assert spec.delta0 < 1e-11
+            assert ku * spec.delta0**s == pytest.approx(1e-6 * spec.u0, rel=1e-12)
+            assert series_state(spec, spec.delta0)[0] == pytest.approx(spec.u0, rel=2e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj, _ = shoot(params, 1.631, r_max=100.0, sign=EquationSign.PLUS)
-        assert traj.result.status == "step_collapse"
-        assert len(traj.r) == 1
+            traj, spec = shoot(params, 1.631, r_max=100.0, sign=EquationSign.PLUS)
+            out = classify_outcome(traj, spec)
+        assert out.kind is OutcomeKind.BLOWS_UP
+        assert spec.delta0 < out.r_blow < spec.r_max
 
     def test_outcome_field_consistency(self):
         with pytest.raises(ValueError):
             Outcome(OutcomeKind.CROSSES_ZERO)
         with pytest.raises(ValueError):
             Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=0.5)
+        with pytest.raises(ValueError):
+            Outcome(OutcomeKind.BLOWS_UP, r_blow=1.0)  # no reason
+
+    @pytest.mark.parametrize("r_max", [10.0, 100.0])
+    def test_no_crossing_at_equation_critical(self, r_max):
+        # At q = q_E the Pohozaev coefficient K vanishes, and the identity
+        # rules out a first zero; the shot's tail sits at atol, where the
+        # integrator's noise crossed zero at r = 5.1328.
+        base = ProblemParams(n_dim=10, p=1.2, q=1.2, gamma=2.0)
+        params = ProblemParams(n_dim=10, p=1.2, q=equation_critical(base), gamma=2.0)
+        traj, spec = shoot(params, 1.0, r_max=r_max)
+        out = classify_outcome(traj, spec)
+        assert out.kind is not OutcomeKind.CROSSES_ZERO
+        assert "Pohozaev" in out.reason and "K=" in out.reason
+
+
+# One shot per class of sweep defect: each label must not depend on r_max.
+R_MAX_CASES = {
+    # crossing beyond r_max (q < q_E): labelled positive_decaying at r_max <= 1e3
+    "crossing_beyond_r_max": (
+        ProblemParams(n_dim=6, p=5.6005, q=53.633745, gamma=0.0429794), 1.75637,
+        EquationSign.MINUS, OutcomeKind.CROSSES_ZERO),
+    # plus shot whose series term dwarfed u0 at the old launch radius
+    "plus_overflowing_launch": (
+        ProblemParams(n_dim=3, p=2.97143, q=124.67532, gamma=0.322369), 1.63101,
+        EquationSign.PLUS, OutcomeKind.BLOWS_UP),
+    # minus shot launched below zero by the same series term
+    "minus_overflowing_launch": (
+        ProblemParams(n_dim=3, p=2.94697, q=220.23854, gamma=1.08195), 1.32445,
+        EquationSign.MINUS, OutcomeKind.CROSSES_ZERO),
+    # s = (p+gamma)/(p-1) = 0.059: the series term is 1e-6 of u0 only at
+    # r = 7e-121, where r^{-(N-1)} overflows; the launch stops at 1e-300^{1/7}
+    "minus_small_series_exponent": (
+        ProblemParams(n_dim=8, p=5.184, q=4.61653, gamma=-4.937), 0.656,
+        EquationSign.MINUS, OutcomeKind.CROSSES_ZERO),
+    # crosses at r ~ 8e78, where r^{N-1+gamma} = r^{4.67} overflows a float
+    "crossing_past_float_range_of_powers": (
+        ProblemParams(n_dim=4, p=3.95089, q=446.17864, gamma=1.67316), 1.93015,
+        EquationSign.MINUS, OutcomeKind.CROSSES_ZERO),
+}
+
+
+class TestLabelsIndependentOfRMax:
+    @pytest.mark.parametrize("r_max", [1e2, 1e3, 1e4, 1e5])
+    @pytest.mark.parametrize("case", sorted(R_MAX_CASES))
+    def test_label(self, case, r_max):
+        params, u0, sign, kind = R_MAX_CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, spec = shoot(params, u0, r_max=r_max, sign=sign)
+            out = classify_outcome(traj, spec)
+        assert out.kind is kind, out.reason
+        assert spec.delta0 < out.r_event < math.inf
+        if case == "crossing_beyond_r_max":
+            assert out.r_cross == pytest.approx(1256.045, rel=1e-6)
+        if case == "crossing_past_float_range_of_powers":
+            assert out.r_cross == pytest.approx(8.3329e78, rel=1e-4)
 
 
 class TestTrajectoryInvariants:
@@ -291,6 +378,11 @@ class TestSpecValidation:
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             IvpSpec(params=SUBCRITICAL, **kw)
+
+    def test_rejects_nonpositive_series_weight(self):
+        # The origin series divides by N + gamma.
+        with pytest.raises(ValueError, match="N \\+ gamma > 0"):
+            IvpSpec(params=ProblemParams(n_dim=1, p=2.0, q=3.0, gamma=-1.5), u0=1.0)
 
     def test_defaults_populated(self):
         spec = IvpSpec(params=SUBCRITICAL, u0=2.0)
