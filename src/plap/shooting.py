@@ -3,20 +3,20 @@ sign variant, with outcome classification, decay-slope checks, and the radial
 Pohozaev identity.
 
 The integration variable pair is (u, w) with w = r^{N-1}|u'|^{p-2}u', so
-
-    u' = sign(w) (|w| / r^{N-1})^{1/(p-1)},
-    w' = -+ a r^{N-1+gamma} |u|^{q-1} u      (minus for EquationMinus),
-
-which stays well-defined where u' = 0 for every p > 1.  Initial data at the
-hand-off radius delta0 comes from the origin series
+u' = sign(w) (|w| / r^{N-1})^{1/(p-1)} and w' = -+ a r^{N-1+gamma} |u|^{q-1} u
+(minus for EquationMinus), well-defined where u' = 0 for every p > 1.  Both
+rates are formed once, in logs (``_log_rates``), so no power of r, u or w is
+formed at any radius; a rate past the float range is an inf stage, which the
+integrator rejects.  Initial data at the hand-off radius delta0 comes from
+the origin series, whose log ku and log kw come from ``series_logs``:
 
     u(r) = u0 -+ ku r^s + O(r^{2s}),   s = (p+gamma)/(p-1),
-    ku   = (p-1)/(p+gamma) (a u0^q / (N+gamma))^{1/(p-1)},
-    w(r) = -+ a u0^q r^{N+gamma}/(N+gamma),
+    w(r) = -+ kw r^{N+gamma},   kw = a u0^q/(N+gamma),   ku = (p-1)/(p+gamma) kw^{1/(p-1)},
 
 so the hand-off error is O(delta0^{2s}) relative.  The default delta0,
 ``launch_radius``, is 1e-6 min(1, r_max), shrunk where needed until
-ku delta0^s <= 1e-6 u0.
+ku delta0^s <= 1e-6 u0, but not below 1e-300, where a tiny s would
+underflow it to 0.
 
 Every label rests on an event the integrator computes:
 
@@ -109,46 +109,52 @@ class IvpSpec:
         return 1e8 * self.u0
 
 
+def series_logs(params: ProblemParams, u0: float) -> tuple[float, float, float]:
+    """(s, log ku, log kw) of the origin series u = u0 -+ ku r^s, w = -+ kw r^{N+gamma}."""
+    pr = params
+    log_kw = math.log(pr.amplitude) + pr.q * math.log(u0) - math.log(pr.n_dim + pr.gamma)
+    log_ku = math.log((pr.p - 1.0) / (pr.p + pr.gamma)) + log_kw / (pr.p - 1.0)
+    return (pr.p + pr.gamma) / (pr.p - 1.0), log_ku, log_kw
+
+
 def launch_radius(params: ProblemParams, u0: float, r_max: float) -> float:
     """The default hand-off radius: 1e-6 min(1, r_max), shrunk where needed to
-    (1e-6 u0 / ku)^{1/s}, so the series term ku r^s stays within 1e-6 of u0.
-
-    ku is formed in log space, as u0^q under- or overflows for large q.  The
-    radius stays above 1e-300^{1/(N-1)}, below which r^{-(N-1)} in the rhs
-    overflows.
-    """
-    pr = params
-    s = (pr.p + pr.gamma) / (pr.p - 1.0)
-    log_ku = math.log((pr.p - 1.0) / (pr.p + pr.gamma)) + (
-        math.log(pr.amplitude) + pr.q * math.log(u0) - math.log(pr.n_dim + pr.gamma)
-    ) / (pr.p - 1.0)
+    (1e-6 u0 / ku)^{1/s}, so the series term ku r^s stays within 1e-6 of u0,
+    but not below 1e-300, where a tiny s would underflow it to 0."""
+    s, log_ku, _ = series_logs(params, u0)
     default = 1e-6 * min(1.0, r_max)
     log_shrunk = (math.log(1e-6 * u0) - log_ku) / s
     if log_shrunk >= math.log(default):
         return default
-    return max(math.exp(log_shrunk), 1e-300 ** (1.0 / max(pr.n_dim - 1, 1)))
-
-
-def series_coefficients(spec: IvpSpec) -> tuple[float, float]:
-    """(ku, s) of the origin series u = u0 -+ ku r^s."""
-    pr = spec.params
-    s = (pr.p + pr.gamma) / (pr.p - 1.0)
-    ku = (pr.p - 1.0) / (pr.p + pr.gamma) * (
-        pr.amplitude * spec.u0 ** pr.q / (pr.n_dim + pr.gamma)
-    ) ** (1.0 / (pr.p - 1.0))
-    return ku, s
+    return max(math.exp(log_shrunk), 1e-300)
 
 
 def series_state(spec: IvpSpec, r: float) -> np.ndarray:
     """(u, w) from the origin series at radius r."""
     pr = spec.params
     sgn = float(spec.sign.value)
-    ku, s = series_coefficients(spec)
-    u = spec.u0 + sgn * ku * r ** s
-    w = sgn * pr.amplitude * spec.u0 ** pr.q * r ** (pr.n_dim + pr.gamma) / (
-        pr.n_dim + pr.gamma
-    )
+    s, log_ku, log_kw = series_logs(pr, spec.u0)
+    log_r = math.log(r)
+    u = spec.u0 + sgn * math.exp(log_ku + s * log_r)
+    w = sgn * math.exp(log_kw + (pr.n_dim + pr.gamma) * log_r)
     return np.array([u, w])
+
+
+def _log_rates(params: ProblemParams):
+    """The equation in logs, on floats or arrays: the map (log r, log|u|, log|w|)
+    -> (log|u'|, log|w'|) = ((log|w| - (N-1) log r)/(p-1), log a + (N-1+gamma) log r + q log|u|)."""
+    n1, inv_pm1, q = params.n_dim - 1.0, 1.0 / (params.p - 1.0), params.q
+    log_a, n1g = math.log(params.amplitude), n1 + params.gamma
+
+    def rates(log_r, log_u, log_w):
+        return (log_w - n1 * log_r) * inv_pm1, log_a + n1g * log_r + q * log_u
+
+    return rates
+
+
+def _log_abs(x: float) -> float:
+    """log|x|, -inf at 0 (a zero u or w gives a zero rate)."""
+    return math.log(abs(x)) if x else -math.inf
 
 
 @dataclass(frozen=True)
@@ -213,10 +219,12 @@ class Trajectory:
 
 
 def _du_from_w(r, w, params: ProblemParams):
-    r = np.asarray(r, dtype=float)
+    """u' = sign(w) |u'|, with log|u'| from the rates in logs (log|u| enters only w')."""
     w = np.asarray(w, dtype=float)
-    mag = np.abs(w) * r ** (1.0 - params.n_dim)
-    return np.sign(w) * mag ** (1.0 / (params.p - 1.0))
+    log_r = np.log(np.asarray(r, dtype=float))
+    with np.errstate(divide="ignore"):  # w = 0: log|w| = -inf, so u' = 0
+        log_du, _ = _log_rates(params)(log_r, 0.0, np.log(np.abs(w)))
+    return np.sign(w) * np.exp(log_du)
 
 
 def integrate_ivp(spec: IvpSpec) -> Trajectory:
@@ -231,41 +239,28 @@ def integrate_ivp(spec: IvpSpec) -> Trajectory:
 def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Trajectory:
     """Integrate (u, w) in r from (r0, y0) to r_end; a plus shot switches to
     s = log u where r u'/u reaches 1 and runs on to the blow-up threshold."""
-    pr = spec.params
     sgn = float(spec.sign.value)
-    n1 = pr.n_dim - 1.0
-    inv_pm1 = 1.0 / (pr.p - 1.0)
-
-    # Beyond r_logs, r^{N-1+gamma} or r^{-(N-1)} may leave the float range,
-    # so each term is formed as the exponential of a sum of logs.
-    r_logs = 1e100 ** (1.0 / max(n1 + pr.gamma, n1, 1.0))
-    log_a = math.log(pr.amplitude)
+    rates = _log_rates(spec.params)
 
     def rhs(r, y):
-        u, w = y
-        if r > r_logs:
-            log_r = math.log(r)
-            with np.errstate(divide="ignore", over="ignore"):
-                du, dw = np.exp([(np.log(abs(w)) - n1 * log_r) * inv_pm1,
-                                 log_a + (n1 + pr.gamma) * log_r + pr.q * np.log(abs(u))])
-            return np.array([math.copysign(du, w), sgn * math.copysign(dw, u)])
-        mag = abs(w) * r ** -n1 if n1 else abs(w)
-        du = math.copysign(mag ** inv_pm1, w) if w else 0.0
-        dw = sgn * pr.amplitude * r ** (n1 + pr.gamma) * _odd_pow(u, pr.q)
-        return np.array([du, dw])
+        u, w = y.tolist()  # scalar math runs faster on floats than on np.float64
+        log_du, log_dw = rates(math.log(r), _log_abs(u), _log_abs(w))
+        try:
+            return np.array([math.copysign(math.exp(log_du), w),
+                             sgn * math.copysign(math.exp(log_dw), u)])
+        except OverflowError:  # an inf stage, which rk45 rejects
+            return np.array([math.inf, math.inf])
 
     def switch(r, y):
-        """r u'/u - 1, with u' = (w / r^{N-1})^{1/(p-1)} > 0."""
-        with np.errstate(over="ignore"):  # inf at a tiny launch radius, as in rhs
-            return r * (abs(y[1]) * r ** -n1) ** inv_pm1 / y[0] - 1.0
+        """log(r u'/u), whose root is that of r u'/u - 1."""
+        log_r = math.log(r)
+        return log_r + rates(log_r, 0.0, _log_abs(y[1]))[0] - math.log(y[0])
 
     events = [rk45.EventSpec(fn=lambda t, y: y[0], direction=-1)]
     if spec.sign is EquationSign.PLUS:
         events.append(rk45.EventSpec(fn=switch, direction=1))
-    # As np.float64, r ** -(N-1) overflowing at a tiny launch radius gives inf,
-    # which rk45 rejects, where a Python float raises OverflowError.
     res = rk45.integrate(
-        rhs, np.float64(r0), r_end, y0,
+        rhs, r0, r_end, y0,
         rtol=spec.rtol, atol=spec.atol, first_step=0.1 * r0, max_step=max_step, events=events,
     )
     if res.status == "event" and res.event_index == 1:
@@ -277,20 +272,21 @@ def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Traje
 def _blowup_phase(spec: IvpSpec, r0: float, y0) -> rk45.IntegrationResult:
     """Integrate a plus shot in s = log u from (r0, y0) to s = log(blowup_threshold).
 
-    State (r, log w): dr/ds = u/u' and d(log w)/ds = a r^{N-1+gamma} u^q / w * dr/ds,
-    each formed as the exponential of a sum of logs, because u^q and w overflow
-    near blow-up for large q.  The threshold is reached at a finite s, where
-    r is the blow-up radius.
+    State (r, log w): log(dr/ds) = s - log u' and
+    log(d(log w)/ds) = log w' - log w + log(dr/ds), from the rates in logs,
+    because u^q and w overflow near blow-up for large q.  The threshold is
+    reached at a finite s, where r is the blow-up radius.
     """
-    pr = spec.params
-    n1 = pr.n_dim - 1.0
-    inv_pm1 = 1.0 / (pr.p - 1.0)
-    log_a = math.log(pr.amplitude)
+    rates = _log_rates(spec.params)
 
     def rhs(s, y):
-        log_r = np.log(y[0])
-        log_dr = s - (y[1] - n1 * log_r) * inv_pm1
-        return np.exp([log_dr, log_a + (n1 + pr.gamma) * log_r + pr.q * s - y[1] + log_dr])
+        r, log_w = y.tolist()
+        try:
+            log_du, log_dw = rates(math.log(r), s, log_w)
+            log_dr = s - log_du
+            return np.array([math.exp(log_dr), math.exp(log_dw - log_w + log_dr)])
+        except (OverflowError, ValueError):  # past the float range, or a stage past r = 0
+            return np.array([math.inf, math.inf])
 
     s0, s1 = math.log(y0[0]), math.log(spec.blowup_threshold)
     return rk45.integrate(
@@ -455,18 +451,12 @@ def _series_head(spec: IvpSpec, power: float) -> float:
     """int_0^delta0 r^{N-1+gamma} |u|^power dr from the two-term origin series."""
     pr = spec.params
     sgn = float(spec.sign.value)
-    ku, s = series_coefficients(spec)
-    d = spec.delta0
-    lead = spec.u0 ** power * d ** (pr.n_dim + pr.gamma) / (pr.n_dim + pr.gamma)
-    corr = (
-        sgn
-        * power
-        * spec.u0 ** (power - 1.0)
-        * ku
-        * d ** (pr.n_dim + pr.gamma + s)
-        / (pr.n_dim + pr.gamma + s)
-    )
-    return lead + corr
+    s, log_ku, _ = series_logs(pr, spec.u0)
+    ng = pr.n_dim + pr.gamma
+    log_d = math.log(spec.delta0)
+    lead = math.exp(power * math.log(spec.u0) + ng * log_d) / ng
+    term = math.exp(log_ku + s * log_d) / spec.u0  # ku delta0^s / u0
+    return lead * (1.0 + sgn * power * term * ng / (ng + s))
 
 
 def _cumulative_integral(
@@ -528,6 +518,8 @@ def pohozaev_residual(
     residual = LHS - RHS with scale = max(|LHS|, |RHS|, a * integral), so the
     critical case (vanishing coefficient) stays well-scaled.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"need finite tol > 0, got {tol}")
     if spec.sign is not EquationSign.MINUS:
         raise RegimeError("Pohozaev identity is stated for the minus equation")
     if not (traj.r[0] <= r_eval <= traj.r[-1]):

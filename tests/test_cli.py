@@ -88,13 +88,23 @@ class TestExitCodes:
         # a file the run created is removed again; one that was there is untouched
         assert (dest.read_text() if dest.exists() else None) == existing
 
-    def test_overflowing_series_launch_exits_two(self, capsys):
-        # u0**q overflows in the origin series before any step is taken.
-        code, out, err = run(
-            ["shoot", "--n", "6", "--p", "5.97", "--q", "1500", "--u0", "2"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "numerical failure" in err
+    def test_series_launch_past_float_range_exits_zero(self, capsys):
+        # u0^q = 2^1500 is past the float range; the origin series and the
+        # rates are formed in logs, so the shot launches and gets its label.
+        shot = ["shoot", "--n", "6", "--p", "5.97", "--q", "1500"]
+        r_blow = {}
+        for u0, sign, label in (("2", "minus", "positive_decaying"), ("2", "plus", "blows_up"),
+                                ("1", "plus", "blows_up")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, _, err = run(shot + ["--u0", u0, "--sign", sign], capsys)
+            assert code == 0, err
+            assert f"outcome={label}" in err
+            if sign == "plus":
+                r_blow[u0] = float(err.split("r_event=")[1].split()[0])
+        # u(r; u0) = u0 U_1(mu r) with log mu = (q-p+1)/(p+gamma) log u0
+        log_mu = (1500.0 - 5.97 + 1.0) / 5.97 * math.log(2.0)
+        assert r_blow["2"] * math.exp(log_mu) == pytest.approx(r_blow["1"], rel=1e-7)
 
     @pytest.mark.parametrize(
         "argv",
@@ -104,8 +114,13 @@ class TestExitCodes:
             ["hadamard", "--r1", "1", "--r2", "2", "--m1", "nan", "--m2", "0.5",
              "--n", "3", "--p", "2"],
             ["counterexample", "--n", "3", "--p", "2", "--q", "4", "--r-max", "inf"],
+            ["pohozaev", "--n", "3", "--p", "2", "--q", "3", "--u0", "1", "--r-eval", "2",
+             "--tol", "nan"],
+            ["pohozaev", "--n", "3", "--p", "2", "--q", "3", "--u0", "1", "--r-eval", "2",
+             "--tol", "-1"],
         ],
-        ids=["hadamard-r2-inf", "hadamard-m1-nan", "counterexample-r-max-inf"],
+        ids=["hadamard-r2-inf", "hadamard-m1-nan", "counterexample-r-max-inf",
+             "pohozaev-tol-nan", "pohozaev-tol-negative"],
     )
     def test_non_finite_barrier_input_is_usage_error(self, capsys, argv):
         with warnings.catch_warnings():

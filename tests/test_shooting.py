@@ -29,8 +29,9 @@ from plap.shooting import (
     _GL_W,
     _GL_X,
     _cumulative_integral,
+    _log_rates,
     _series_head,
-    series_coefficients,
+    series_logs,
     series_state,
 )
 
@@ -115,7 +116,8 @@ class TestOutcomes:
         params = ProblemParams(n_dim=3, p=2.971, q=124.7, gamma=0.322)
         for sign in EquationSign:
             spec = IvpSpec(params=params, u0=1.631, r_max=100.0, sign=sign)
-            ku, s = series_coefficients(spec)
+            s, log_ku, _ = series_logs(params, spec.u0)
+            ku = math.exp(log_ku)
             assert spec.delta0 < 1e-11
             assert ku * spec.delta0**s == pytest.approx(1e-6 * spec.u0, rel=1e-12)
             assert series_state(spec, spec.delta0)[0] == pytest.approx(spec.u0, rel=2e-6)
@@ -161,8 +163,8 @@ R_MAX_CASES = {
     "minus_overflowing_launch": (
         ProblemParams(n_dim=3, p=2.94697, q=220.23854, gamma=1.08195), 1.32445,
         EquationSign.MINUS, OutcomeKind.CROSSES_ZERO),
-    # s = (p+gamma)/(p-1) = 0.059: the series term is 1e-6 of u0 only at
-    # r = 7e-121, where r^{-(N-1)} overflows; the launch stops at 1e-300^{1/7}
+    # s = (p+gamma)/(p-1) = 0.059: the series term is 1e-6 of u0 only at the
+    # launch r = 7e-121, where r^{-(N-1)} is past the float range
     "minus_small_series_exponent": (
         ProblemParams(n_dim=8, p=5.184, q=4.61653, gamma=-4.937), 0.656,
         EquationSign.MINUS, OutcomeKind.CROSSES_ZERO),
@@ -170,6 +172,22 @@ R_MAX_CASES = {
     "crossing_past_float_range_of_powers": (
         ProblemParams(n_dim=4, p=3.95089, q=446.17864, gamma=1.67316), 1.93015,
         EquationSign.MINUS, OutcomeKind.CROSSES_ZERO),
+    # launched at 7e-127, where r^{-(N-1)} = r^{-5} overflows a float
+    "minus_launch_below_power_range": (
+        ProblemParams(n_dim=6, p=5.915, q=160.27, gamma=-5.177), 2.414,
+        EquationSign.MINUS, OutcomeKind.POSITIVE_DECAYING),
+    # u0^q = 2.563^1146 overflows a float; blows up at r ~ 7.827e-73
+    "plus_u0_power_past_float_range": (
+        ProblemParams(n_dim=7, p=6.904, q=1146.2, gamma=-0.274), 2.563,
+        EquationSign.PLUS, OutcomeKind.BLOWS_UP),
+    # s = 0.0204: (1e-6 u0/ku)^{1/s} underflows to 0, so the launch sits at 1e-300
+    "minus_launch_at_the_floor": (
+        ProblemParams(n_dim=8, p=7.2207, q=20.5385, gamma=-7.0939), 0.9131,
+        EquationSign.MINUS, OutcomeKind.POSITIVE_DECAYING),
+    # the same launch, plus sign: blows up at r ~ 5.536e-96 = r_blow(u0=1) / mu
+    "plus_launch_at_the_floor": (
+        ProblemParams(n_dim=8, p=7.2207, q=20.5385, gamma=-7.0939), 0.9131,
+        EquationSign.PLUS, OutcomeKind.BLOWS_UP),
 }
 
 
@@ -183,11 +201,51 @@ class TestLabelsIndependentOfRMax:
             traj, spec = shoot(params, u0, r_max=r_max, sign=sign)
             out = classify_outcome(traj, spec)
         assert out.kind is kind, out.reason
-        assert spec.delta0 < out.r_event < math.inf
+        if kind is not OutcomeKind.POSITIVE_DECAYING:
+            assert spec.delta0 < out.r_event < math.inf
         if case == "crossing_beyond_r_max":
             assert out.r_cross == pytest.approx(1256.045, rel=1e-6)
         if case == "crossing_past_float_range_of_powers":
             assert out.r_cross == pytest.approx(8.3329e78, rel=1e-4)
+        if case == "plus_u0_power_past_float_range":
+            assert out.r_blow == pytest.approx(7.827e-73, rel=1e-4)
+        if case == "plus_launch_at_the_floor":
+            assert spec.delta0 == 1e-300
+            assert out.r_blow == pytest.approx(5.536e-96, rel=1e-4)
+
+
+def direct_rates(params, r, u, w):
+    """(u', w') of the plus sign from direct powers: the reference for the logs."""
+    n1 = params.n_dim - 1.0
+    du = math.copysign((abs(w) * r ** -n1) ** (1.0 / (params.p - 1.0)), w)
+    dw = params.amplitude * r ** (n1 + params.gamma) * math.copysign(abs(u) ** params.q, u)
+    return du, dw
+
+
+class TestLogRates:
+    def test_matches_direct_powers(self):
+        rng = np.random.default_rng(11)
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        checked = 0
+        for _ in range(400):
+            p = rng.uniform(1.1, 6.0)
+            params = ProblemParams(n_dim=int(rng.integers(1, 11)), p=p,
+                                   q=rng.uniform(p - 0.99, 40.0),
+                                   gamma=rng.uniform(-p + 0.01, 3.0),
+                                   amplitude=10.0 ** rng.uniform(-2, 2))
+            r = 10.0 ** float(rng.uniform(-30, 30))
+            u, w = (float(x) for x in 10.0 ** rng.uniform(-8, 8, 2) * rng.choice([-1.0, 1.0], 2))
+            try:
+                du, dw = direct_rates(params, r, u, w)
+            except OverflowError:
+                continue
+            if not (tiny < abs(du) < huge and tiny < abs(dw) < huge):
+                continue
+            log_du, log_dw = _log_rates(params)(math.log(r), math.log(abs(u)), math.log(abs(w)))
+            assert math.copysign(math.exp(log_du), w) == pytest.approx(du, rel=1e-12)
+            assert math.copysign(math.exp(log_dw), u) == pytest.approx(dw, rel=1e-12)
+            checked += 1
+        assert checked > 200
 
 
 class TestTrajectoryInvariants:
@@ -212,10 +270,11 @@ class TestTrajectoryInvariants:
         assert type(classify_outcome(traj, spec).r_cross) is float
 
     def test_series_coefficients_closed_form(self):
-        # p = 2, gamma = 0: u = u0 - u0^q r^2/(2N) + ...
-        ku, s = series_coefficients(IvpSpec(params=SUBCRITICAL, u0=2.0))
+        # p = 2, gamma = 0: u = u0 - u0^q r^2/(2N) + ..., w = -u0^q r^N/N + ...
+        s, log_ku, log_kw = series_logs(SUBCRITICAL, 2.0)
         assert s == pytest.approx(2.0)
-        assert ku == pytest.approx(2.0**3 / 6.0, rel=1e-14)
+        assert math.exp(log_ku) == pytest.approx(2.0**3 / 6.0, rel=1e-14)
+        assert math.exp(log_kw) == pytest.approx(2.0**3 / 3.0, rel=1e-14)
 
     def test_sample_agrees_with_nodes(self):
         traj, spec = shoot(SUBCRITICAL, 1.0, r_max=5.0)
