@@ -13,20 +13,20 @@ output is byte-identical across runs and reading a column back with
 
 Importing this module loads neither numpy nor the numerical modules; each
 subcommand imports what it uses when it is dispatched, so ``classify``,
-``--help`` and flag errors run on the standard library alone.
+``--help`` and flag errors run on the standard library alone.  The import
+itself loads ``plap``, ``plap.errors``, ``plap.exponents``, ``argparse``
+(with ``gettext``) and ``__future__``: no ``dataclasses`` (which pulls in
+``inspect``, ``dis`` and ``ast``), and ``json`` or ``csv`` only once a
+subcommand emits output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
-import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import NewtonDivergence, PlapError
 from .exponents import (
@@ -37,9 +37,6 @@ from .exponents import (
     pohozaev_coefficient,
     serrin_critical,
 )
-
-if TYPE_CHECKING:
-    from . import shooting
 
 _USAGE = """plap <subcommand> [flags]
 
@@ -119,7 +116,7 @@ def _params_from(args) -> ProblemParams:
     )
 
 
-def _sign_from(args) -> shooting.EquationSign:
+def _sign_from(args):
     from . import shooting
     return shooting.EquationSign.MINUS if args.sign == "minus" else shooting.EquationSign.PLUS
 
@@ -164,6 +161,7 @@ def _write(out: str | None, text: str):
 
 
 def _emit_csv(out: str | None, header, rows):
+    import csv
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -172,6 +170,7 @@ def _emit_csv(out: str | None, header, rows):
 
 
 def _emit_json(out: str | None, obj):
+    import json
     _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -272,9 +271,9 @@ def _run_sweep(args) -> int:
     for v in values:
         params, u0 = base, args.u0
         if args.axis == "q":
-            params = dataclasses.replace(base, q=v)
+            params = base.replace(q=v)
         elif args.axis == "gamma":
-            params = dataclasses.replace(base, gamma=v)
+            params = base.replace(gamma=v)
         else:
             u0 = v
         specs.append(shooting.IvpSpec(params=params, u0=u0, sign=sign, r_max=args.r_max))

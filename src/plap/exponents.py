@@ -24,36 +24,42 @@ increasing in q and vanishes exactly at q = q_E.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DimensionRegime
 
+# Named tuples rather than dataclasses: `dataclasses` imports `inspect`, and
+# this module is on the standard-library-only path of `plap classify`.
 
-@dataclass(frozen=True)
-class ProblemParams:
+
+class ProblemParams(namedtuple("ProblemParams", "n_dim p q gamma amplitude")):
     """The tuple (N, p, q, gamma, a) defining -Delta_p u >=/= a r^gamma u^q."""
 
-    n_dim: int
-    p: float
-    q: float
-    gamma: float = 0.0
-    amplitude: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n_dim, int) or self.n_dim < 1:
-            raise ValueError(f"n_dim must be an integer >= 1, got {self.n_dim!r}")
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not -self.p < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and exceed -p = {-self.p}, got {self.gamma}")
-        if not self.p - 1 < self.q < math.inf:
-            raise ValueError(f"q must be finite and exceed p - 1 = {self.p - 1}, got {self.q}")
-        if not 0 < self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be finite and positive, got {self.amplitude}")
+    def __new__(cls, n_dim: int, p: float, q: float, gamma: float = 0.0,
+                amplitude: float = 1.0):
+        if not isinstance(n_dim, int) or n_dim < 1:
+            raise ValueError(f"n_dim must be an integer >= 1, got {n_dim!r}")
+        if not p > 1:
+            raise ValueError(f"p must exceed 1, got {p}")
+        if not -p < gamma < math.inf:
+            raise ValueError(f"gamma must be finite and exceed -p = {-p}, got {gamma}")
+        if not p - 1 < q < math.inf:
+            raise ValueError(f"q must be finite and exceed p - 1 = {p - 1}, got {q}")
+        if not 0 < amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and positive, got {amplitude}")
+        return super().__new__(cls, n_dim, p, q, gamma, amplitude)
+
+    def replace(self, **changes) -> ProblemParams:
+        """A copy with ``changes`` applied, validated like the constructor
+        (``_replace`` would skip the validation)."""
+        return ProblemParams(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(namedtuple("Regime", (
+        "low_dimension inequality_nonexistence counterexample_exists "
+        "equation_radial_nonexistence lam q_serrin q_equation"))):
     """Which nonexistence statements apply, plus the derived exponents.
 
     ``q_serrin``/``q_equation`` are None when N <= p (undefined there).
@@ -67,13 +73,7 @@ class Regime:
     not resolved here.
     """
 
-    low_dimension: bool
-    inequality_nonexistence: bool
-    counterexample_exists: bool
-    equation_radial_nonexistence: bool
-    lam: float
-    q_serrin: float | None
-    q_equation: float | None
+    __slots__ = ()
 
 
 def _require_n_above_p(params: ProblemParams, what: str) -> None:

@@ -13,7 +13,6 @@ prints them one per line and exits 3 if any fail.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -82,8 +81,8 @@ def _subcritical_shot(u0: float, r_max: float = 30.0):
 
 def solve_ivp(fun, t_span, y0, **options):
     """``scipy.integrate.solve_ivp``, imported on first call: scipy.integrate
-    (with the scipy.linalg it loads) costs a cold start about 0.6 s that only
-    the oracle needs."""
+    (with the scipy.linalg it loads) costs a cold start about 0.6 s on top of
+    numpy (``-X importtime``, 2 cores) that only the oracle needs."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(fun, t_span, y0, **options)
@@ -160,7 +159,7 @@ def _c02_counterexample_soundness():
         gamma = float(rng.uniform(0.0, 5.0))
         base = ProblemParams(n, p, p, gamma, float(rng.uniform(0.5, 2.0)))
         q = serrin_critical(base) * (1.0 + float(rng.uniform(0.02, 2.0)))
-        prr = dataclasses.replace(base, q=q)
+        prr = base.replace(q=q)
         cxr = barriers.build_counterexample(prr)
         _, rs = barriers.counterexample_residual_grid(cxr, prr, 1e-3, 1e6, 400)
         m = float(np.min(rs))
@@ -182,7 +181,7 @@ def _c03_pohozaev_root():
         gamma = float(rng.uniform(-p + 0.2, 4.0))
         base = ProblemParams(n, p, p, gamma)
         qe = equation_critical(base)
-        k = pohozaev_coefficient(dataclasses.replace(base, q=qe))
+        k = pohozaev_coefficient(base.replace(q=qe))
         worst = max(worst, abs(k))
     return worst <= 1e-12, f"max |coefficient at q_E| over 100 draws = {worst:.2e}"
 
@@ -235,7 +234,7 @@ def _c06_pohozaev_residual():
         worst_sub = max(worst_sub, rep.rel_residual())
     base = ProblemParams(4, 2.5, 2.5, 0.5)
     q_near = equation_critical(base) * 0.98
-    pr_deg = dataclasses.replace(base, q=q_near)
+    pr_deg = base.replace(q=q_near)
     spec_deg = shooting.IvpSpec(params=pr_deg, u0=1.0, r_max=10.0)
     rep_deg = shooting.pohozaev_residual(shooting.integrate_ivp(spec_deg), spec_deg, 0.5, tol=1e-4)
     worst_sub = max(worst_sub, rep_deg.rel_residual())
@@ -519,7 +518,7 @@ def _c10_fd_oracle():
         gamma = float(rng.uniform(0.0, 3.0))
         base = ProblemParams(n, p, p, gamma)
         q = serrin_critical(base) * (1.0 + float(rng.uniform(0.05, 1.5)))
-        pr = dataclasses.replace(base, q=q)
+        pr = base.replace(q=q)
         cx = barriers.build_counterexample(pr)
         prof = Counterexample(c=cx.c, alpha=cx.alpha)
         r = float(np.exp(rng.uniform(np.log(0.01), np.log(1e3))))
@@ -603,7 +602,7 @@ def _c12_scaling_covariance():
                 q = qe * float(rng.uniform(1.1, 1.6))
             else:
                 q = (p - 1.0) + (qe - (p - 1.0)) * float(rng.uniform(0.55, 0.9))
-            pr = dataclasses.replace(base, q=q)
+            pr = base.replace(q=q)
             u0 = float(rng.uniform(0.5, 2.0))
             spec = shooting.IvpSpec(params=pr, u0=u0, r_max=50.0)
             rep = shooting.scaling_covariance_report(spec, lam=2.0)

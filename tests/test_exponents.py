@@ -152,8 +152,52 @@ class TestParamsValidation:
 
     def test_frozen(self):
         pr = params()
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             pr.q = 4.0
+        with pytest.raises(AttributeError):
+            pr.extra = 1.0
+        assert pr == params()
+
+    def test_repr(self):
+        assert repr(params(n=4, p=2.5, q=3.0, gamma=0.5, a=2.0)) == (
+            "ProblemParams(n_dim=4, p=2.5, q=3.0, gamma=0.5, amplitude=2.0)")
+
+    def test_equal_parameters_hash_equal(self):
+        assert ProblemParams(3, 2.0, 5.0) == params()
+        assert hash(ProblemParams(3, 2.0, 5.0)) == hash(params())
+        assert len({params(), params(), params(q=4.0)}) == 2
+
+    def test_replace_changes_only_the_named_fields(self):
+        base = params(n=5, p=2.5, q=4.0, gamma=1.25, a=2.0)
+        assert base.replace(q=6.0) == params(n=5, p=2.5, q=6.0, gamma=1.25, a=2.0)
+        assert base.replace(gamma=0.5, amplitude=3.0) == params(
+            n=5, p=2.5, q=4.0, gamma=0.5, a=3.0)
+        assert type(base.replace(q=6.0)) is ProblemParams
+        assert base.q == 4.0
+        with pytest.raises(TypeError):
+            base.replace(r_max=1.0)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            dict(q=1.0),  # q <= p - 1
+            dict(gamma=-2.0),  # gamma <= -p
+            dict(amplitude=0.0),
+            dict(q=math.inf),
+            dict(gamma=math.inf),
+            dict(amplitude=math.inf),
+            dict(q=math.nan),
+            dict(n_dim=2.5),
+            dict(n_dim=3.0),
+        ],
+    )
+    def test_replace_raises_the_constructors_error(self, changes):
+        fields = dict(n_dim=3, p=2.0, q=5.0, gamma=0.0, amplitude=1.0)
+        with pytest.raises(ValueError) as direct:
+            ProblemParams(**{**fields, **changes})
+        with pytest.raises(ValueError) as replaced:
+            ProblemParams(**fields).replace(**changes)
+        assert str(replaced.value) == str(direct.value)
 
     def test_fractional_dimension_rejected(self):
         with pytest.raises((ValueError, TypeError)):

@@ -2,7 +2,9 @@
 
 ``import plap`` and ``import plap.cli`` load neither numpy nor the numerical
 modules; the package resolves its exported names on first access, and each
-subcommand imports what it uses when it is dispatched.  scipy is imported on
+subcommand imports what it uses when it is dispatched.  Nor do they load
+``dataclasses`` (with ``inspect``), ``json`` or ``csv``: ``import plap.cli``
+adds seven modules to the interpreter's start-up set.  scipy is imported on
 first use: only the verify oracles and ``identities.caccioppoli_check``
 (scipy.integrate) load it, so every other subcommand, the annulus solver
 included, starts without it.  The annulus solver's Newton systems go through
@@ -10,7 +12,7 @@ plap's own ``bvp.solve_banded`` and the oracles call scipy through
 ``verify.solve_ivp``; the benchmark's tracer wraps exactly those names, so
 they are pinned here too."""
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -42,39 +44,64 @@ NO_SCIPY_COMMANDS = [
      "--b-inner", "1", "--b-outer", "0.2", "--f", "0.5"],
 ]
 
-# Runs in a fresh interpreter: after each step, record the numpy, plap and
-# scipy modules loaded.
+# Runs in a fresh interpreter: after each step, record every module loaded
+# beyond the interpreter's start-up set.  The probe itself imports nothing
+# that start-up has not loaded: the commands arrive as a repr, read by eval,
+# and stdout is swapped by hand.
 _CHILD = """
-import contextlib, io, json, sys
+import sys
+bare = set(sys.modules)
+import io
 steps = []
 def record(step, code=0):
-    steps.append((step, code, sorted(
-        m for m in sys.modules if m.split(".")[0] in ("numpy", "plap", "scipy"))))
+    steps.append((step, code, sorted(set(sys.modules) - bare)))
 import plap
 record("import plap")
 from plap import cli
 record("import plap.cli")
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        record(argv[0], cli.main(argv))
-print(json.dumps(steps))
+for argv in eval(sys.argv[1]):
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.stdout = stdout
+    record(argv[0], code)
+print(repr(steps))
 """
 
 
-def run_fresh(commands):
-    """[(step, exit code, loaded numpy/plap/scipy modules)] from a fresh interpreter."""
+def fresh_python(code, *args):
+    """The literal that a fresh interpreter running ``code`` prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(commands)],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def run_fresh(commands):
+    """[(step, exit code, modules loaded beyond start-up)] from a fresh interpreter."""
+    return fresh_python(_CHILD, repr(commands))
+
+
+def added_by(statement):
+    """Modules a fresh interpreter loads for ``statement`` beyond its start-up set."""
+    return fresh_python(
+        f"import sys\nbare = set(sys.modules)\n{statement}\nprint(sorted(set(sys.modules) - bare))")
 
 
 def of(package, loaded):
     return [m for m in loaded if m.split(".")[0] == package]
+
+
+# What ``import plap.cli`` adds to an interpreter whose start-up has already
+# loaded the standard library the light path imports itself.
+CLI_IMPORT = ["__future__", "argparse", "gettext",
+              "plap", "plap.cli", "plap.errors", "plap.exponents"]
+HEAVY_STDLIB = ["csv", "dataclasses", "inspect", "json"]
 
 
 class TestStartup:
@@ -85,13 +112,29 @@ class TestStartup:
             assert code == 0, step
             assert of("numpy", loaded) == [], step
             assert not set(NUMERICAL_MODULES) & set(loaded), f"{step} loaded {loaded}"
-        assert steps[1][2] == ["plap", "plap.cli", "plap.errors", "plap.exponents"]
+
+    def test_import_cli_adds_seven_modules(self):
+        # Where start-up has not loaded re (which argparse needs), collections
+        # or math, they load here too; subtract them, measured, not listed.
+        floor = set(added_by("import argparse, collections, math")) - {"argparse", "gettext"}
+        assert sorted(set(added_by("import plap.cli")) - floor) == CLI_IMPORT
+
+    def test_help_loads_no_dataclasses_inspect_json_or_csv(self):
+        steps = run_fresh([["--help"], ["classify", "--help"], CLASSIFY])
+        for step, code, loaded in steps[:4]:
+            assert code == 0, step
+            assert not set(HEAVY_STDLIB) & set(loaded), f"{step} loaded {loaded}"
+        # classify emits JSON, so json loads then, and nothing else of these.
+        (step, code, loaded) = steps[4]
+        assert code == 0, step
+        assert set(HEAVY_STDLIB) & set(loaded) == {"json"}
 
     def test_shoot_loads_only_the_shooting_stack(self):
         (_, _, _), (_, _, _), (step, code, loaded) = run_fresh([SHOOT])
         assert code == 0, step
         # Positive control: the probe sees numpy and shooting once they load.
         assert "numpy" in loaded and "plap.shooting" in loaded
+        assert "dataclasses" in loaded and "csv" in loaded
         for module in ("plap.bvp", "plap.identities", "plap.verify"):
             assert module not in loaded
 
