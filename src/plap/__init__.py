@@ -15,7 +15,7 @@ import importlib
 # module -> the names the package re-exports from it
 _EXPORTS = {
     "barriers": (
-        "CounterexampleConstants", "HadamardInput", "build_counterexample",
+        "HadamardInput", "build_counterexample", "counterexample_epsilon",
         "counterexample_plap", "counterexample_residual",
         "counterexample_residual_grid", "cutoff_barrier_plap",
         "cutoff_bracket_report", "cutoff_plap_bound", "hadamard_lower_bound",

@@ -35,9 +35,10 @@ Hadamard three-sphere bound for -Delta_p u >= 0, u >= 0, m(r) = min_{|x|=r} u:
 
     m(r) >= [ m(r1)(r^lam - r2^lam) + m(r2)(r1^lam - r^lam) ] / (r1^lam - r2^lam)
 
-for r1 <= r <= r2 (log-mode variant when N = p), with equality when m comes
-from an exact p-harmonic profile.  For lam < 0 and global supersolutions,
-sending r2 -> oo shows g(r) = m(r) r^{-lam} is nondecreasing.
+for r1 <= r <= r2 (log r in place of r^lam at lam = 0, i.e. N = p), with
+equality when m comes from an exact p-harmonic profile.  For lam < 0 and
+global supersolutions, sending r2 -> oo shows g(r) = m(r) r^{-lam} is
+nondecreasing.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .errors import (
     SingularGradient,
 )
 from .exponents import ProblemParams, serrin_critical
-from .radial_ops import CutoffBarrier, LogBarrier, _odd_pow
+from .radial_ops import Counterexample, CutoffBarrier, LogBarrier
 from .reports import IdentityReport
 
 _CUTOFF_BRACKET_TOL = 1e-6
@@ -69,18 +70,9 @@ _HADAMARD_TOL = 1e-8
 # Counterexample
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterexampleConstants:
-    """(eps, alpha, c) of the explicit supercritical counterexample."""
-
-    epsilon: float
-    alpha: float
-    c: float
-
-
-def build_counterexample(params: ProblemParams) -> CounterexampleConstants:
-    """Solve the (eps, alpha, c) recipe; needs N > p, gamma >= 0, q > q_S strictly."""
-    n, p, q, gamma, a = params.n_dim, params.p, params.q, params.gamma, params.amplitude
+def counterexample_epsilon(params: ProblemParams) -> float:
+    """eps of the recipe; needs N > p, gamma >= 0, q > q_S strictly."""
+    n, p, q, gamma = params.n_dim, params.p, params.q, params.gamma
     if gamma < 0:
         raise NegativeWeightExponent(
             f"counterexample construction assumes gamma >= 0, got {gamma}"
@@ -90,13 +82,19 @@ def build_counterexample(params: ProblemParams) -> CounterexampleConstants:
         raise NotSupercritical(
             f"need q > q_serrin = {q_s} strictly, got q = {q} (eps would be <= 0)"
         )
-    eps = (q * (n - p) - (n + gamma) * (p - 1.0)) / (q - (p - 1.0))
+    return (q * (n - p) - (n + gamma) * (p - 1.0)) / (q - (p - 1.0))
+
+
+def build_counterexample(params: ProblemParams) -> Counterexample:
+    """The profile c (1+r)^{-alpha} of the recipe, for eps = counterexample_epsilon."""
+    n, p, q = params.n_dim, params.p, params.q
+    eps = counterexample_epsilon(params)
     alpha = (n - p - eps) / (p - 1.0)
-    c = (alpha ** (p - 1.0) * eps / a) ** (1.0 / (q - p + 1.0))
-    return CounterexampleConstants(epsilon=eps, alpha=alpha, c=c)
+    c = (alpha ** (p - 1.0) * eps / params.amplitude) ** (1.0 / (q - p + 1.0))
+    return Counterexample(c=c, alpha=alpha)
 
 
-def counterexample_plap(consts: CounterexampleConstants, params: ProblemParams, r):
+def counterexample_plap(profile: Counterexample, params: ProblemParams, r):
     """Delta_p Gamma for Gamma = c(1+r)^{-alpha}, vectorized over r > 0."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
@@ -105,25 +103,25 @@ def counterexample_plap(consts: CounterexampleConstants, params: ProblemParams, 
             "(the inequality holds in the limit)"
         )
     n, p = params.n_dim, params.p
-    c, alpha = consts.c, consts.alpha
+    c, alpha = profile.c, profile.alpha
     bracket = (alpha + 1.0) * (p - 1.0) / (1.0 + r) - (n - 1.0) / r
     out = (c * alpha) ** (p - 1.0) * (1.0 + r) ** (-(alpha + 1.0) * (p - 1.0)) * bracket
     return out if out.shape else float(out)
 
 
-def _counterexample_sides(consts, params, r):
+def _counterexample_sides(profile, params, r):
     r = np.asarray(r, dtype=float)
-    lhs = -np.asarray(counterexample_plap(consts, params, r))
-    gamma_val = consts.c * (1.0 + r) ** (-consts.alpha)
+    lhs = -np.asarray(counterexample_plap(profile, params, r))
+    gamma_val = profile.c * (1.0 + r) ** (-profile.alpha)
     rhs = params.amplitude * r ** params.gamma * gamma_val ** params.q
     return lhs, rhs
 
 
 def counterexample_residual(
-    consts: CounterexampleConstants, params: ProblemParams, r: float
+    profile: Counterexample, params: ProblemParams, r: float
 ) -> IdentityReport:
     """residual = -Delta_p Gamma - a r^gamma Gamma^q at one r; >= 0 for all r > 0."""
-    lhs, rhs = _counterexample_sides(consts, params, float(r))
+    lhs, rhs = _counterexample_sides(profile, params, float(r))
     residual = float(lhs - rhs)
     scale = max(abs(float(lhs)), abs(float(rhs)), 1e-300)
     return IdentityReport(
@@ -138,7 +136,7 @@ def counterexample_residual(
 
 
 def counterexample_residual_grid(
-    consts: CounterexampleConstants,
+    profile: Counterexample,
     params: ProblemParams,
     r_min: float = 1e-3,
     r_max: float = 1e6,
@@ -150,7 +148,7 @@ def counterexample_residual_grid(
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     r = np.geomspace(r_min, r_max, points)
-    lhs, rhs = _counterexample_sides(consts, params, r)
+    lhs, rhs = _counterexample_sides(profile, params, r)
     return r, lhs - rhs
 
 
@@ -261,16 +259,15 @@ def log_barrier_plap(spec: LogBarrier, params: ProblemParams, r: float) -> float
 class HadamardInput:
     """Sphere minima m1 = m(r1), m2 = m(r2) at radii 0 < r1 < r2.
 
-    Power mode interpolates through r^lam (lam != 0); log_mode is the N = p
-    variant interpolating linearly in log r.
+    The bound interpolates through r^lam, and at lam = 0 (the N = p case)
+    linearly in log r.
     """
 
     r1: float
     r2: float
     m1: float
     m2: float
-    lam: float = 0.0
-    log_mode: bool = False
+    lam: float
 
     def __post_init__(self):
         if not 0 < self.r1 < self.r2 < math.inf:
@@ -279,8 +276,6 @@ class HadamardInput:
             raise ValueError("sphere minima must be finite and nonnegative")
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
-        if not self.log_mode and self.lam == 0.0:
-            raise ValueError("lam = 0 degenerates the power interpolant; use log_mode (N = p)")
 
 
 def hadamard_lower_bound(inp: HadamardInput, r):
@@ -288,7 +283,7 @@ def hadamard_lower_bound(inp: HadamardInput, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < inp.r1) or np.any(r_arr > inp.r2):
         raise RangeError(f"r must lie in [{inp.r1}, {inp.r2}]")
-    if inp.log_mode:
+    if inp.lam == 0.0:
         denom = math.log(inp.r1 / inp.r2)
         out = (inp.m1 * np.log(r_arr / inp.r2) + inp.m2 * np.log(inp.r1 / r_arr)) / denom
     else:

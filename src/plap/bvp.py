@@ -79,7 +79,11 @@ def solve_banded(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnnulusProblem:
-    """Dirichlet data for -Delta_p u = f on r_inner < r < r_outer (f >= 0)."""
+    """Dirichlet data for -Delta_p u = f on r_inner < r < r_outer (f >= 0).
+
+    The load is sampled, and checked, once per solve: a callable rhs is a
+    scalar function of r, evaluated at every mesh node.
+    """
 
     params: ProblemParams  # q unused here
     r_inner: float
@@ -96,9 +100,6 @@ class AnnulusProblem:
             raise ValueError("boundary values must be finite")
         if not isinstance(self.mesh_size, int) or self.mesh_size < 16:
             raise ValueError(f"mesh_size must be an integer >= 16, got {self.mesh_size!r}")
-        f = self.rhs_values(self.mesh_nodes())
-        if not np.all((f >= 0) & (f < math.inf)):
-            raise ValueError(f"rhs must be finite and >= 0 where sampled: [{f.min()}, {f.max()}]")
 
     def mesh_nodes(self) -> np.ndarray:
         return np.linspace(self.r_inner, self.r_outer, self.mesh_size + 1)
@@ -243,10 +244,14 @@ def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, Newto
 
 
 def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile, NewtonInfo]:
-    """Solve and report the continuation/Newton diagnostics."""
+    """Solve and report the continuation/Newton diagnostics; ValueError if the
+    load is negative or not finite at a mesh node."""
     r = prob.mesh_nodes()
+    f = prob.rhs_values(r)
+    if not np.all((f >= 0) & (f < math.inf)):
+        raise ValueError(f"rhs must be finite and >= 0 where sampled: [{f.min()}, {f.max()}]")
     levels = (0.0,) if prob.params.p == 2.0 else _EPS_LEVELS
-    u, info = _continuation(prob, r, prob.rhs_values(r), levels)
+    u, info = _continuation(prob, r, f, levels)
     return GridProfile(r=r, u=u), info
 
 

@@ -301,16 +301,16 @@ def _run_counterexample(args) -> int:
     import numpy as np
     from . import barriers
     pr = _params_from(args)
-    consts = barriers.build_counterexample(pr)
+    cx = barriers.build_counterexample(pr)
     r, res = barriers.counterexample_residual_grid(
-        consts, pr, r_min=args.r_min, r_max=args.r_max, points=args.points)
+        cx, pr, r_min=args.r_min, r_max=args.r_max, points=args.points)
     i_min = int(np.argmin(res))
     obj = {
-        "epsilon": consts.epsilon,
-        "alpha": consts.alpha,
-        "c": consts.c,
+        "epsilon": barriers.counterexample_epsilon(pr),
+        "alpha": cx.alpha,
+        "c": cx.c,
         "q_serrin": serrin_critical(pr),
-        "profile": f"{consts.c!r} * (1 + r)^-{consts.alpha!r}",
+        "profile": f"{cx.c!r} * (1 + r)^-{cx.alpha!r}",
         "grid": {
             "r_min": args.r_min, "r_max": args.r_max, "points": args.points,
             "min_residual": float(res[i_min]), "argmin_r": float(r[i_min]),
@@ -327,11 +327,10 @@ def _build_hadamard(p: _Parser):
     p.add_argument("--m1", type=float, required=True)
     p.add_argument("--m2", type=float, required=True)
     p.add_argument("--lam", type=float, default=None,
-                   help="interpolation exponent; derived from --n/--p when omitted")
+                   help="interpolation exponent, 0 for log r (the N = p case); "
+                        "derived from --n/--p when omitted")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--log-mode", action="store_true",
-                   help="logarithmic interpolation (the N = p case)")
     p.add_argument("--points", type=int, default=101)
     _add_out_flag(p)
 
@@ -339,19 +338,13 @@ def _build_hadamard(p: _Parser):
 def _run_hadamard(args) -> int:
     import numpy as np
     from . import barriers
-    if args.log_mode:
-        inp = barriers.HadamardInput(args.r1, args.r2, args.m1, args.m2, log_mode=True)
-    elif args.lam is not None:
-        inp = barriers.HadamardInput(args.r1, args.r2, args.m1, args.m2, lam=args.lam)
+    if args.lam is not None:
+        lam = args.lam
     elif args.n is not None and args.p is not None:
-        pr = ProblemParams(n_dim=args.n, p=args.p, q=max(args.p, 2.0))
-        if args.n == args.p:
-            inp = barriers.HadamardInput(args.r1, args.r2, args.m1, args.m2, log_mode=True)
-        else:
-            inp = barriers.HadamardInput(args.r1, args.r2, args.m1, args.m2,
-                                         lam=lambda_exponent(pr))
+        lam = lambda_exponent(ProblemParams(n_dim=args.n, p=args.p, q=max(args.p, 2.0)))
     else:
-        raise _UsageExit("hadamard needs --lam, --log-mode, or both --n and --p")
+        raise _UsageExit("hadamard needs --lam or both --n and --p")
+    inp = barriers.HadamardInput(args.r1, args.r2, args.m1, args.m2, lam=lam)
     if args.points < 2:
         raise _UsageExit("--points must be >= 2")
     r = np.linspace(args.r1, args.r2, args.points)

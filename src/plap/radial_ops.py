@@ -12,7 +12,7 @@ code so their agreement is a genuine cross-check.
 
 Profile catalog (all immutable, evaluated through ``eval_profile``):
 
-    PowerBarrier    c2 r^lam + c1            (c2 log r + c1 when N = p)
+    PowerBarrier    c2 r^lam + c1            (c2 log r + c1 at lam = 0, N = p)
     LogBarrier      g1 r^lam (log r)^b + g2  (critical-case corrected barrier)
     CutoffBarrier   m1 [1 - ((r-r1)+)^{k+1}/(R-r1)^{k+1}]
     Counterexample  c (1+r)^{-alpha}
@@ -59,19 +59,16 @@ class EvalPoint:
 
 @dataclass(frozen=True)
 class PowerBarrier:
-    """c2 r^lam + c1; with log_mode (the N = p case) c2 log r + c1 instead."""
+    """c2 r^lam + c1; at lam = 0 (the N = p case) c2 log r + c1 instead."""
 
     c2: float
     c1: float
-    lam: float = 0.0
-    log_mode: bool = False
+    lam: float
 
     @classmethod
     def fundamental(cls, params: ProblemParams, c2: float = 1.0, c1: float = 0.0) -> "PowerBarrier":
-        """The p-harmonic profile for the given parameters (log branch at N = p)."""
-        if params.n_dim == params.p:
-            return cls(c2=c2, c1=c1, lam=0.0, log_mode=True)
-        return cls(c2=c2, c1=c1, lam=lambda_exponent(params), log_mode=False)
+        """The p-harmonic profile for the given parameters (log r at N = p)."""
+        return cls(c2=c2, c1=c1, lam=lambda_exponent(params))
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def eval_profile(spec, r: float) -> EvalPoint:
 def _(spec: PowerBarrier, r: float) -> EvalPoint:
     if r <= 0:
         raise DomainError(f"power barrier needs r > 0, got r={r}")
-    if spec.log_mode:
+    if spec.lam == 0.0:
         lr = math.log(r)
         return EvalPoint(r, spec.c2 * lr + spec.c1, spec.c2 / r, -spec.c2 / (r * r))
     rl = r ** spec.lam

@@ -11,7 +11,7 @@ the earliest root ends the integration.  The integrator never raises on
 difficult problems: it reports status "step_collapse" when h underflows
 (1e-14 * max(|t|, first_step): near t = 0 the step first tried, not 1, sets
 the scale, so a launch at a tiny t0 can step) and "max_steps" when the step
-budget runs out, and leaves classification to the caller.
+budget (2e6 accepted steps) runs out, and leaves classification to the caller.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ _EVENT_MAX_ITER = 200
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+_MAX_STEPS = 2_000_000  # accepted steps before status "max_steps"
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,6 @@ def integrate(
     atol: float = 1e-12,
     max_step: float = np.inf,
     events: Sequence[EventSpec] = (),
-    max_steps: int = 2_000_000,
 ) -> IntegrationResult:
     """Integrate y' = f(t, y) forward from t0 to t1 (t1 > t0), trying first_step first."""
     if t1 <= t0:
@@ -140,7 +140,7 @@ def integrate(
         if h < _COLLAPSE_FLOOR * max(abs(t), first_step):
             status = "step_collapse"
             break
-        if n_steps >= max_steps:
+        if n_steps >= _MAX_STEPS:
             status = "max_steps"
             break
         h = min(h, t1 - t)

@@ -62,6 +62,7 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
 _DECAY_SLOPE_TOL = 0.05
 _CONSERVATION_TOL_FACTOR = 10.0
 _SCALING_SAMPLES = 40
+_SCALING_FACTOR = 2.0   # scaling_covariance_report compares u_s(r) = s^kappa u(s r) at this s
 _SCALING_TOL = 1e-6
 _R_FAR = 1e300          # continued shots stop here: every certified event lies before it
 _K_ROUNDING = 1e-12     # |K| below this share of its (gamma+N)p/(q+1) term counts as K = 0
@@ -309,10 +310,10 @@ class OutcomeKind(enum.Enum):
 @dataclass(frozen=True)
 class Outcome:
     kind: OutcomeKind
+    reason: str
     r_cross: float | None = None
     r_blow: float | None = None
     tail_slope: float | None = None
-    reason: str = ""
 
     def __post_init__(self):
         if self.kind is OutcomeKind.CROSSES_ZERO and not (self.r_cross and self.r_cross > 0):
@@ -564,40 +565,41 @@ def scaling_exponent(params: ProblemParams) -> float:
     return (params.p + params.gamma) / (params.q - params.p + 1.0)
 
 
-def rescaled_spec(spec: IvpSpec, lam: float) -> IvpSpec:
-    """The shooting problem whose solution should equal lam^kappa u(lam r)."""
+def rescaled_spec(spec: IvpSpec, s: float) -> IvpSpec:
+    """The shooting problem whose solution should equal s^kappa u(s r)."""
     kappa = scaling_exponent(spec.params)
     return IvpSpec(
         params=spec.params,
-        u0=lam ** kappa * spec.u0,
+        u0=s ** kappa * spec.u0,
         sign=spec.sign,
-        r_max=spec.r_max / lam,
+        r_max=spec.r_max / s,
         rtol=spec.rtol,
         atol=spec.atol,
-        delta0=spec.delta0 / lam,
+        delta0=spec.delta0 / s,
     )
 
 
-def scaling_covariance_report(spec: IvpSpec, lam: float = 2.0) -> IdentityReport:
-    """Compare lam^kappa u(lam r) against the rescaled shot, max rel error."""
+def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
+    """Compare s^kappa u(s r) against the rescaled shot at s = 2, max rel error."""
+    s = _SCALING_FACTOR
     traj = integrate_ivp(spec)
-    spec2 = rescaled_spec(spec, lam)
+    spec2 = rescaled_spec(spec, s)
     traj2 = integrate_ivp(spec2)
     kappa = scaling_exponent(spec.params)
     # overlap range, clear of both hand-off radii and both endpoints
-    lo = 10.0 * max(traj.r[0] / lam, traj2.r[0])
-    hi = 0.99 * min(traj.r[-1] / lam, traj2.r[-1])
+    lo = 10.0 * max(traj.r[0] / s, traj2.r[0])
+    hi = 0.99 * min(traj.r[-1] / s, traj2.r[-1])
     if hi <= lo:
         raise RangeError("trajectories do not overlap after rescaling")
     r = np.geomspace(lo, hi, _SCALING_SAMPLES)
-    u_base, _, _ = traj.sample(spec.params, lam * r)
+    u_base, _, _ = traj.sample(spec.params, s * r)
     u_resc, _, _ = traj2.sample(spec.params, r)
     # keep clear of an approaching zero crossing, where the relative error
     # denominator collapses while the absolute error stays at integrator level
     amp = float(np.max(np.abs(u_resc)))
     mask = np.abs(u_resc) >= 0.01 * amp
     r, u_base, u_resc = r[mask], u_base[mask], u_resc[mask]
-    predicted = lam ** kappa * u_base
+    predicted = s ** kappa * u_base
     rel = np.abs(predicted - u_resc) / np.maximum(np.abs(u_resc), spec.atol)
     worst = float(np.max(rel))
     return IdentityReport(
@@ -608,7 +610,7 @@ def scaling_covariance_report(spec: IvpSpec, lam: float = 2.0) -> IdentityReport
         scale=1.0,
         tol=_SCALING_TOL,
         passed=worst <= _SCALING_TOL,
-        note=f"lam={lam}, kappa={kappa:.6g}, {_SCALING_SAMPLES} overlap samples",
+        note=f"s={s}, kappa={kappa:.6g}, {_SCALING_SAMPLES} overlap samples",
     )
 
 

@@ -30,7 +30,6 @@ from .exponents import (
     serrin_critical,
 )
 from .radial_ops import (
-    Counterexample,
     CutoffBarrier,
     LogBarrier,
     PowerBarrier,
@@ -140,7 +139,7 @@ def _c01_exponent_exactness():
 def _c02_counterexample_soundness():
     pr = ProblemParams(3, 2.0, 4.0)
     cx = barriers.build_counterexample(pr)
-    e_eps = abs(cx.epsilon - 1.0 / 3.0)
+    e_eps = abs(barriers.counterexample_epsilon(pr) - 1.0 / 3.0)
     e_alp = abs(cx.alpha - 2.0 / 3.0)
     e_c = abs(cx.c - (2.0 / 9.0) ** (1.0 / 3.0))
     if max(e_eps, e_alp, e_c) > 1e-12:
@@ -275,7 +274,7 @@ def _c07_hadamard():
         float(np.max(np.abs(barriers.hadamard_lower_bound(inp2, r2) - (c2 * r2 ** lam + c1)))),
     )
     e2 = math.e ** 2
-    inp_log = barriers.HadamardInput(1.0, e2, 1.0, 0.0, log_mode=True)
+    inp_log = barriers.HadamardInput(1.0, e2, 1.0, 0.0, lam=0.0)
     r3 = np.linspace(1.0, e2, 41)
     exact_log = 1.0 - np.log(r3) / 2.0
     worst_eq = max(
@@ -319,12 +318,9 @@ def _c07_hadamard():
             rhs=lambda rr, A=amp: A * (1.0 + math.sin(3.0 * rr) ** 2), mesh_size=256,
         )
         sol = bvp.solve_annulus_dirichlet(prob)
-        if p == float(n):
-            inp_r = barriers.HadamardInput(r1, r2, float(sol.u[0]), float(sol.u[-1]), log_mode=True)
-        else:
-            inp_r = barriers.HadamardInput(
-                r1, r2, float(sol.u[0]), float(sol.u[-1]), lam=lambda_exponent(pr)
-            )
+        inp_r = barriers.HadamardInput(
+            r1, r2, float(sol.u[0]), float(sol.u[-1]), lam=lambda_exponent(pr)
+        )
         bound = barriers.hadamard_lower_bound(inp_r, sol.r)
         worst_margin = min(worst_margin, float(np.min(sol.u - bound)))
     passed = (
@@ -343,18 +339,14 @@ def _c08_comparison():
     for _ in range(20):
         n = int(rng.integers(2, 7))
         p = float(rng.uniform(1.3, 4.0))
-        log_mode = abs(p - n) < 0.15
-        if log_mode:
+        if abs(p - n) < 0.15:
             p = float(n)
         pr = ProblemParams(n, p, max(p, 2.0))
         r1 = float(rng.uniform(0.6, 1.5))
         r2 = r1 * float(rng.uniform(1.6, 3.5))
         c2 = float(rng.uniform(0.3, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         c1 = float(rng.uniform(-1.0, 1.0))
-        if log_mode:
-            phi = PowerBarrier(c2=c2, c1=c1, log_mode=True)
-        else:
-            phi = PowerBarrier.fundamental(pr, c2=c2, c1=c1)
+        phi = PowerBarrier.fundamental(pr, c2=c2, c1=c1)
         lift1, lift2 = float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8))
         amp = float(rng.uniform(0.0, 1.5))
         om = float(rng.uniform(0.5, 4.0))
@@ -456,21 +448,18 @@ def _c10_fd_oracle():
     worst_alg = 0.0
     count = 0
 
-    # fundamental (power and log mode)
+    # fundamental (r^lam, and log r at N = p)
     for _ in range(25):
         n = int(rng.integers(2, 7))
         if rng.random() < 0.2:
             p = float(n)
-            phi = PowerBarrier(c2=float(rng.uniform(0.5, 2.0)), c1=float(rng.uniform(0.0, 1.0)),
-                               log_mode=True)
         else:
             p = float(rng.uniform(1.4, 3.5))
             while p >= n:
                 p = float(rng.uniform(1.4, 3.5))
-            pr0 = ProblemParams(n, p, max(p, 2.0))
-            phi = PowerBarrier.fundamental(pr0, c2=float(rng.uniform(0.5, 2.0)),
-                                           c1=float(rng.uniform(0.0, 1.0)))
         pr = ProblemParams(n, p, max(p, 2.0))
+        phi = PowerBarrier.fundamental(pr, c2=float(rng.uniform(0.5, 2.0)),
+                                       c1=float(rng.uniform(0.0, 1.0)))
         r = float(np.exp(rng.uniform(np.log(0.4), np.log(20.0))))
         rep = fd_agreement(phi, r, pr)
         worst = max(worst, rep.rel_residual())
@@ -520,9 +509,8 @@ def _c10_fd_oracle():
         q = serrin_critical(base) * (1.0 + float(rng.uniform(0.05, 1.5)))
         pr = base.replace(q=q)
         cx = barriers.build_counterexample(pr)
-        prof = Counterexample(c=cx.c, alpha=cx.alpha)
         r = float(np.exp(rng.uniform(np.log(0.01), np.log(1e3))))
-        rel, alg = _fd_rel(barriers.counterexample_plap(cx, pr, r), prof, r, pr)
+        rel, alg = _fd_rel(barriers.counterexample_plap(cx, pr, r), cx, r, pr)
         worst, worst_alg = max(worst, rel), max(worst_alg, alg)
         count += 1
         if rel > 1e-6:
@@ -565,7 +553,7 @@ def _c11_blowup_power_transform():
 
     cx = barriers.build_counterexample(ProblemParams(3, 2.0, 4.0))
     profiles = [
-        (Counterexample(c=cx.c, alpha=cx.alpha), ProblemParams(3, 2.0, 4.0), (0.1, 30.0)),
+        (cx, ProblemParams(3, 2.0, 4.0), (0.1, 30.0)),
         (PowerBarrier(c2=1.0, c1=0.5, lam=-1.0), ProblemParams(3, 2.0, 4.0), (0.2, 20.0)),
         (LogBarrier(gamma1=0.3, gamma2=0.1, beta=1.0, lam=-1.0), ProblemParams(3, 2.0, 4.0), (1.5, 40.0)),
     ]
@@ -605,7 +593,7 @@ def _c12_scaling_covariance():
             pr = base.replace(q=q)
             u0 = float(rng.uniform(0.5, 2.0))
             spec = shooting.IvpSpec(params=pr, u0=u0, r_max=50.0)
-            rep = shooting.scaling_covariance_report(spec, lam=2.0)
+            rep = shooting.scaling_covariance_report(spec)
             worst = max(worst, rep.residual)
             if not rep.passed:
                 tags.append(f"{kind} (N={n},p={p:.3g},q={q:.3g}): rel {rep.residual:.2e}")

@@ -21,6 +21,7 @@ from plap import (
     RegimeError,
     SingularGradient,
     build_counterexample,
+    counterexample_epsilon,
     counterexample_plap,
     counterexample_residual,
     counterexample_residual_grid,
@@ -42,7 +43,7 @@ class TestCounterexample:
     def test_reference_constants(self):
         # (N, p, gamma, q) = (3, 2, 0, 4): eps = 1/3, alpha = 2/3, c = (2/9)^{1/3}.
         consts = build_counterexample(params())
-        assert consts.epsilon == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert counterexample_epsilon(params()) == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert consts.alpha == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert consts.c == pytest.approx((2.0 / 9.0) ** (1.0 / 3.0), abs=1e-15)
 
@@ -76,7 +77,7 @@ class TestCounterexample:
             q = q_s * float(rng.uniform(1.05, 2.5))
             pr = params(n=n, p=p, q=q, gamma=g)
             consts = build_counterexample(pr)
-            assert consts.epsilon > 0 and consts.alpha > 0 and consts.c > 0
+            assert counterexample_epsilon(pr) > 0 and consts.alpha > 0 and consts.c > 0
             _, res = counterexample_residual_grid(consts, pr, points=400)
             assert np.min(res) >= 0.0
 
@@ -116,6 +117,11 @@ class TestCounterexample:
     def test_rejects_low_dimension(self):
         with pytest.raises(DimensionRegime):
             build_counterexample(params(n=2, p=2.5, q=6.0))
+
+    def test_rejects_a_profile_that_rounds_to_zero(self):
+        # at q = 1e17, eps rounds to N - p, so alpha = 0 and Gamma = 0
+        with pytest.raises(ValueError, match="c and alpha must be positive"):
+            build_counterexample(params(q=1e17))
 
 
 class TestCutoffBarrier:
@@ -205,10 +211,15 @@ class TestHadamardBound:
         assert np.max(np.abs(hadamard_lower_bound(inp, r) - m(r))) < 1e-14
 
     def test_log_mode_equality_on_log_profile(self):
+        # lam = 0 (N = p) interpolates linearly in log r
         m = lambda r: 2.0 - 0.5 * np.log(r)
-        inp = HadamardInput(r1=1.0, r2=10.0, m1=m(1.0), m2=float(m(10.0)), log_mode=True)
+        inp = HadamardInput(r1=1.0, r2=10.0, m1=m(1.0), m2=float(m(10.0)), lam=0.0)
         r = np.geomspace(1.0, 10.0, 64)
         assert np.max(np.abs(hadamard_lower_bound(inp, r) - m(r))) < 1e-13
+
+    def test_lam_is_required(self):
+        with pytest.raises(TypeError):
+            HadamardInput(1.0, 2.0, 1.0, 1.0)
 
     def test_range_guard(self):
         inp = HadamardInput(r1=1.0, r2=4.0, m1=1.0, m2=0.3, lam=-1.0)
@@ -220,7 +231,7 @@ class TestHadamardBound:
         [
             dict(r1=2.0, r2=1.0, m1=1.0, m2=1.0, lam=-1.0),
             dict(r1=1.0, r2=2.0, m1=-0.1, m2=1.0, lam=-1.0),
-            dict(r1=1.0, r2=2.0, m1=1.0, m2=1.0),  # lam = 0 without log_mode
+            dict(r1=1.0, r2=2.0, m1=1.0, m2=1.0),  # lam missing: a required field
             dict(r1=1.0, r2=math.inf, m1=1.0, m2=0.5, lam=-1.0),
             dict(r1=math.nan, r2=2.0, m1=1.0, m2=0.5, lam=-1.0),
             dict(r1=1.0, r2=2.0, m1=math.nan, m2=0.5, lam=-1.0),
@@ -230,7 +241,7 @@ class TestHadamardBound:
         ],
     )
     def test_input_validation(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError if "lam" in kw else TypeError):
             HadamardInput(**kw)
 
 

@@ -306,5 +306,10 @@ class TestValidation:
             boundary_inner=1.0, boundary_outer=0.0, mesh_size=32,
         )
         base.update(kw)
-        with pytest.raises(ValueError):
-            AnnulusProblem(**base)
+        if "rhs" not in kw:
+            with pytest.raises(ValueError):
+                AnnulusProblem(**base)
+            return
+        prob = AnnulusProblem(**base)  # the load is checked when it is sampled
+        with pytest.raises(ValueError, match="rhs must be finite and >= 0"):
+            solve_annulus_dirichlet(prob)

@@ -308,6 +308,25 @@ class TestOtherSubcommands:
         assert float(rows[0]["lower_bound"]) == 1.0
         assert float(rows[-1]["lower_bound"]) == 2.0
 
+    HADAMARD_ANNULUS = ["hadamard", "--r1", "1", "--r2", "7.389", "--m1", "1", "--m2", "0.2"]
+
+    def test_hadamard_lam_zero_is_the_n_equals_p_case(self, capsys):
+        code, by_lam, _ = run(self.HADAMARD_ANNULUS + ["--lam", "0"], capsys)
+        assert code == 0
+        code, by_np, _ = run(self.HADAMARD_ANNULUS + ["--n", "3", "--p", "3"], capsys)
+        assert code == 0
+        assert by_lam == by_np
+        rows = [(float(row["r"]), float(row["lower_bound"]))
+                for row in csv.DictReader(io.StringIO(by_lam))]
+        assert rows[0][1] == 1.0 and rows[-1][1] == 0.2
+        for r, bound in rows:  # linear in log r
+            assert bound == pytest.approx(1.0 - 0.8 * math.log(r) / math.log(7.389), abs=1e-14)
+
+    def test_hadamard_has_no_log_mode_flag(self, capsys):
+        code, _, err = run(self.HADAMARD_ANNULUS + ["--log-mode"], capsys)
+        assert code == 1
+        assert "unrecognized arguments: --log-mode" in err
+
     def test_pohozaev_balance_at_equation_critical(self, capsys):
         code, out, _ = run(
             ["pohozaev", "--n", "3", "--p", "2", "--q", "5", "--u0", "1",

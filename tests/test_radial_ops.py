@@ -64,8 +64,12 @@ class TestEvalProfile:
 
     def test_fundamental_log_branch_when_n_equals_p(self):
         spec = PowerBarrier.fundamental(params(n=3, p=3.0), c2=1.0, c1=0.0)
-        assert spec.log_mode
+        assert spec.lam == 0.0
         assert eval_profile(spec, math.e).value == pytest.approx(1.0, rel=1e-14)
+
+    def test_power_barrier_needs_lam(self):
+        with pytest.raises(TypeError):
+            PowerBarrier(c2=1.0, c1=0.0)
 
     def test_derivatives_against_central_differences(self):
         specs = [

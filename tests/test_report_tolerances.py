@@ -5,6 +5,7 @@ threshold it likes.  These pin the fixed values."""
 import numpy as np
 import pytest
 
+from plap import rk45, shooting
 from plap import (
     AnnulusProblem,
     Counterexample,
@@ -76,4 +77,9 @@ def test_fixed_tolerance_is_recorded(name):
     assert rep.tol == tol
     assert rep.passed
     if name == "scaling_covariance_report":
-        assert "40 overlap samples" in rep.note
+        assert "s=2.0" in rep.note and "40 overlap samples" in rep.note
+
+
+def test_fixed_settings_are_pinned():
+    assert shooting._SCALING_FACTOR == 2.0  # u_s(r) = s^kappa u(s r) at s = 2
+    assert rk45._MAX_STEPS == 2_000_000

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from plap import rk45
 from plap.rk45 import EventSpec, IntegrationResult, _hermite, integrate
 
 
@@ -153,10 +154,9 @@ class TestFailureModes:
         assert res.status == "finished"
         assert res.ys[-1, 0] == pytest.approx(100.0, rel=1e-8)
 
-    def test_max_steps(self):
-        res = integrate(
-            lambda t, y: y, 0.0, 1.0, [1.0], max_step=1e-5, max_steps=100, first_step=1e-3
-        )
+    def test_max_steps(self, monkeypatch):
+        monkeypatch.setattr(rk45, "_MAX_STEPS", 100)
+        res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], max_step=1e-5, first_step=1e-3)
         assert res.status == "max_steps"
         assert res.n_steps == 100
 

@@ -198,7 +198,7 @@ class TestTracedEntryPoints:
 # change the set.
 EXPORTED = [
     "AnnulusProblem", "BoundaryDominanceViolated", "Counterexample",
-    "CounterexampleConstants", "CrossedZero", "CutoffBarrier", "DimensionRegime",
+    "CrossedZero", "CutoffBarrier", "DimensionRegime",
     "DomainError", "EquationSign", "EvalPoint", "GridProfile", "HadamardInput",
     "IdentityReport", "InterpolationError", "IvpSpec", "LogBarrier",
     "NegativeWeightExponent", "NewtonDivergence", "NewtonInfo", "NonPositiveValue",
@@ -207,7 +207,7 @@ EXPORTED = [
     "RangeError", "RecursionSpec", "Regime", "RegimeError", "SingularGradient",
     "Trajectory", "barriers", "build_counterexample", "bvp", "caccioppoli_check",
     "classify_outcome", "classify_regime", "comparison_check", "conservation_report",
-    "counterexample_plap", "counterexample_residual", "counterexample_residual_grid",
+    "counterexample_epsilon", "counterexample_plap", "counterexample_residual", "counterexample_residual_grid",
     "cutoff_barrier_plap", "cutoff_bracket_report", "cutoff_plap_bound",
     "decay_slope_report", "equation_critical", "errors", "eval_profile", "exponents",
     "extremal_log_sequence", "fd_agreement", "hadamard_lower_bound",

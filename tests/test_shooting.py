@@ -130,11 +130,13 @@ class TestOutcomes:
 
     def test_outcome_field_consistency(self):
         with pytest.raises(ValueError):
-            Outcome(OutcomeKind.CROSSES_ZERO)
+            Outcome(OutcomeKind.CROSSES_ZERO, reason="crossed")
         with pytest.raises(ValueError):
-            Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=0.5)
-        with pytest.raises(ValueError):
+            Outcome(OutcomeKind.POSITIVE_DECAYING, reason="decays", tail_slope=0.5)
+        with pytest.raises(TypeError):
             Outcome(OutcomeKind.BLOWS_UP, r_blow=1.0)  # no reason
+        with pytest.raises(ValueError):
+            Outcome(OutcomeKind.BLOWS_UP, reason="", r_blow=1.0)
 
     @pytest.mark.parametrize("r_max", [10.0, 100.0])
     def test_no_crossing_at_equation_critical(self, r_max):
@@ -406,7 +408,7 @@ class TestScaling:
     )
     def test_covariance_of_solution_map(self, params, u0):
         spec = IvpSpec(params=params, u0=u0, r_max=50.0)
-        rep = scaling_covariance_report(spec, lam=2.0)
+        rep = scaling_covariance_report(spec)
         assert rep.passed
         assert rep.residual <= 1e-6
 
