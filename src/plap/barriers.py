@@ -246,9 +246,8 @@ def log_barrier_plap(spec: LogBarrier, params: ProblemParams, r: float) -> float
         raise SingularGradient(
             f"|psi'| vanishes near r={r} (inner={inner:.3e}) and p={p} < 2"
         )
-    grad_factor = abs(inner) ** (p - 2.0) if p != 2.0 else 1.0
     bracket = (p - 1.0) * b * (b - 1.0) * L ** (b - 2.0) - b * (n - p) * L ** (b - 1.0)
-    return spec.gamma1 ** (p - 1.0) * r ** (-float(n)) * grad_factor * bracket
+    return spec.gamma1 ** (p - 1.0) * r ** (-float(n)) * abs(inner) ** (p - 2.0) * bracket
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,11 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
     energies, so it stays resolved down to the stopping test.
 
     Newton stops when the RMS residual is _NEWTON_TOL times the largest flux
-    or load term, or the roundoff of evaluating the residual (flux
-    magnitudes and c * u per node) if that is larger; the reported residual
-    is the RMS over that scale.  Constant data with no load has no flux, a
+    or load term, or the roundoff of evaluating the residual if that is
+    larger: the flux magnitudes, and c * u taken per midpoint with the larger
+    |u| of its two nodes, since the largest c and the largest |u| may sit at
+    opposite ends of the mesh.  The reported residual is the RMS over the
+    flux-or-load scale.  Constant data with no load has no flux, a
     zero residual, and stops at once.
     """
     rms = math.sqrt(len(u) - 2)
@@ -171,7 +173,10 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
         fl = r_mid_pow * flux
         c = r_mid_pow * dflux / dr
         scale = max(float(np.max(np.abs(fl))), float(np.max(np.abs(rhs_term))))
-        floor = 8.0 * _EPS_MACH * (scale + float(np.max(c)) * float(np.max(np.abs(uu))))
+        au = np.abs(uu)
+        cu = np.maximum(au[:-1], au[1:])
+        cu *= c
+        floor = 8.0 * _EPS_MACH * (scale + float(np.max(cu)))
         res = fl[1:] - fl[:-1] + rhs_term
         norm = float(np.linalg.norm(res)) / rms
         return D, res, c, norm, max(_NEWTON_TOL * scale, floor), scale

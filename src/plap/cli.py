@@ -32,9 +32,9 @@ from .errors import NewtonDivergence, PlapError
 from .exponents import (
     ProblemParams,
     classify_regime,
-    equation_critical,
     lambda_exponent,
     pohozaev_coefficient,
+    pohozaev_sign,
     serrin_critical,
 )
 
@@ -56,7 +56,6 @@ subcommands:
 `plap <subcommand> --help` lists the full flag set.
 """
 
-_BOUNDARY_TOL = 1e-9
 _BOUNDARY_NOTE = "proof uses strict inequality"
 
 
@@ -196,7 +195,7 @@ def _run_classify(args) -> int:
         "counterexample_exists": reg.counterexample_exists,
         "equation_radial_nonexistence": reg.equation_radial_nonexistence,
     }
-    if reg.q_equation is not None and abs(pr.q - reg.q_equation) < _BOUNDARY_TOL:
+    if pohozaev_sign(pr) == 0:
         obj["boundary"] = _BOUNDARY_NOTE
     _emit_json(args.out, obj)
     return 0
@@ -280,10 +279,7 @@ def _run_sweep(args) -> int:
     outcomes = shooting.sweep_outcomes(specs)
     rows = []
     for v, ivp, outc in zip(values, specs, outcomes):
-        pr = ivp.params
-        boundary = False
-        if pr.n_dim > pr.p:
-            boundary = abs(pr.q - equation_critical(pr)) < _BOUNDARY_TOL
+        boundary = pohozaev_sign(ivp.params) == 0
         rows.append((v, outc.kind.value, outc.r_event, outc.tail_slope, boundary))
     _emit_csv(args.out, ("axis_value", "outcome", "r_event", "tail_slope", "boundary_case"), rows)
     return 0
@@ -372,10 +368,9 @@ def _run_pohozaev(args) -> int:
     )
     traj = shooting.integrate_ivp(spec)
     rep = shooting.pohozaev_residual(traj, spec, args.r_eval, tol=args.tol)
-    pr = spec.params
     obj = rep.as_dict()
-    obj["coefficient"] = pohozaev_coefficient(pr) if pr.n_dim > pr.p else None
-    obj["q_equation"] = equation_critical(pr) if pr.n_dim > pr.p else None
+    obj["coefficient"] = pohozaev_coefficient(spec.params)
+    obj["q_equation"] = classify_regime(spec.params).q_equation
     _emit_json(args.out, obj)
     return 0
 

@@ -15,10 +15,11 @@ is the Sobolev exponent (N+2)/(N-2).  The fundamental-solution exponent is
 lambda = (p-N)/(p-1): r^lambda is p-harmonic away from the origin, log r
 taking its place when N = p.  The coefficient
 
-    N - p - (gamma+N) p / (q+1)
+    K = N - p - (gamma+N) p / (q+1)
 
 multiplying the volume term of the radial Pohozaev identity is strictly
-increasing in q and vanishes exactly at q = q_E.
+increasing in q and vanishes exactly at q = q_E.  Its derivation never
+divides by N - p; for N <= p it is negative for every q > p - 1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import math
 from collections import namedtuple
 
 from .errors import DimensionRegime
+
+_K_ROUNDING = 1e-12  # |K| at most this share of its (gamma+N)p/(q+1) term counts as K = 0
 
 # Named tuples rather than dataclasses: `dataclasses` imports `inspect`, and
 # this module is on the standard-library-only path of `plap classify`.
@@ -106,9 +109,18 @@ def equation_critical(params: ProblemParams) -> float:
 
 
 def pohozaev_coefficient(params: ProblemParams) -> float:
-    """N - p - (gamma + N) p/(q + 1): negative below q_E, zero at q_E, positive above."""
-    _require_n_above_p(params, "pohozaev_coefficient")
+    """K = N - p - (gamma + N) p/(q + 1): negative below q_E, zero at q_E,
+    positive above, and negative for every q when N <= p."""
     return params.n_dim - params.p - (params.gamma + params.n_dim) * params.p / (params.q + 1.0)
+
+
+def pohozaev_sign(params: ProblemParams) -> int:
+    """The sign of K, -1, 0 or +1.  |K| up to 1e-12 of its (gamma + N) p/(q + 1)
+    term, which is N - p - K, is rounding and reads as 0: the case q = q_E."""
+    k = pohozaev_coefficient(params)
+    if abs(k) <= _K_ROUNDING * (params.n_dim - params.p - k):
+        return 0
+    return -1 if k < 0 else 1
 
 
 def classify_regime(params: ProblemParams) -> Regime:

@@ -22,7 +22,7 @@ Profile catalog (all immutable, evaluated through ``eval_profile``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import singledispatch
 
 import numpy as np
@@ -269,22 +269,18 @@ def _odd_pow(x: float, e: float) -> float:
 def p_laplacian_radial(point: EvalPoint, params: ProblemParams) -> float:
     """Expanded-form Delta_p V = |V'|^{p-2}((p-1)V'' + (N-1)/r V').
 
-    The floor (relative to max(1, |V''| r)) guards the degenerate set
-    |V'| = 0: the product is 0 there for p >= 2, singular for p < 2.
+    On the degenerate set V' = 0 the formula gives (p-1)V'' at p = 2 and 0
+    for p > 2; for p < 2 it is singular, and |V'| at or below the floor
+    (relative to max(1, |V''| r)) raises SingularGradient.
     """
     if point.r <= 0:
         raise DomainError(f"p_laplacian_radial needs r > 0, got r={point.r}")
     p, n = params.p, params.n_dim
-    floor = GRADIENT_FLOOR * max(1.0, abs(point.d2) * point.r)
-    if abs(point.d1) <= floor:
-        if p < 2.0:
-            raise SingularGradient(
-                f"|V'| = {abs(point.d1):.3e} below floor at r={point.r} with p={p} < 2"
-            )
-        return 0.0
+    if p < 2.0 and abs(point.d1) <= GRADIENT_FLOOR * max(1.0, abs(point.d2) * point.r):
+        raise SingularGradient(
+            f"|V'| = {abs(point.d1):.3e} below floor at r={point.r} with p={p} < 2"
+        )
     core = (p - 1.0) * point.d2 + (n - 1.0) / point.r * point.d1
-    if p == 2.0:
-        return core
     return abs(point.d1) ** (p - 2.0) * core
 
 
@@ -292,7 +288,7 @@ def operator_scale(point: EvalPoint, params: ProblemParams) -> float:
     """|V'|^{p-2}((p-1)|V''| + (N-1)|V'|/r): the size of the operator's two
     expanded-form terms before they cancel (gradient factor 1 where V' = 0)."""
     p, n = params.p, params.n_dim
-    grad_factor = abs(point.d1) ** (p - 2.0) if (point.d1 != 0.0 and p != 2.0) else 1.0
+    grad_factor = abs(point.d1) ** (p - 2.0) if point.d1 != 0.0 else 1.0
     return grad_factor * ((p - 1.0) * abs(point.d2) + (n - 1.0) / point.r * abs(point.d1))
 
 

@@ -52,7 +52,8 @@ class EventSpec:
     """Root of g(t, y) terminates the integration.
 
     direction > 0 fires only on increasing crossings, < 0 only on decreasing,
-    0 on both.
+    0 on both.  A step that lands exactly on g = 0 crosses in the direction
+    it came from.
     """
 
     fn: Callable[[float, np.ndarray], float]
@@ -185,14 +186,9 @@ def integrate(
         for ie, ev in enumerate(events):
             g_new = ev.fn(t_new, y_new)
             g_old = g_prev[ie]
-            fire = False
-            if g_new == 0.0 and g_old != 0.0:
-                fire = True
-            elif g_old < 0.0 < g_new and ev.direction >= 0:
-                fire = True
-            elif g_old > 0.0 > g_new and ev.direction <= 0:
-                fire = True
-            if fire:
+            if (ev.direction >= 0 and g_old < 0.0 <= g_new) or (
+                ev.direction <= 0 and g_old > 0.0 >= g_new
+            ):
                 te, ye = _refine_event(
                     ev.fn, t, t_new, y, y_new, fy, f_new, g_old
                 )

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import rk45
 from .errors import CrossedZero, NotDecaying, RangeError, RegimeError
-from .exponents import ProblemParams, pohozaev_coefficient
+from .exponents import ProblemParams, pohozaev_coefficient, pohozaev_sign
 from .radial_ops import _odd_pow
 from .reports import IdentityReport
 
@@ -65,7 +65,6 @@ _SCALING_SAMPLES = 40
 _SCALING_FACTOR = 2.0   # scaling_covariance_report compares u_s(r) = s^kappa u(s r) at this s
 _SCALING_TOL = 1e-6
 _R_FAR = 1e300          # continued shots stop here: every certified event lies before it
-_K_ROUNDING = 1e-12     # |K| below this share of its (gamma+N)p/(q+1) term counts as K = 0
 
 
 class EquationSign(enum.Enum):
@@ -355,13 +354,9 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
                 f"{_beyond(traj.r_blow, spec)}, integrated in log u"))
         return _unresolved(traj, "before blow-up")
 
-    pr = spec.params
-    if pr.n_dim > pr.p:
-        k = pohozaev_coefficient(pr)
-        crossing_forced = k < -_K_ROUNDING * (pr.n_dim + pr.gamma) * pr.p / (pr.q + 1.0)
-        sign_k = f"K={k:.3g}<0" if crossing_forced else f"K={k:.3g}>=0"
-    else:
-        crossing_forced, sign_k = True, "N<=p"
+    k = pohozaev_coefficient(spec.params)
+    crossing_forced = pohozaev_sign(spec.params) < 0
+    sign_k = f"K={k:.3g}<0" if crossing_forced else f"K={k:.3g}>=0"
     if crossing_forced:
         if traj.status == "finished":
             traj = _continue(traj, spec)

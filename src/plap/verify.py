@@ -23,7 +23,6 @@ import numpy as np
 from . import barriers, bvp, identities, shooting
 from .exponents import (
     ProblemParams,
-    classify_regime,
     equation_critical,
     lambda_exponent,
     pohozaev_coefficient,

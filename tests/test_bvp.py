@@ -189,6 +189,23 @@ class TestConvergence:
         phi, _ = p_harmonic(n, p, r1, r2, b1, b2)
         assert np.max(np.abs(sol.u - phi(sol.r))) <= 1e-8
 
+    def test_weights_spanning_decades_converge_at_second_order(self):
+        # c = r^{N-1} phi'(D)/dr spans many decades here, largest where |u| is
+        # smallest; a stopping floor of max(c) max|u| stopped Newton after 11
+        # iterations, about 31% away from the closed form at every mesh.
+        n, p, r1, r2, b1, b2 = 7, 1.569, 0.69, 61.1, 954.0, 0.0
+        phi, _ = p_harmonic(n, p, r1, r2, b1, b2)
+        errs = []
+        for mesh in (1024, 4096):
+            prob = AnnulusProblem(
+                params=params(n, p), r_inner=r1, r_outer=r2,
+                boundary_inner=b1, boundary_outer=b2, mesh_size=mesh,
+            )
+            sol, info = solve_annulus_dirichlet_detailed(prob)
+            assert info.residual <= 1e-11
+            errs.append(float(np.max(np.abs(sol.u - phi(sol.r)))))
+        assert errs[0] >= 10.0 * errs[1]
+
     @pytest.mark.parametrize("mesh", [64, 1024])
     def test_constant_data_without_load_returns_at_once(self, mesh):
         prob = AnnulusProblem(

@@ -337,6 +337,21 @@ class TestOtherSubcommands:
         assert obj["q_equation"] == 5.0
         assert abs(obj["coefficient"]) < 1e-12
 
+    def test_pohozaev_balance_at_n_below_p(self, capsys):
+        code, out, _ = run(
+            ["pohozaev", "--n", "2", "--p", "3", "--q", "4", "--u0", "1",
+             "--r-eval", "0.5"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["passed"] is True
+        assert obj["coefficient"] == -2.2
+        assert obj["q_equation"] is None
+
+    def test_shoot_reason_at_n_below_p_names_the_sign_of_k(self, capsys):
+        code, _, err = run(["shoot", "--n", "2", "--p", "3", "--q", "4", "--u0", "1"], capsys)
+        assert code == 0
+        assert "outcome=crosses_zero" in err and err.rstrip().endswith("K=-2.2<0")
+
     def test_bvp_solves_and_reports_diagnostics(self, capsys):
         code, out, err = run(
             ["bvp", "--n", "3", "--p", "2", "--r-inner", "1", "--r-outer", "2",

@@ -14,6 +14,7 @@ from plap import (
     pohozaev_coefficient,
     serrin_critical,
 )
+from plap.exponents import pohozaev_sign
 
 
 def params(n=3, p=2.0, q=5.0, gamma=0.0, a=1.0):
@@ -75,6 +76,7 @@ class TestPohozaevCoefficient:
             q_e = equation_critical(params(n=n, p=p, q=max(p, 2.0), gamma=g))
             pr = params(n=n, p=p, q=q_e, gamma=g)
             assert abs(pohozaev_coefficient(pr)) <= 1e-12
+            assert pohozaev_sign(pr) == 0
 
     def test_sign_change_across_critical(self):
         base = params()
@@ -82,6 +84,18 @@ class TestPohozaevCoefficient:
         below = pohozaev_coefficient(params(q=q_e - 0.5))
         above = pohozaev_coefficient(params(q=q_e + 0.5))
         assert below < 0 < above
+        assert pohozaev_sign(params(q=q_e - 0.5)) == -1
+        assert pohozaev_sign(params(q=q_e + 0.5)) == 1
+
+    @pytest.mark.parametrize("n,p,q,gamma", [
+        (2, 3.0, 4.0, 0.0), (3, 3.0, 5.0, 0.0), (1, 2.0, 3.0, 0.0), (2, 2.5, 2.0, 1.0),
+        (3, 4.0, 3.5, 0.5), (1, 1.5, 2.0, -0.5), (1, 3.0, 2.001, -2.9), (2, 3.0, 1e6, 0.0),
+    ])
+    def test_negative_for_every_q_when_n_at_most_p(self, n, p, q, gamma):
+        # N - p <= 0 and (gamma+N) p/(q+1) > (N-p) p/(q+1) >= N - p, as q + 1 > p
+        pr = params(n=n, p=p, q=q, gamma=gamma)
+        assert pohozaev_coefficient(pr) < 0
+        assert pohozaev_sign(pr) == -1
 
     def test_closed_form(self):
         pr = params(n=4, p=1.75, q=3.0, gamma=0.5)
@@ -125,7 +139,7 @@ class TestRegime:
 
     def test_thresholds_raise_below_dimension(self):
         pr = params(n=2, p=2.5, q=4.0)
-        for fn in (serrin_critical, equation_critical, pohozaev_coefficient):
+        for fn in (serrin_critical, equation_critical):
             with pytest.raises(DimensionRegime):
                 fn(pr)
 

@@ -9,6 +9,7 @@ from plap import (
     Counterexample,
     CutoffBarrier,
     DomainError,
+    EvalPoint,
     GridProfile,
     InterpolationError,
     LogBarrier,
@@ -148,6 +149,21 @@ class TestPLaplacianRadial:
         flat = eval_profile(CutoffBarrier(m1=1.0, r1=1.0, r_big=2.0, k=3), 0.9)
         assert p_laplacian_radial(flat, params(p=2.0)) == 0.0
         assert p_laplacian_radial(flat, params(p=3.0, q=3.0)) == 0.0
+
+    def test_critical_point_at_two_gives_p_minus_one_times_curvature(self):
+        # On V' = 0 the formula leaves (p-1)V'' at p = 2: Delta (r-1)^2 = 2 at r = 1.
+        assert p_laplacian_radial(EvalPoint(1.0, 0.0, 0.0, 2.0), params()) == 2.0
+        r = np.linspace(0.5, 1.5, 101)
+        rep = fd_agreement(GridProfile(r=r, u=(r - 1.0) ** 2), 1.0, params())
+        assert rep.passed
+        assert rep.lhs == pytest.approx(2.0, rel=1e-12)
+
+    def test_small_gradient_above_two_keeps_its_factor(self):
+        pr = params(p=2.1)
+        pt = EvalPoint(1.0, 0.0, 1e-13, 2.0)
+        core = 1.1 * 2.0 + 2.0 * 1e-13
+        assert p_laplacian_radial(pt, pr) == pytest.approx(1e-13 ** 0.1 * core, rel=1e-14)
+        assert p_laplacian_radial(pt, pr) == pytest.approx(0.110, abs=5e-4)
 
     def test_laplacian_of_square(self):
         # u = r^2: Delta u = 2N.

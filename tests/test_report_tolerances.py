@@ -5,7 +5,7 @@ threshold it likes.  These pin the fixed values."""
 import numpy as np
 import pytest
 
-from plap import rk45, shooting
+from plap import exponents, rk45, shooting
 from plap import (
     AnnulusProblem,
     Counterexample,
@@ -83,3 +83,4 @@ def test_fixed_tolerance_is_recorded(name):
 def test_fixed_settings_are_pinned():
     assert shooting._SCALING_FACTOR == 2.0  # u_s(r) = s^kappa u(s r) at s = 2
     assert rk45._MAX_STEPS == 2_000_000
+    assert exponents._K_ROUNDING == 1e-12  # |K| read as 0, relative to (gamma+N)p/(q+1)

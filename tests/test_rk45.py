@@ -128,6 +128,18 @@ class TestEvents:
         assert res.status == "event"
         assert res.event_t == pytest.approx(2 * math.pi, rel=1e-8)
 
+    @pytest.mark.parametrize("direction,status", [(1, "finished"), (-1, "event")])
+    def test_step_landing_on_a_zero_keeps_its_direction(self, direction, status):
+        # g = 1 - t only decreases; the step of 0.25 lands on t = 1 exactly.
+        ev = EventSpec(fn=lambda t, y: 1.0 - t, direction=direction)
+        res = integrate(lambda t, y: [1.0], 0.0, 2.0, [0.0], events=[ev],
+                        first_step=0.25, max_step=0.25)
+        assert res.status == status
+        if status == "event":
+            assert res.event_t == pytest.approx(1.0, rel=1e-9)
+        else:
+            assert res.ts[-1] == 2.0
+
     def test_two_events_earliest_terminal_wins(self):
         late = EventSpec(fn=lambda t, y: t - 2.5)
         early = EventSpec(fn=lambda t, y: t - 1.25)

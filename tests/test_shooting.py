@@ -362,6 +362,20 @@ class TestPohozaevResidual:
         assert rep.passed
         assert rep.rel_residual() <= 1e-4
 
+    @pytest.mark.parametrize("n,p,q,gamma", [
+        (2, 3.0, 4.0, 0.0), (3, 3.0, 5.0, 0.0), (1, 2.0, 3.0, 0.0),
+        (2, 2.5, 2.0, 1.0), (3, 4.0, 3.5, 0.5), (1, 1.5, 2.0, -0.5),
+    ])
+    def test_balance_at_n_at_most_p(self, n, p, q, gamma):
+        # At N <= p, K < 0 and every shot crosses; the identity never divides by N - p.
+        traj, spec = shoot(ProblemParams(n_dim=n, p=p, q=q, gamma=gamma), 1.0)
+        rep = pohozaev_residual(traj, spec, 0.5, tol=1e-6)
+        assert rep.passed
+        assert rep.lhs < 0
+        out = classify_outcome(traj, spec)
+        assert out.kind is OutcomeKind.CROSSES_ZERO
+        assert out.reason.endswith("<0")
+
     def test_returns_plain_python_scalars(self):
         # An r_eval inside a node interval ends the quadrature on a partial
         # panel, one at the last node on a whole one; both report plain types.
