@@ -25,20 +25,14 @@ _EXPORTS = {
         "AnnulusProblem", "NewtonInfo", "comparison_check",
         "solve_annulus_dirichlet", "solve_annulus_dirichlet_detailed",
     ),
-    "errors": (
-        "BoundaryDominanceViolated", "CrossedZero", "DimensionRegime",
-        "DomainError", "InterpolationError", "NegativeWeightExponent",
-        "NewtonDivergence", "NonPositiveValue", "NotDecaying", "NotPHarmonic",
-        "NotSupercritical", "OriginSingularity", "PlapError", "RangeError",
-        "RegimeError", "SingularGradient",
-    ),
+    "errors": ("NewtonDivergence", "PlapError", "SingularGradient"),
     "exponents": (
         "ProblemParams", "Regime", "classify_regime", "equation_critical",
         "lambda_exponent", "pohozaev_coefficient", "serrin_critical",
     ),
     "identities": (
-        "RadialCutoff", "RecursionSpec", "caccioppoli_check",
-        "extremal_log_sequence", "moser_recursion_bound", "recursion_bound_report",
+        "RecursionSpec", "extremal_log_sequence", "moser_recursion_bound",
+        "recursion_bound_report",
     ),
     "radial_ops": (
         "Counterexample", "CutoffBarrier", "EvalPoint", "GridProfile",

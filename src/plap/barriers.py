@@ -48,16 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    DimensionRegime,
-    NegativeWeightExponent,
-    NotSupercritical,
-    OriginSingularity,
-    RangeError,
-    RegimeError,
-    SingularGradient,
-)
+from .errors import PlapError, SingularGradient
 from .exponents import ProblemParams, serrin_critical
 from .radial_ops import Counterexample, CutoffBarrier, LogBarrier
 from .reports import IdentityReport
@@ -74,12 +65,12 @@ def counterexample_epsilon(params: ProblemParams) -> float:
     """eps of the recipe; needs N > p, gamma >= 0, q > q_S strictly."""
     n, p, q, gamma = params.n_dim, params.p, params.q, params.gamma
     if gamma < 0:
-        raise NegativeWeightExponent(
+        raise PlapError(
             f"counterexample construction assumes gamma >= 0, got {gamma}"
         )
-    q_s = serrin_critical(params)  # raises DimensionRegime for N <= p
+    q_s = serrin_critical(params)  # raises PlapError for N <= p
     if q <= q_s:
-        raise NotSupercritical(
+        raise PlapError(
             f"need q > q_serrin = {q_s} strictly, got q = {q} (eps would be <= 0)"
         )
     return (q * (n - p) - (n + gamma) * (p - 1.0)) / (q - (p - 1.0))
@@ -98,7 +89,7 @@ def counterexample_plap(profile: Counterexample, params: ProblemParams, r):
     """Delta_p Gamma for Gamma = c(1+r)^{-alpha}, vectorized over r > 0."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
-        raise OriginSingularity(
+        raise PlapError(
             "closed form carries an (N-1)/r term; at r = 0 the residual is +inf "
             "(the inequality holds in the limit)"
         )
@@ -169,7 +160,7 @@ def cutoff_barrier_plap(
     ``cutoff_bracket_report`` surface how far that text sits from the oracle.
     """
     if r < 0:
-        raise DomainError(f"need r >= 0, got {r}")
+        raise PlapError(f"need r >= 0, got {r}")
     n, p = params.n_dim, params.p
     spec.check_admissible(p)
     s = r - spec.r1
@@ -233,11 +224,11 @@ def cutoff_bracket_report(
 def log_barrier_plap(spec: LogBarrier, params: ProblemParams, r: float) -> float:
     """Delta_p psi for psi = g1 r^lam (log r)^beta + g2; r > 1, N > p."""
     if params.n_dim <= params.p:
-        raise DimensionRegime(
+        raise PlapError(
             f"log-corrected barrier is stated for N > p (N={params.n_dim}, p={params.p})"
         )
     if r <= 1.0:
-        raise DomainError(f"log barrier needs r > 1, got r={r}")
+        raise PlapError(f"log barrier needs r > 1, got r={r}")
     n, p = params.n_dim, params.p
     lam, b = spec.lam, spec.beta
     L = math.log(r)
@@ -281,7 +272,7 @@ def hadamard_lower_bound(inp: HadamardInput, r):
     """The interpolated lower bound for m(r) on [r1, r2]; vectorized over r."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < inp.r1) or np.any(r_arr > inp.r2):
-        raise RangeError(f"r must lie in [{inp.r1}, {inp.r2}]")
+        raise PlapError(f"r must lie in [{inp.r1}, {inp.r2}]")
     if inp.lam == 0.0:
         denom = math.log(inp.r1 / inp.r2)
         out = (inp.m1 * np.log(r_arr / inp.r2) + inp.m2 * np.log(inp.r1 / r_arr)) / denom
@@ -301,7 +292,7 @@ def hadamard_monotonicity_check(samples, lam: float) -> IdentityReport:
     only satisfy it on the range where the exterior-domain argument applies.
     """
     if lam >= 0:
-        raise RegimeError(f"monotonicity of m(r) r^(-lam) needs lam < 0, got {lam}")
+        raise PlapError(f"monotonicity of m(r) r^(-lam) needs lam < 0, got {lam}")
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("samples must be a sequence of (r, m) pairs, length >= 2")

@@ -40,7 +40,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import BoundaryDominanceViolated, NewtonDivergence
+from .errors import NewtonDivergence, PlapError
 from .exponents import ProblemParams
 from .radial_ops import GridProfile, check_p_harmonic, eval_profile
 from .reports import IdentityReport
@@ -283,7 +283,7 @@ def comparison_check(prob: AnnulusProblem, phi) -> IdentityReport:
     if prob.boundary_inner < phi_in - slack * max(1.0, abs(phi_in)) or (
         prob.boundary_outer < phi_out - slack * max(1.0, abs(phi_out))
     ):
-        raise BoundaryDominanceViolated(
+        raise PlapError(
             f"boundary data ({prob.boundary_inner}, {prob.boundary_outer}) does not "
             f"dominate phi's boundary values ({phi_in}, {phi_out})"
         )

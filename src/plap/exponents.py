@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DimensionRegime
+from .errors import PlapError
 
 _K_ROUNDING = 1e-12  # |K| at most this share of its (gamma+N)p/(q+1) term counts as K = 0
 
@@ -81,7 +81,7 @@ class Regime(namedtuple("Regime", (
 
 def _require_n_above_p(params: ProblemParams, what: str) -> None:
     if params.n_dim <= params.p:
-        raise DimensionRegime(
+        raise PlapError(
             f"{what} undefined for N <= p (N={params.n_dim}, p={params.p}); "
             "in that regime every positive supersolution is constant"
         )

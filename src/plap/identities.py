@@ -1,7 +1,6 @@
-"""Two directly checkable inequality engines: the iteration recursion bound
-and the Caccioppoli inequality for p-harmonic radial profiles.
+"""The iteration recursion bound, a directly checkable inequality engine.
 
-Recursion: phi_n <= c^n phi_{n-1}^k with k > 1 forces
+phi_n <= c^n phi_{n-1}^k with k > 1 forces
 
     phi_n^{k^{-n}} <= c^{k/(k-1)^2} phi_0.
 
@@ -12,15 +11,6 @@ the n -> oo limit attained.  For c < 1 the same formula shows the bound
 *fails* already at n = 1 (the bracket starts at 1/k < k/(k-1)^2 and log c
 flips the inequality); the checker reports that honestly rather than
 clamping.  All arithmetic in log space -- phi_n grows doubly exponentially.
-
-Caccioppoli: for Delta_p u = 0 on the support of a piecewise-linear cutoff
-zeta (0 <= zeta <= 1),
-
-    int |u'|^p zeta^p r^{N-1} dr <= p^p int |u|^p |zeta'|^p r^{N-1} dr,
-
-the constant p^p coming from the Hoelder/absorption chain in the proof.  The
-sphere-measure constant cancels in the ratio, so both sides are plain radial
-integrals.
 """
 
 from __future__ import annotations
@@ -31,17 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import ProblemParams
-from .radial_ops import ProfileSpec, check_p_harmonic, eval_profile
 from .reports import IdentityReport
 
 _RECURSION_TOL = 1e-12
-_CACCIOPPOLI_TOL = 1e-8
 
-
-# ---------------------------------------------------------------------------
-# Recursion bound
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RecursionSpec:
@@ -99,89 +82,3 @@ def moser_recursion_bound(spec: RecursionSpec) -> IdentityReport:
     """Bound check for the extremal (equality-case) sequence."""
     return recursion_bound_report(spec, extremal_log_sequence(spec))
 
-
-# ---------------------------------------------------------------------------
-# Caccioppoli inequality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RadialCutoff:
-    """Piecewise-linear zeta with 0 <= zeta <= 1, vanishing at both ends."""
-
-    knots: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if knots.ndim != 1 or len(knots) != len(values) or len(knots) < 3:
-            raise ValueError("need matching knot/value arrays, length >= 3")
-        if not np.all(np.diff(knots) > 0) or knots[0] < 0:
-            raise ValueError("knots must be strictly increasing and nonnegative")
-        if np.any(values < 0) or np.any(values > 1):
-            raise ValueError("cutoff values must lie in [0, 1]")
-        if values[0] != 0.0 or values[-1] != 0.0:
-            raise ValueError("cutoff must vanish at both ends of its support")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def tent(cls, a: float, b: float) -> "RadialCutoff":
-        return cls(np.array([a, 0.5 * (a + b), b]), np.array([0.0, 1.0, 0.0]))
-
-    @classmethod
-    def trapezoid(cls, a: float, b: float, c: float, d: float) -> "RadialCutoff":
-        return cls(np.array([a, b, c, d]), np.array([0.0, 1.0, 1.0, 0.0]))
-
-    def value(self, r: float) -> float:
-        return float(np.interp(r, self.knots, self.values))
-
-    def slope(self, piece: int) -> float:
-        return float(
-            (self.values[piece + 1] - self.values[piece])
-            / (self.knots[piece + 1] - self.knots[piece])
-        )
-
-
-def caccioppoli_check(
-    profile: ProfileSpec,
-    params: ProblemParams,
-    cutoff: RadialCutoff,
-) -> IdentityReport:
-    """LHS = int |u'|^p zeta^p r^{N-1}, RHS = int |u|^p |zeta'|^p r^{N-1};
-    pass iff LHS <= p^p RHS (1 + 1e-8).  Integrals piecewise by adaptive
-    quadrature (zeta' jumps only at the knots)."""
-    from scipy.integrate import quad
-
-    p, n_dim = params.p, params.n_dim
-    check_p_harmonic(profile, params, float(cutoff.knots[0]), float(cutoff.knots[-1]))
-
-    lhs = 0.0
-    rhs = 0.0
-    for piece in range(len(cutoff.knots) - 1):
-        a, b = float(cutoff.knots[piece]), float(cutoff.knots[piece + 1])
-        slope_p = abs(cutoff.slope(piece)) ** p
-
-        def f_lhs(rr):
-            pt = eval_profile(profile, rr)
-            return abs(pt.d1) ** p * cutoff.value(rr) ** p * rr ** (n_dim - 1.0)
-
-        def f_rhs(rr):
-            pt = eval_profile(profile, rr)
-            return abs(pt.value) ** p * slope_p * rr ** (n_dim - 1.0)
-
-        lhs += quad(f_lhs, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-        rhs += quad(f_rhs, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-
-    bound = p ** p * rhs
-    ratio = lhs / bound if bound > 0 else math.inf if lhs > 0 else 0.0
-    return IdentityReport(
-        label="caccioppoli",
-        lhs=lhs,
-        rhs=bound,
-        residual=lhs - bound,
-        scale=max(lhs, bound, 1e-300),
-        tol=_CACCIOPPOLI_TOL,
-        passed=lhs <= bound * (1.0 + _CACCIOPPOLI_TOL),
-        note=f"ratio LHS/(p^p RHS) = {ratio:.12g}",
-    )

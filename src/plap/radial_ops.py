@@ -27,13 +27,7 @@ from functools import singledispatch
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InterpolationError,
-    NonPositiveValue,
-    NotPHarmonic,
-    SingularGradient,
-)
+from .errors import PlapError, SingularGradient
 from .exponents import ProblemParams, lambda_exponent
 from .reports import IdentityReport
 
@@ -180,7 +174,7 @@ def eval_profile(spec, r: float) -> EvalPoint:
 @eval_profile.register
 def _(spec: PowerBarrier, r: float) -> EvalPoint:
     if r <= 0:
-        raise DomainError(f"power barrier needs r > 0, got r={r}")
+        raise PlapError(f"power barrier needs r > 0, got r={r}")
     if spec.lam == 0.0:
         lr = math.log(r)
         return EvalPoint(r, spec.c2 * lr + spec.c1, spec.c2 / r, -spec.c2 / (r * r))
@@ -194,7 +188,7 @@ def _(spec: PowerBarrier, r: float) -> EvalPoint:
 @eval_profile.register
 def _(spec: LogBarrier, r: float) -> EvalPoint:
     if r <= 1.0:
-        raise DomainError(f"log barrier needs r > 1, got r={r}")
+        raise PlapError(f"log barrier needs r > 1, got r={r}")
     L = math.log(r)
     lam, b = spec.lam, spec.beta
     rl = r ** lam
@@ -216,7 +210,7 @@ def _(spec: LogBarrier, r: float) -> EvalPoint:
 @eval_profile.register
 def _(spec: CutoffBarrier, r: float) -> EvalPoint:
     if r < 0:
-        raise DomainError(f"cutoff barrier needs r >= 0, got r={r}")
+        raise PlapError(f"cutoff barrier needs r >= 0, got r={r}")
     s = r - spec.r1
     if s <= 0.0:
         return EvalPoint(r, spec.m1, 0.0, 0.0)
@@ -230,7 +224,7 @@ def _(spec: CutoffBarrier, r: float) -> EvalPoint:
 @eval_profile.register
 def _(spec: Counterexample, r: float) -> EvalPoint:
     if r < 0:
-        raise DomainError(f"counterexample profile needs r >= 0, got r={r}")
+        raise PlapError(f"counterexample profile needs r >= 0, got r={r}")
     base = (1.0 + r) ** (-spec.alpha)
     value = spec.c * base
     d1 = -spec.c * spec.alpha * base / (1.0 + r)
@@ -242,7 +236,7 @@ def _(spec: Counterexample, r: float) -> EvalPoint:
 def _(spec: GridProfile, r: float) -> EvalPoint:
     rs, us = spec.r, spec.u
     if not rs[0] <= r <= rs[-1]:
-        raise InterpolationError(
+        raise PlapError(
             f"query r={r} outside sampled range [{rs[0]}, {rs[-1]}]"
         )
     i = int(np.searchsorted(rs, r))
@@ -274,7 +268,7 @@ def p_laplacian_radial(point: EvalPoint, params: ProblemParams) -> float:
     (relative to max(1, |V''| r)) raises SingularGradient.
     """
     if point.r <= 0:
-        raise DomainError(f"p_laplacian_radial needs r > 0, got r={point.r}")
+        raise PlapError(f"p_laplacian_radial needs r > 0, got r={point.r}")
     p, n = params.p, params.n_dim
     if p < 2.0 and abs(point.d1) <= GRADIENT_FLOOR * max(1.0, abs(point.d2) * point.r):
         raise SingularGradient(
@@ -293,7 +287,7 @@ def operator_scale(point: EvalPoint, params: ProblemParams) -> float:
 
 
 def check_p_harmonic(spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi: float) -> None:
-    """Raise NotPHarmonic unless |Delta_p V| <= 1e-8 * max(1, operator_scale)
+    """Raise PlapError unless |Delta_p V| <= 1e-8 * max(1, operator_scale)
     at nine equally spaced radii of [r_lo, r_hi]."""
     for r in np.linspace(r_lo, r_hi, 9):
         pt = eval_profile(spec, float(r))
@@ -302,11 +296,11 @@ def check_p_harmonic(spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi
         try:
             val = p_laplacian_radial(pt, params)
         except SingularGradient as exc:
-            raise NotPHarmonic(
+            raise PlapError(
                 f"profile gradient degenerates at r={r:.6g} with p={params.p} < 2"
             ) from exc
         if abs(val) > _P_HARMONIC_TOL * max(1.0, operator_scale(pt, params)):
-            raise NotPHarmonic(
+            raise PlapError(
                 f"Delta_p V = {val:.3e} at r={r:.6g} exceeds {_P_HARMONIC_TOL:g} x scale; "
                 f"profile is not p-harmonic on [{r_lo:.6g}, {r_hi:.6g}]"
             )
@@ -330,7 +324,7 @@ def p_laplacian_fd(
     if h is None:
         h = fd_step_default(r)
     if not r > 2.0 * h:
-        raise DomainError(f"need r > 2h (r={r}, h={h})")
+        raise PlapError(f"need r > 2h (r={r}, h={h})")
     p, n = params.p, params.n_dim
     v_mm = eval_profile(spec, r - 2.0 * h).value
     v_0 = eval_profile(spec, r).value
@@ -372,7 +366,7 @@ def fd_agreement(spec: ProfileSpec, r: float, params: ProblemParams) -> Identity
 def power_point(point: EvalPoint, alpha: float) -> EvalPoint:
     """EvalPoint of u^alpha from the EvalPoint of u (exact chain rule)."""
     if point.value <= 0:
-        raise NonPositiveValue(f"u({point.r}) = {point.value} <= 0")
+        raise PlapError(f"u({point.r}) = {point.value} <= 0")
     u, d1, d2 = point.value, point.d1, point.d2
     ua = u ** alpha
     return EvalPoint(
@@ -400,7 +394,7 @@ def power_transform_residual(
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     pt = eval_profile(spec, r)
     if pt.value <= 0:
-        raise NonPositiveValue(f"u({r}) = {pt.value} <= 0")
+        raise PlapError(f"u({r}) = {pt.value} <= 0")
     p = params.p
     lhs = p_laplacian_radial(power_point(pt, alpha), params)
     bracket = p_laplacian_radial(pt, params) + (alpha - 1.0) * (p - 1.0) / pt.value * abs(

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk45
-from .errors import CrossedZero, NotDecaying, RangeError, RegimeError
+from .errors import PlapError
 from .exponents import ProblemParams, pohozaev_coefficient, pohozaev_sign
 from .radial_ops import _odd_pow
 from .reports import IdentityReport
@@ -418,7 +418,7 @@ def decay_slope_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:
     """
     outcome = classify_outcome(traj, spec)
     if outcome.kind is not OutcomeKind.POSITIVE_DECAYING:
-        raise NotDecaying(f"trajectory classified {outcome.label}, not positive_decaying")
+        raise PlapError(f"trajectory classified {outcome.label}, not positive_decaying")
     pr = spec.params
     target_u = (pr.gamma + pr.p) / (pr.p - 1.0 - pr.q)
     target_du = (pr.gamma + pr.q + 1.0) / (pr.p - 1.0 - pr.q)
@@ -517,11 +517,11 @@ def pohozaev_residual(
     if not 0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0, got {tol}")
     if spec.sign is not EquationSign.MINUS:
-        raise RegimeError("Pohozaev identity is stated for the minus equation")
-    if not (traj.r[0] <= r_eval <= traj.r[-1]):
-        raise RangeError(f"r_eval={r_eval} outside integrated range [{traj.r[0]}, {traj.r[-1]}]")
+        raise PlapError("Pohozaev identity is stated for the minus equation")
     if traj.r_cross is not None and r_eval >= traj.r_cross:
-        raise CrossedZero(f"u changes sign at r={traj.r_cross:.6g} <= r_eval")
+        raise PlapError(f"u changes sign at r={traj.r_cross:.6g} <= r_eval")
+    if not (traj.r[0] <= r_eval <= traj.r[-1]):
+        raise PlapError(f"r_eval={r_eval} outside integrated range [{traj.r[0]}, {traj.r[-1]}]")
 
     pr = spec.params
     coeff = pohozaev_coefficient(pr)
@@ -585,7 +585,7 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     lo = 10.0 * max(traj.r[0] / s, traj2.r[0])
     hi = 0.99 * min(traj.r[-1] / s, traj2.r[-1])
     if hi <= lo:
-        raise RangeError("trajectories do not overlap after rescaling")
+        raise PlapError("trajectories do not overlap after rescaling")
     r = np.geomspace(lo, hi, _SCALING_SAMPLES)
     u_base, _, _ = traj.sample(spec.params, s * r)
     u_resc, _, _ = traj2.sample(spec.params, r)

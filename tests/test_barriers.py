@@ -8,17 +8,10 @@ import pytest
 
 from plap import (
     CutoffBarrier,
-    DimensionRegime,
-    DomainError,
     HadamardInput,
     LogBarrier,
-    NegativeWeightExponent,
-    NotSupercritical,
-    OriginSingularity,
-    PowerBarrier,
+    PlapError,
     ProblemParams,
-    RangeError,
-    RegimeError,
     SingularGradient,
     build_counterexample,
     counterexample_epsilon,
@@ -28,7 +21,6 @@ from plap import (
     cutoff_barrier_plap,
     cutoff_bracket_report,
     cutoff_plap_bound,
-    eval_profile,
     hadamard_lower_bound,
     hadamard_monotonicity_check,
     log_barrier_plap,
@@ -101,21 +93,23 @@ class TestCounterexample:
 
     def test_origin_is_singular_for_the_closed_form(self):
         consts = build_counterexample(params())
-        with pytest.raises(OriginSingularity):
+        with pytest.raises(PlapError, match=r"^closed form carries an \(N-1\)/r term; at r = 0 "):
             counterexample_plap(consts, params(), 0.0)
 
     def test_rejects_subcritical_and_critical(self):
-        with pytest.raises(NotSupercritical):
+        with pytest.raises(PlapError, match=r"^need q > q_serrin = 3\.0 strictly, got q = 3\.0 "):
             build_counterexample(params(q=3.0))  # q = q_S exactly
-        with pytest.raises(NotSupercritical):
+        with pytest.raises(PlapError, match=r"^need q > q_serrin = 3\.0 strictly, got q = 2\.5 "):
             build_counterexample(params(q=2.5))
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(NegativeWeightExponent):
+        with pytest.raises(
+            PlapError, match=r"^counterexample construction assumes gamma >= 0, got -0\.25$"
+        ):
             build_counterexample(params(q=4.0, gamma=-0.25))
 
     def test_rejects_low_dimension(self):
-        with pytest.raises(DimensionRegime):
+        with pytest.raises(PlapError, match=r"^q_serrin undefined for N <= p \(N=2, p=2\.5\); "):
             build_counterexample(params(n=2, p=2.5, q=6.0))
 
     def test_rejects_a_profile_that_rounds_to_zero(self):
@@ -186,9 +180,11 @@ class TestLogBarrier:
 
     def test_domain_guards(self):
         spec = LogBarrier(gamma1=1.0, gamma2=0.0, beta=1.0, lam=-1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(PlapError, match=r"^log barrier needs r > 1, got r=0\.8$"):
             log_barrier_plap(spec, params(), 0.8)
-        with pytest.raises(DimensionRegime):
+        with pytest.raises(
+            PlapError, match=r"^log-corrected barrier is stated for N > p \(N=2, p=3\.0\)$"
+        ):
             log_barrier_plap(spec, params(n=2, p=3.0, q=3.0), 2.0)
 
 
@@ -223,7 +219,7 @@ class TestHadamardBound:
 
     def test_range_guard(self):
         inp = HadamardInput(r1=1.0, r2=4.0, m1=1.0, m2=0.3, lam=-1.0)
-        with pytest.raises(RangeError):
+        with pytest.raises(PlapError, match=r"^r must lie in \[1\.0, 4\.0\]$"):
             hadamard_lower_bound(inp, 0.5)
 
     @pytest.mark.parametrize(
@@ -260,7 +256,9 @@ class TestHadamardMonotonicity:
 
     def test_requires_negative_lambda(self):
         samples = np.array([[1.0, 1.0], [2.0, 1.0]])
-        with pytest.raises(RegimeError):
+        with pytest.raises(
+            PlapError, match=r"^monotonicity of m\(r\) r\^\(-lam\) needs lam < 0, got 0\.5$"
+        ):
             hadamard_monotonicity_check(samples, lam=0.5)
 
     def test_requires_sorted_radii(self):

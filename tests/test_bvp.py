@@ -8,14 +8,12 @@ import pytest
 
 from plap import (
     AnnulusProblem,
-    BoundaryDominanceViolated,
     GridProfile,
     NewtonDivergence,
-    NotPHarmonic,
+    PlapError,
     PowerBarrier,
     ProblemParams,
     comparison_check,
-    eval_profile,
     solve_annulus_dirichlet,
     solve_annulus_dirichlet_detailed,
 )
@@ -287,7 +285,10 @@ class TestComparison:
             params=pr, r_inner=1.0, r_outer=2.0,
             boundary_inner=0.5, boundary_outer=0.0, mesh_size=64,
         )
-        with pytest.raises(BoundaryDominanceViolated):
+        with pytest.raises(
+            PlapError,
+            match=r"^boundary data \(0\.5, 0\.0\) does not dominate phi's boundary values ",
+        ):
             comparison_check(prob, phi)
 
     def test_rejects_non_harmonic_profile(self):
@@ -297,8 +298,26 @@ class TestComparison:
             params=pr, r_inner=1.0, r_outer=2.0,
             boundary_inner=2.0, boundary_outer=1.0, mesh_size=64,
         )
-        with pytest.raises(NotPHarmonic):
+        with pytest.raises(
+            PlapError,
+            match=r"^Delta_p V = .* exceeds 1e-08 x scale; profile is not p-harmonic on \[1, 2\]$",
+        ):
             comparison_check(prob, bent)
+
+    def test_rejects_degenerate_gradient_below_p_two(self):
+        # (r-1)^2 has V' = 0 and V'' = 2 at r = 1, the first scan radius; at
+        # p < 2 the singular |V'|^{p-2} is reported as a PlapError naming it.
+        pr = params(3, 1.5)
+        r = np.linspace(1.0, 3.0, 65)
+        prob = AnnulusProblem(
+            params=pr, r_inner=1.0, r_outer=3.0,
+            boundary_inner=1.0, boundary_outer=5.0, mesh_size=64,
+        )
+        with pytest.raises(
+            PlapError, match=r"^profile gradient degenerates at r=1 with p=1\.5 < 2$"
+        ) as info:
+            comparison_check(prob, GridProfile(r=r, u=(r - 1.0) ** 2 + 1.0))
+        assert type(info.value) is PlapError
 
 
 class TestValidation:

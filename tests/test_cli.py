@@ -131,6 +131,29 @@ class TestExitCodes:
         assert "plap <subcommand>" in err
 
     @pytest.mark.parametrize(
+        "argv,first_line",
+        [
+            (["counterexample", "--n", "3", "--p", "2", "--q", "2"],
+             "plap counterexample: need q > q_serrin = 3.0 strictly, got q = 2.0 "
+             "(eps would be <= 0)"),
+            (["counterexample", "--n", "3", "--p", "2", "--q", "4", "--gamma", "-0.5"],
+             "plap counterexample: counterexample construction assumes gamma >= 0, got -0.5"),
+            (["counterexample", "--n", "2", "--p", "3", "--q", "4"],
+             "plap counterexample: q_serrin undefined for N <= p (N=2, p=3.0); "
+             "in that regime every positive supersolution is constant"),
+            (["pohozaev", "--n", "3", "--p", "2", "--q", "3", "--u0", "1", "--r-eval", "50"],
+             "plap pohozaev: u changes sign at r=6.89685 <= r_eval"),
+        ],
+        ids=["counterexample-q-at-most-q-serrin", "counterexample-negative-gamma",
+             "counterexample-n-at-most-p", "pohozaev-past-crossing"],
+    )
+    def test_library_error_is_usage_error(self, capsys, argv, first_line):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[0] == first_line
+
+    @pytest.mark.parametrize(
         "argv",
         [
             CLASSIFY_ARGS,

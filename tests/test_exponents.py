@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plap import (
-    DimensionRegime,
+    PlapError,
     ProblemParams,
     classify_regime,
     equation_critical,
@@ -139,8 +139,8 @@ class TestRegime:
 
     def test_thresholds_raise_below_dimension(self):
         pr = params(n=2, p=2.5, q=4.0)
-        for fn in (serrin_critical, equation_critical):
-            with pytest.raises(DimensionRegime):
+        for fn, what in ((serrin_critical, "q_serrin"), (equation_critical, "q_equation")):
+            with pytest.raises(PlapError, match=rf"^{what} undefined for N <= p \(N=2, p=2\.5\); "):
                 fn(pr)
 
 

@@ -1,4 +1,4 @@
-"""Recursion bound for iterated power sequences and the Caccioppoli inequality."""
+"""Recursion bound for iterated power sequences."""
 
 import math
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from plap import (
-    Counterexample,
-    NotPHarmonic,
-    PowerBarrier,
-    ProblemParams,
-    RadialCutoff,
     RecursionSpec,
-    caccioppoli_check,
     extremal_log_sequence,
     moser_recursion_bound,
     recursion_bound_report,
@@ -105,62 +99,3 @@ class TestRecursionBound:
         with pytest.raises(ValueError):
             RecursionSpec(**kw)
 
-
-class TestRadialCutoff:
-    def test_tent_and_trapezoid_shapes(self):
-        tent = RadialCutoff.tent(1.0, 3.0)
-        assert tent.value(2.0) == 1.0
-        assert tent.value(1.5) == pytest.approx(0.5)
-        assert tent.slope(0) == 1.0 and tent.slope(1) == -1.0
-        trap = RadialCutoff.trapezoid(1.0, 2.0, 4.0, 8.0)
-        assert trap.value(3.0) == 1.0
-        assert trap.slope(1) == 0.0
-
-    @pytest.mark.parametrize(
-        "knots,values",
-        [
-            ([1.0, 2.0], [0.0, 0.0]),  # too short
-            ([1.0, 2.0, 3.0], [0.5, 1.0, 0.0]),  # does not vanish at the left end
-            ([1.0, 2.0, 3.0], [0.0, 1.5, 0.0]),  # exceeds 1
-            ([1.0, 3.0, 2.0], [0.0, 1.0, 0.0]),  # not increasing
-        ],
-    )
-    def test_validation(self, knots, values):
-        with pytest.raises(ValueError):
-            RadialCutoff(np.array(knots), np.array(values))
-
-
-class TestCaccioppoli:
-    def test_linear_profile_tent_oracle(self):
-        # u(x) = x, one dimension, p = 2, tent on (1, 3):
-        # LHS = int zeta^2 = 2/3, bound = 4 int x^2 = 104/3.
-        pr = ProblemParams(n_dim=1, p=2.0, q=2.0, gamma=0.0)
-        u = PowerBarrier.fundamental(pr, c2=1.0, c1=0.0)  # u = r
-        rep = caccioppoli_check(u, pr, RadialCutoff.tent(1.0, 3.0))
-        assert rep.passed
-        assert rep.lhs == pytest.approx(2.0 / 3.0, rel=1e-10)
-        assert rep.rhs == pytest.approx(104.0 / 3.0, rel=1e-10)
-
-    def test_inverse_radius_trapezoid_oracle(self):
-        # u = 1/r in three dimensions, trapezoid flat on (2, 4) inside (1, 8):
-        # LHS = 5/2 - 3 log 2, bound = 4 * 5/4, ratio = 1/2 - (3/5) log 2.
-        pr = ProblemParams(n_dim=3, p=2.0, q=2.0, gamma=0.0)
-        u = PowerBarrier.fundamental(pr, c2=1.0, c1=0.0)  # u = 1/r
-        rep = caccioppoli_check(u, pr, RadialCutoff.trapezoid(1.0, 2.0, 4.0, 8.0))
-        assert rep.passed
-        assert rep.lhs == pytest.approx(2.5 - 3.0 * LOG2, rel=1e-10)
-        assert rep.rhs == pytest.approx(5.0, rel=1e-10)
-        assert rep.lhs / rep.rhs == pytest.approx(0.5 - 0.6 * LOG2, rel=1e-10)
-
-    def test_degenerate_p_profile(self):
-        # p = 3 in three dimensions: the kernel profile is logarithmic.
-        pr = ProblemParams(n_dim=3, p=3.0, q=3.0, gamma=0.0)
-        u = PowerBarrier.fundamental(pr, c2=1.0, c1=3.0)
-        rep = caccioppoli_check(u, pr, RadialCutoff.tent(1.5, 4.0))
-        assert rep.passed
-        assert rep.lhs > 0
-
-    def test_rejects_profiles_outside_the_kernel(self):
-        pr = ProblemParams(n_dim=3, p=2.0, q=2.0, gamma=0.0)
-        with pytest.raises(NotPHarmonic):
-            caccioppoli_check(Counterexample(c=1.0, alpha=1.0), pr, RadialCutoff.tent(1.0, 3.0))

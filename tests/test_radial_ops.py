@@ -8,12 +8,10 @@ import pytest
 from plap import (
     Counterexample,
     CutoffBarrier,
-    DomainError,
     EvalPoint,
     GridProfile,
-    InterpolationError,
     LogBarrier,
-    NonPositiveValue,
+    PlapError,
     PowerBarrier,
     ProblemParams,
     SingularGradient,
@@ -53,7 +51,7 @@ class TestEvalProfile:
         assert pt.d1 == pytest.approx(-2.0 / 3.0, abs=1e-15)
 
     def test_power_barrier_rejects_origin(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PlapError, match=r"^power barrier needs r > 0, got r=0\.0$"):
             eval_profile(PowerBarrier(c2=1.0, c1=0.0, lam=-1.0), 0.0)
 
     def test_fundamental_constructor_matches_lambda(self):
@@ -101,9 +99,9 @@ class TestGridProfile:
 
     def test_out_of_range_query(self):
         prof = GridProfile(r=np.linspace(1, 2, 8), u=np.ones(8))
-        with pytest.raises(InterpolationError):
+        with pytest.raises(PlapError, match=r"^query r=0\.5 outside sampled range \[1\.0, 2\.0\]$"):
             eval_profile(prof, 0.5)
-        with pytest.raises(InterpolationError):
+        with pytest.raises(PlapError, match=r"^query r=2\.5 outside sampled range \[1\.0, 2\.0\]$"):
             eval_profile(prof, 2.5)
 
     @pytest.mark.parametrize(
@@ -186,7 +184,7 @@ class TestFdOracle:
             assert rep.rel_residual() <= 1e-6
 
     def test_requires_room_for_the_stencil(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(PlapError, match=r"^need r > 2h \(r=1e-05, h="):
             p_laplacian_fd(Counterexample(c=1.0, alpha=1.0), 1e-5, params())
 
     def test_step_default_shape(self):
@@ -224,7 +222,7 @@ class TestPowerTransform:
 
     def test_rejects_nonpositive_values(self):
         sinking = PowerBarrier(c2=1.0, c1=-10.0, lam=-1.0)
-        with pytest.raises(NonPositiveValue):
+        with pytest.raises(PlapError, match=r"^u\(1\.0\) = -9\.0 <= 0$"):
             power_transform_residual(sinking, 2.0, 1.0, params())
 
 

@@ -13,10 +13,8 @@ from plap import (
     IvpSpec,
     PowerBarrier,
     ProblemParams,
-    RadialCutoff,
     RecursionSpec,
     build_counterexample,
-    caccioppoli_check,
     comparison_check,
     conservation_report,
     counterexample_residual,
@@ -63,9 +61,6 @@ CASES = {
     "hadamard_monotonicity_check": (_hadamard, 1e-8),
     "moser_recursion_bound": (
         lambda: moser_recursion_bound(RecursionSpec(c=2.0, k=2.0, phi0=1.0, n_max=3)), 1e-12),
-    "caccioppoli_check": (
-        lambda: caccioppoli_check(PowerBarrier.fundamental(P3), P3, RadialCutoff.tent(1.0, 3.0)),
-        1e-8),
     "comparison_check": (_comparison, 1e-8),
 }
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plap import rk45
-from plap.rk45 import EventSpec, IntegrationResult, _hermite, integrate
+from plap.rk45 import EventSpec, _hermite, integrate
 
 
 class TestAccuracy:

@@ -5,12 +5,11 @@ modules; the package resolves its exported names on first access, and each
 subcommand imports what it uses when it is dispatched.  Nor do they load
 ``dataclasses`` (with ``inspect``), ``json`` or ``csv``: ``import plap.cli``
 adds seven modules to the interpreter's start-up set.  scipy is imported on
-first use: only the verify oracles and ``identities.caccioppoli_check``
-(scipy.integrate) load it, so every other subcommand, the annulus solver
-included, starts without it.  The annulus solver's Newton systems go through
-plap's own ``bvp.solve_banded`` and the oracles call scipy through
-``verify.solve_ivp``; the benchmark's tracer wraps exactly those names, so
-they are pinned here too."""
+first use, and only by the verify oracles (scipy.integrate), so every other
+subcommand, the annulus solver included, starts without it.  The annulus
+solver's Newton systems go through plap's own ``bvp.solve_banded`` and the
+oracles call scipy through ``verify.solve_ivp``; the benchmark's tracer
+wraps exactly those names, so they are pinned here too."""
 
 import ast
 import os
@@ -157,6 +156,21 @@ class TestStartup:
         assert code == 0, step
         assert module in loaded
 
+    def test_only_verify_imports_scipy(self):
+        # Every import statement in src/plap, function bodies included.
+        importers = set()
+        for path in sorted((SRC / "plap").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                    importers.add(path.name)
+        assert importers == {"verify.py"}
+
 
 def counting(monkeypatch, owner, name):
     """Replace owner.name by a delegate that counts its calls."""
@@ -197,15 +211,12 @@ class TestTracedEntryPoints:
 # The package's public names, pinned: resolving them on first access must not
 # change the set.
 EXPORTED = [
-    "AnnulusProblem", "BoundaryDominanceViolated", "Counterexample",
-    "CrossedZero", "CutoffBarrier", "DimensionRegime",
-    "DomainError", "EquationSign", "EvalPoint", "GridProfile", "HadamardInput",
-    "IdentityReport", "InterpolationError", "IvpSpec", "LogBarrier",
-    "NegativeWeightExponent", "NewtonDivergence", "NewtonInfo", "NonPositiveValue",
-    "NotDecaying", "NotPHarmonic", "NotSupercritical", "OriginSingularity", "Outcome",
-    "OutcomeKind", "PlapError", "PowerBarrier", "ProblemParams", "RadialCutoff",
-    "RangeError", "RecursionSpec", "Regime", "RegimeError", "SingularGradient",
-    "Trajectory", "barriers", "build_counterexample", "bvp", "caccioppoli_check",
+    "AnnulusProblem", "Counterexample", "CutoffBarrier",
+    "EquationSign", "EvalPoint", "GridProfile", "HadamardInput",
+    "IdentityReport", "IvpSpec", "LogBarrier", "NewtonDivergence", "NewtonInfo",
+    "Outcome", "OutcomeKind", "PlapError", "PowerBarrier", "ProblemParams",
+    "RecursionSpec", "Regime", "SingularGradient",
+    "Trajectory", "barriers", "build_counterexample", "bvp",
     "classify_outcome", "classify_regime", "comparison_check", "conservation_report",
     "counterexample_epsilon", "counterexample_plap", "counterexample_residual", "counterexample_residual_grid",
     "cutoff_barrier_plap", "cutoff_bracket_report", "cutoff_plap_bound",
@@ -222,7 +233,7 @@ EXPORTED = [
 
 class TestLazyPackage:
     def test_all_is_the_exported_set(self):
-        assert len(EXPORTED) == 81
+        assert len(EXPORTED) == 66
         assert sorted(plap.__all__) == EXPORTED
         assert set(EXPORTED) <= set(dir(plap))
 

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from plap import (
-    CrossedZero,
     EquationSign,
     IvpSpec,
-    NotDecaying,
     Outcome,
     OutcomeKind,
+    PlapError,
     ProblemParams,
     classify_outcome,
     conservation_report,
@@ -329,7 +328,9 @@ class TestDecayReport:
 
     def test_crossing_trajectory_rejected(self):
         traj, spec = shoot(SUBCRITICAL, 1.0)
-        with pytest.raises(NotDecaying):
+        with pytest.raises(
+            PlapError, match=r"^trajectory classified crosses_zero, not positive_decaying$"
+        ):
             decay_slope_report(traj, spec)
 
 
@@ -388,17 +389,21 @@ class TestPohozaevResidual:
             assert rep.rel_residual() <= 1e-6
 
     def test_rejects_evaluation_at_crossing(self):
-        # The terminal crossing is the last node; positivity fails exactly there.
+        # The terminal crossing is the last node; positivity fails exactly
+        # there.  Past it, the sign change is still the cause, not the range end.
         traj, spec = shoot(SUBCRITICAL, 1.0)
-        with pytest.raises(CrossedZero):
-            pohozaev_residual(traj, spec, float(traj.r[-1]))
+        for r_eval in (float(traj.r[-1]), 10.0):
+            with pytest.raises(PlapError, match=r"^u changes sign at r=6\.89685 <= r_eval$"):
+                pohozaev_residual(traj, spec, r_eval)
 
     def test_rejects_evaluation_outside_range(self):
-        from plap import RangeError
-
         traj, spec = shoot(SUBCRITICAL, 1.0)
-        with pytest.raises(RangeError):
-            pohozaev_residual(traj, spec, 10.0)
+        with pytest.raises(PlapError, match=r"^r_eval=.* outside integrated range \["):
+            pohozaev_residual(traj, spec, 0.5 * float(traj.r[0]))
+        traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
+        assert traj.r_cross is None
+        with pytest.raises(PlapError, match=r"^r_eval=200\.0 outside integrated range \["):
+            pohozaev_residual(traj, spec, 200.0)
 
 
 class TestScaling:
