@@ -18,7 +18,7 @@ _EXPORTS = {
         "HadamardInput", "build_counterexample", "counterexample_epsilon",
         "counterexample_plap", "counterexample_residual",
         "counterexample_residual_grid", "cutoff_barrier_plap",
-        "cutoff_bracket_report", "cutoff_plap_bound", "hadamard_lower_bound",
+        "cutoff_plap_bound", "hadamard_lower_bound",
         "hadamard_monotonicity_check", "log_barrier_plap",
     ),
     "bvp": (

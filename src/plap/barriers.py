@@ -21,7 +21,9 @@ Cutoff barrier (k >= 3, 1/k < p-1):
 
 zero for r <= r1, and bounded by (k+1)^{p-1}(N+2p-3) m1^{p-1} (R-r1)^{-p}
 on (r1, R) provided k(p-1) <= 2(p-1) + (N-1) r1/R (the closed form increases
-on (r1, R), so the sup sits at r -> R); see ``cutoff_plap_bound``.
+on (r1, R), so the sup sits at r -> R); see ``cutoff_plap_bound``.  The
+printed bracket constant 2(p-1) is refuted by the FD oracle, and the chain
+rule gives k(p-1).
 
 Log-corrected barrier psi = g1 r^lam (log r)^beta + g2 (r > 1, N > p):
 
@@ -53,7 +55,6 @@ from .exponents import ProblemParams, serrin_critical
 from .radial_ops import Counterexample, CutoffBarrier, LogBarrier
 from .reports import IdentityReport
 
-_CUTOFF_BRACKET_TOL = 1e-6
 _HADAMARD_TOL = 1e-8
 
 
@@ -147,18 +148,8 @@ def counterexample_residual_grid(
 # Cutoff barrier
 # ---------------------------------------------------------------------------
 
-def cutoff_barrier_plap(
-    spec: CutoffBarrier,
-    params: ProblemParams,
-    r: float,
-    bracket_constant: float | None = None,
-) -> float:
-    """-Delta_p zeta in closed form; 0 for r <= r1.
-
-    ``bracket_constant`` overrides the k(p-1) term of the bracket (the
-    chain-rule value); passing the literal printed constant 2(p-1) lets
-    ``cutoff_bracket_report`` surface how far that text sits from the oracle.
-    """
+def cutoff_barrier_plap(spec: CutoffBarrier, params: ProblemParams, r: float) -> float:
+    """-Delta_p zeta in closed form; 0 for r <= r1."""
     if r < 0:
         raise PlapError(f"need r >= 0, got {r}")
     n, p = params.n_dim, params.p
@@ -167,8 +158,8 @@ def cutoff_barrier_plap(
     if s <= 0.0:
         return 0.0
     lead = (spec.m1 * (spec.k + 1) / (spec.r_big - spec.r1) ** (spec.k + 1)) ** (p - 1.0)
-    kp = spec.k * (p - 1.0) if bracket_constant is None else bracket_constant
-    return lead * s ** (spec.k * (p - 1.0) - 1.0) * (kp + (n - 1.0) * s / r)
+    kp = spec.k * (p - 1.0)
+    return lead * s ** (kp - 1.0) * (kp + (n - 1.0) * s / r)
 
 
 def cutoff_plap_bound(spec: CutoffBarrier, params: ProblemParams) -> float:
@@ -184,36 +175,6 @@ def cutoff_plap_bound(spec: CutoffBarrier, params: ProblemParams) -> float:
         * (n + 2.0 * p - 3.0)
         * spec.m1 ** (p - 1.0)
         * (spec.r_big - spec.r1) ** (-p)
-    )
-
-
-def cutoff_bracket_report(
-    spec: CutoffBarrier,
-    params: ProblemParams,
-    r: float,
-    printed_bracket: bool = False,
-) -> IdentityReport:
-    """Closed form (chain-rule or the printed 2(p-1) bracket) vs the FD oracle."""
-    from .radial_ops import p_laplacian_fd
-
-    bracket = 2.0 * (params.p - 1.0) if printed_bracket else None
-    closed = cutoff_barrier_plap(spec, params, r, bracket_constant=bracket)
-    fd = -p_laplacian_fd(spec, r, params)
-    residual = closed - fd
-    scale = max(abs(closed), abs(fd), 1e-300)
-    passed = abs(residual) <= _CUTOFF_BRACKET_TOL * scale
-    note = ""
-    if printed_bracket and not passed:
-        note = "printed bracket constant 2(p-1) disagrees with the FD oracle"
-    return IdentityReport(
-        label="cutoff_plap_vs_fd",
-        lhs=closed,
-        rhs=fd,
-        residual=residual,
-        scale=scale,
-        tol=_CUTOFF_BRACKET_TOL,
-        passed=passed,
-        note=note,
     )
 
 

@@ -490,13 +490,7 @@ def _config_tokens(parser: _Parser, path: str) -> list[str]:
         action = known.get(flag)
         if action is None or action.dest in ("config", "help"):
             raise _UsageExit(f"{path}:{lineno}: unknown key {key!r} for this subcommand")
-        if action.nargs == 0:
-            if value.lower() in ("1", "true", "yes"):
-                out.append(flag)
-            elif value.lower() not in ("0", "false", "no"):
-                raise _UsageExit(f"{path}:{lineno}: {key!r} is a switch; use true/false")
-        else:
-            out.extend((flag, value))
+        out.extend((flag, value))
     return out
 
 

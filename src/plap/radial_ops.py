@@ -8,7 +8,9 @@ For radial V in dimension N the operator has two equivalent forms,
 The expanded form drives the closed-form evaluator ``p_laplacian_radial``;
 the conservative form drives the value-only finite-difference oracle
 ``p_laplacian_fd``.  The two are implemented with no shared differentiation
-code so their agreement is a genuine cross-check.
+code so their agreement is a genuine cross-check, and ``fd_agreement`` is the
+one place where they meet: a family's hand-derived Delta_p is checked against
+its report's ``lhs`` (the expanded form) at the report's ``scale``.
 
 Profile catalog (all immutable, evaluated through ``eval_profile``):
 
@@ -364,9 +366,7 @@ def fd_agreement(spec: ProfileSpec, r: float, params: ProblemParams) -> Identity
 # ---------------------------------------------------------------------------
 
 def power_point(point: EvalPoint, alpha: float) -> EvalPoint:
-    """EvalPoint of u^alpha from the EvalPoint of u (exact chain rule)."""
-    if point.value <= 0:
-        raise PlapError(f"u({point.r}) = {point.value} <= 0")
+    """EvalPoint of u^alpha from the EvalPoint of u (exact chain rule); needs u > 0."""
     u, d1, d2 = point.value, point.d1, point.d2
     ua = u ** alpha
     return EvalPoint(

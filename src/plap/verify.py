@@ -34,9 +34,6 @@ from .radial_ops import (
     PowerBarrier,
     eval_profile,
     fd_agreement,
-    operator_scale,
-    p_laplacian_fd,
-    p_laplacian_radial,
     power_transform_residual,
 )
 
@@ -426,26 +423,9 @@ def _c09_moser():
     return passed, detail
 
 
-def _fd_rel(closed: float, spec, r: float, params: ProblemParams) -> tuple[float, float]:
-    """(closed-form vs FD, closed-form vs radial-form) relative residuals.
-
-    Both use the pre-cancellation magnitude of the operator's two terms as
-    scale, like fd_agreement: near points where Delta_p vanishes the bare
-    values cancel and a naive relative denominator would be meaningless.
-    """
-    pt = eval_profile(spec, r)
-    radial = p_laplacian_radial(pt, params)
-    parts = operator_scale(pt, params)
-    fd = p_laplacian_fd(spec, r, params)
-    scale = max(abs(closed), abs(fd), parts, 1e-300)
-    return abs(closed - fd) / scale, abs(closed - radial) / max(abs(closed), abs(radial), parts, 1e-300)
-
-
 def _c10_fd_oracle():
     rng = np.random.default_rng(_SEED + 4)
-    worst = 0.0
-    worst_alg = 0.0
-    count = 0
+    draws = []  # (profile, params, r, closed-form Delta_p)
 
     # fundamental (r^lam, and log r at N = p)
     for _ in range(25):
@@ -460,11 +440,7 @@ def _c10_fd_oracle():
         phi = PowerBarrier.fundamental(pr, c2=float(rng.uniform(0.5, 2.0)),
                                        c1=float(rng.uniform(0.0, 1.0)))
         r = float(np.exp(rng.uniform(np.log(0.4), np.log(20.0))))
-        rep = fd_agreement(phi, r, pr)
-        worst = max(worst, rep.rel_residual())
-        count += 1
-        if not rep.passed:
-            return False, f"fundamental fd mismatch at r={r:.4g} (N={n}, p={p}): rel {rep.rel_residual():.2e}"
+        draws.append((phi, pr, r, 0.0))  # p-harmonic: Delta_p = 0
 
     # cutoff: conforming (k, p, N) instances.  Near r1 the operator vanishes
     # like s^{k(p-1)-1} while the profile value stays O(1), so the FD
@@ -476,11 +452,7 @@ def _c10_fd_oracle():
         spec = CutoffBarrier(m1=float(rng.uniform(0.5, 2.0)), r1=r1, r_big=2.0 * r1, k=k)
         pr = ProblemParams(n, p, max(p, 2.0))
         r = float(rng.uniform(1.3 * r1, 1.98 * r1))
-        rel, alg = _fd_rel(-barriers.cutoff_barrier_plap(spec, pr, r), spec, r, pr)
-        worst, worst_alg = max(worst, rel), max(worst_alg, alg)
-        count += 1
-        if rel > 1e-6:
-            return False, f"cutoff fd mismatch at r={r:.4g} (k={k},p={p},N={n}): rel {rel:.2e}"
+        draws.append((spec, pr, r, -barriers.cutoff_barrier_plap(spec, pr, r)))
 
     # log-corrected barrier, radii clear of the gradient-degenerate point
     log_cases = [(2.0, 3, 1.0), (3.0, 4, 0.4), (1.7, 3, 1.0)]
@@ -493,11 +465,7 @@ def _c10_fd_oracle():
         r = float(np.exp(rng.uniform(np.log(1.5), np.log(50.0))))
         while abs(r - r_star) < 0.05 * r_star:
             r = float(np.exp(rng.uniform(np.log(1.5), np.log(50.0))))
-        rel, alg = _fd_rel(barriers.log_barrier_plap(lb, pr, r), lb, r, pr)
-        worst, worst_alg = max(worst, rel), max(worst_alg, alg)
-        count += 1
-        if rel > 1e-6:
-            return False, f"log-barrier fd mismatch at r={r:.4g} (p={p},N={n},beta={beta}): rel {rel:.2e}"
+        draws.append((lb, pr, r, barriers.log_barrier_plap(lb, pr, r)))
 
     # counterexample profile
     for _ in range(25):
@@ -509,11 +477,22 @@ def _c10_fd_oracle():
         pr = base.replace(q=q)
         cx = barriers.build_counterexample(pr)
         r = float(np.exp(rng.uniform(np.log(0.01), np.log(1e3))))
-        rel, alg = _fd_rel(barriers.counterexample_plap(cx, pr, r), cx, r, pr)
+        draws.append((cx, pr, r, barriers.counterexample_plap(cx, pr, r)))
+
+    # fd_agreement judges the expanded form against the FD oracle; each
+    # family's own formula must equal that expanded form (the report's lhs).
+    worst = 0.0
+    worst_alg = 0.0
+    for profile, pr, r, closed in draws:
+        rep = fd_agreement(profile, r, pr)
+        rel = rep.rel_residual()
+        alg = abs(closed - rep.lhs) / max(abs(closed), rep.scale)
         worst, worst_alg = max(worst, rel), max(worst_alg, alg)
-        count += 1
-        if rel > 1e-6:
-            return False, f"counterexample fd mismatch at r={r:.4g} ({pr}): rel {rel:.2e}"
+        if not rep.passed or alg > 1e-12:
+            return False, (
+                f"{type(profile).__name__} mismatch at r={r:.4g} ({pr}): "
+                f"fd rel {rel:.2e}, closed form vs expanded form rel {alg:.2e}"
+            )
 
     # cutoff upper bound on (r1, R), R = 2 r1 (conforming instances)
     bound_ok = True
@@ -529,9 +508,8 @@ def _c10_fd_oracle():
                 bound_ok = False
             if (k, p, n) == (3, 2.0, 3):
                 extremal_gap = min(extremal_gap, bound - float(np.max(vals)))
-    passed = worst <= 1e-6 and worst_alg <= 1e-12 and bound_ok
-    return passed, (
-        f"{count} fd points, worst rel {worst:.2e} (product vs radial form {worst_alg:.2e}); "
+    return bound_ok, (
+        f"{len(draws)} fd points, worst rel {worst:.2e} (product vs radial form {worst_alg:.2e}); "
         f"cutoff bound respected on all conforming instances "
         f"(extremal case gap {extremal_gap:.2e})"
     )

@@ -50,3 +50,17 @@ def test_board_is_complete(acceptance_board):
     assert [r.index for r in acceptance_board] == list(range(1, 13))
     names = [r.name for r in acceptance_board]
     assert len(set(names)) == 12
+
+
+def test_fd_oracle_failure_names_the_family(monkeypatch):
+    # A log-barrier formula off by 1e-9 relative must fail criterion 10 with a
+    # message naming the family and the radius, not only the summary line.
+    from plap import barriers, verify
+
+    exact = barriers.log_barrier_plap
+    monkeypatch.setattr(
+        barriers, "log_barrier_plap", lambda spec, params, r: exact(spec, params, r) * (1.0 + 1e-9)
+    )
+    res = verify.run_one(10)
+    assert not res.passed
+    assert "LogBarrier" in res.detail and "r=" in res.detail

@@ -19,8 +19,8 @@ from plap import (
     counterexample_residual,
     counterexample_residual_grid,
     cutoff_barrier_plap,
-    cutoff_bracket_report,
     cutoff_plap_bound,
+    fd_agreement,
     hadamard_lower_bound,
     hadamard_monotonicity_check,
     log_barrier_plap,
@@ -124,19 +124,48 @@ class TestCutoffBarrier:
         assert cutoff_barrier_plap(spec, params(), 0.7) == 0.0
         assert cutoff_barrier_plap(spec, params(), 1.0) == 0.0
 
-    def test_matches_fd_oracle(self):
-        spec = CutoffBarrier(m1=1.0, r1=1.0, r_big=2.0, k=3)
-        for p, r in [(2.0, 1.5), (2.0, 1.9), (1.5, 1.6), (3.0, 1.4)]:
-            rep = cutoff_bracket_report(spec, params(p=p, q=max(p, 2.0)), r)
-            assert rep.passed, (p, r, rep.residual, rep.scale)
+    @pytest.mark.parametrize(
+        "family, n, p, r",
+        [
+            ("cutoff", 3, 2.0, 1.5), ("cutoff", 3, 2.0, 1.9),
+            ("cutoff", 3, 1.5, 1.6), ("cutoff", 3, 3.0, 1.4),
+            ("log", 3, 2.0, 3.0), ("log", 4, 3.0, 20.0), ("log", 3, 1.7, 5.0),
+            ("counterexample", 4, 2.0, 0.1), ("counterexample", 4, 2.0, 2.0),
+            ("counterexample", 4, 1.5, 30.0),
+        ],
+    )
+    def test_matches_fd_oracle(self, family, n, p, r):
+        # Each family's hand-derived Delta_p meets the FD oracle through
+        # fd_agreement: the report must pass, and the family formula must equal
+        # the report's lhs (the expanded form on exact derivatives).
+        if family == "cutoff":
+            pr = params(n=n, p=p, q=max(p, 2.0))
+            spec = CutoffBarrier(m1=1.0, r1=1.0, r_big=2.0, k=3)
+            closed = -cutoff_barrier_plap(spec, pr, r)
+        elif family == "log":
+            pr = params(n=n, p=p, q=max(p, 2.0))
+            beta = 1.0 if p <= 2.0 else 0.4  # admissible: beta < 1/(p-1) for p > 2
+            spec = LogBarrier.for_params(pr, gamma1=0.5, gamma2=0.1, beta=beta)
+            closed = log_barrier_plap(spec, pr, r)
+        else:
+            pr = params(n=n, p=p, q=6.0, gamma=0.5)
+            spec = build_counterexample(pr)
+            closed = counterexample_plap(spec, pr, r)
+        rep = fd_agreement(spec, r, pr)
+        assert rep.passed, (family, p, r, rep.residual, rep.scale)
+        assert abs(closed - rep.lhs) <= 1e-12 * max(abs(closed), rep.scale)
 
     def test_printed_bracket_constant_disagrees(self):
-        # The k(p-1) chain-rule factor is 3 for k = 3, p = 2; forcing 2(p-1) = 2
-        # must visibly break the oracle comparison away from the outer edge.
+        # The k(p-1) chain-rule factor is 3 for k = 3, p = 2; the printed
+        # 2(p-1) = 2 misses the FD oracle away from the outer edge.
         spec = CutoffBarrier(m1=1.0, r1=1.0, r_big=2.0, k=3)
-        rep = cutoff_bracket_report(spec, params(), 1.3, printed_bracket=True)
-        assert not rep.passed
-        assert "2(p-1)" in rep.note
+        pr, r = params(), 1.3
+        rep = fd_agreement(spec, r, pr)
+        s = r - spec.r1
+        lead = spec.m1 * (spec.k + 1) / (spec.r_big - spec.r1) ** (spec.k + 1)
+        printed = lead * s ** (spec.k - 1) * (2.0 + (pr.n_dim - 1.0) * s / r)
+        assert abs(-printed - rep.rhs) > 1e-6 * rep.scale
+        assert abs(-cutoff_barrier_plap(spec, pr, r) - rep.rhs) <= 1e-6 * rep.scale
 
     def test_sup_bound_on_conforming_instance(self):
         # k(p-1) = 3 = 2(p-1) + (N-1) r1/R at N = 3, p = 2, R = 2 r1: the

@@ -9,7 +9,6 @@ from plap import exponents, rk45, shooting
 from plap import (
     AnnulusProblem,
     Counterexample,
-    CutoffBarrier,
     IvpSpec,
     PowerBarrier,
     ProblemParams,
@@ -18,7 +17,6 @@ from plap import (
     comparison_check,
     conservation_report,
     counterexample_residual,
-    cutoff_bracket_report,
     decay_slope_report,
     fd_agreement,
     hadamard_monotonicity_check,
@@ -55,9 +53,6 @@ CASES = {
     "scaling_covariance_report": (lambda: scaling_covariance_report(CRITICAL_SHOT), 1e-6),
     "counterexample_residual": (
         lambda: counterexample_residual(build_counterexample(P3), P3, 1.0), 0.0),
-    "cutoff_bracket_report": (
-        lambda: cutoff_bracket_report(CutoffBarrier(m1=1.0, r1=1.0, r_big=2.0, k=3), P3, 1.5),
-        1e-6),
     "hadamard_monotonicity_check": (_hadamard, 1e-8),
     "moser_recursion_bound": (
         lambda: moser_recursion_bound(RecursionSpec(c=2.0, k=2.0, phi0=1.0, n_max=3)), 1e-12),

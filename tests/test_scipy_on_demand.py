@@ -219,7 +219,7 @@ EXPORTED = [
     "Trajectory", "barriers", "build_counterexample", "bvp",
     "classify_outcome", "classify_regime", "comparison_check", "conservation_report",
     "counterexample_epsilon", "counterexample_plap", "counterexample_residual", "counterexample_residual_grid",
-    "cutoff_barrier_plap", "cutoff_bracket_report", "cutoff_plap_bound",
+    "cutoff_barrier_plap", "cutoff_plap_bound",
     "decay_slope_report", "equation_critical", "errors", "eval_profile", "exponents",
     "extremal_log_sequence", "fd_agreement", "hadamard_lower_bound",
     "hadamard_monotonicity_check", "identities", "integrate_ivp", "lambda_exponent",
@@ -233,7 +233,7 @@ EXPORTED = [
 
 class TestLazyPackage:
     def test_all_is_the_exported_set(self):
-        assert len(EXPORTED) == 66
+        assert len(EXPORTED) == 65
         assert sorted(plap.__all__) == EXPORTED
         assert set(EXPORTED) <= set(dir(plap))
 
