@@ -309,9 +309,10 @@ def check_p_harmonic(spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi
 
 
 def fd_step_default(r: float) -> float:
-    # Relative step for r > 1, absolute floor below; 1e-4 balances O(h^2)
-    # truncation (~1e-8 rel) against value-cancellation noise eps/h^2 (~1e-8 rel).
-    return max(1e-4, 1e-4 * r)
+    # Relative step h = 1e-4 r at every r: h/r = 1e-4 balances O((h/r)^2)
+    # truncation (~1e-8 rel) against value-cancellation noise eps (r/h)^2
+    # (~1e-8 rel).  An absolute floor would let h/r grow as r shrinks.
+    return 1e-4 * r
 
 
 def p_laplacian_fd(

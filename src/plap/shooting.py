@@ -58,7 +58,16 @@ from .exponents import ProblemParams, pohozaev_coefficient, pohozaev_sign
 from .radial_ops import _odd_pow
 from .reports import IdentityReport
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(7)
+# The 7-point Gauss-Legendre rule on [-1, 1], as literals: computing it with
+# leggauss(7) loads numpy.polynomial and runs a LAPACK eigensolver.
+_GL_X = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+])
+_GL_W = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
+    0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
+])
 _DECAY_SLOPE_TOL = 0.05
 _CONSERVATION_TOL_FACTOR = 10.0
 _SCALING_SAMPLES = 40
@@ -382,7 +391,7 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
         u_dec, du_dec, _ = traj.sample(spec.params, r_fill)
         r_dec = r_fill
     if np.all(u_dec > 0) and np.all(du_dec < 0):
-        slope = float(np.polyfit(np.log(r_dec), np.log(u_dec), 1)[0])
+        slope = _fit_slope(np.log(r_dec), np.log(u_dec))
         return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope, reason=(
             f"positive and decreasing on [{lo:.6g}, {spec.r_max:.6g}], {sign_k} "
             "rules out a crossing"))
@@ -393,6 +402,12 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
     return Outcome(
         OutcomeKind.INDETERMINATE, reason="sign behavior unresolved in final decade"
     )
+
+
+def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, from centred sums (no LAPACK)."""
+    xc = x - x.mean()
+    return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
 def _continue(traj: Trajectory, spec: IvpSpec) -> Trajectory:
@@ -424,8 +439,9 @@ def decay_slope_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:
     target_du = (pr.gamma + pr.q + 1.0) / (pr.p - 1.0 - pr.q)
     r_fit = np.geomspace(spec.r_max / 10.0, traj.r[-1], 64)
     u_fit, du_fit, _ = traj.sample(pr, r_fit)
-    slope_u = float(np.polyfit(np.log(r_fit), np.log(u_fit), 1)[0])
-    slope_du = float(np.polyfit(np.log(r_fit), np.log(np.abs(du_fit)), 1)[0])
+    log_r = np.log(r_fit)
+    slope_u = _fit_slope(log_r, np.log(u_fit))
+    slope_du = _fit_slope(log_r, np.log(np.abs(du_fit)))
     excess = max(slope_u - target_u, slope_du - target_du)
     return IdentityReport(
         label="decay_slopes",
@@ -461,6 +477,8 @@ def _cumulative_integral(
     """int_0^{e} r^{N-1+gamma} u^power dr at each edge e (series head + panels).
 
     Gauss-Legendre panels between consecutive edges, all from one ``sol`` call.
+    The rule's nodes and weights, ``_GL_X`` and ``_GL_W``, are the literal
+    values of numpy.polynomial.legendre.leggauss(7), bit for bit.
     """
     pr = spec.params
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -15,6 +15,7 @@ from plap import (
     PowerBarrier,
     ProblemParams,
     SingularGradient,
+    build_counterexample,
     eval_profile,
     fd_agreement,
     p_laplacian_fd,
@@ -183,13 +184,23 @@ class TestFdOracle:
             assert rep.passed, rep.note
             assert rep.rel_residual() <= 1e-6
 
+    @pytest.mark.parametrize("r", [0.01, 0.05])
+    @pytest.mark.parametrize("n,p,gamma,q", [(4, 2.0, 0.5, 6.0), (6, 3.5, 1.0, 20.0),
+                                             (5, 1.6, 0.3, 12.0)])
+    def test_counterexample_agrees_at_small_radii(self, n, p, gamma, q, r):
+        # Criterion 10 draws counterexample radii down to 0.01, so the
+        # default step must shrink with r to keep the 1e-6 tolerance there.
+        pr = params(n=n, p=p, q=q, gamma=gamma)
+        rep = fd_agreement(build_counterexample(pr), r, pr)
+        assert rep.passed, rep.rel_residual()
+
     def test_requires_room_for_the_stencil(self):
         with pytest.raises(PlapError, match=r"^need r > 2h \(r=1e-05, h="):
-            p_laplacian_fd(Counterexample(c=1.0, alpha=1.0), 1e-5, params())
+            p_laplacian_fd(Counterexample(c=1.0, alpha=1.0), 1e-5, params(), h=1e-4)
 
     def test_step_default_shape(self):
-        assert fd_step_default(0.01) == 1e-4
-        assert fd_step_default(10.0) == pytest.approx(1e-3)
+        for r in (0.01, 1.0, 10.0):
+            assert fd_step_default(r) == 1e-4 * r
 
     def test_second_order_in_step(self):
         spec = Counterexample(c=1.0, alpha=1.5)

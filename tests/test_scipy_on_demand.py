@@ -9,10 +9,12 @@ first use, and only by the verify oracles (scipy.integrate), so every other
 subcommand, the annulus solver included, starts without it.  The annulus
 solver's Newton systems go through plap's own ``bvp.solve_banded`` and the
 oracles call scipy through ``verify.solve_ivp``; the benchmark's tracer
-wraps exactly those names, so they are pinned here too."""
+wraps exactly those names, so they are pinned here too.  Shooting and the
+annulus solver load no ``numpy.polynomial`` and name no LAPACK routine."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -28,19 +30,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 CLASSIFY = ["classify", "--n", "3", "--p", "2", "--q", "4"]
 SHOOT = ["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1"]
+SWEEP = ["sweep", "--axis", "q", "--from", "2", "--to", "6", "--steps", "3",
+         "--n", "3", "--p", "2", "--u0", "1"]
+BVP = ["bvp", "--n", "3", "--p", "3", "--r-inner", "1", "--r-outer", "3",
+       "--b-inner", "1", "--b-outer", "0.2", "--f", "0.5"]
 NUMERICAL_MODULES = [f"plap.{m}" for m in (
     "barriers", "bvp", "identities", "radial_ops", "rk45", "shooting", "verify")]
 
 NO_SCIPY_COMMANDS = [
     ["classify", "--n", "3", "--p", "2", "--gamma", "0", "--q", "4"],
     SHOOT,
-    ["sweep", "--axis", "q", "--from", "2", "--to", "6", "--steps", "3",
-     "--n", "3", "--p", "2", "--u0", "1"],
+    SWEEP,
     ["counterexample", "--n", "3", "--p", "2", "--q", "4"],
     ["hadamard", "--r1", "1", "--r2", "4", "--m1", "1", "--m2", "0.5", "--n", "3", "--p", "2"],
     ["pohozaev", "--n", "3", "--p", "2", "--q", "4", "--u0", "1", "--r-eval", "3"],
-    ["bvp", "--n", "3", "--p", "3", "--r-inner", "1", "--r-outer", "3",
-     "--b-inner", "1", "--b-outer", "0.2", "--f", "0.5"],
+    BVP,
 ]
 
 # Runs in a fresh interpreter: after each step, record every module loaded
@@ -170,6 +174,42 @@ class TestStartup:
                 if any(n == "scipy" or n.startswith("scipy.") for n in names):
                     importers.add(path.name)
         assert importers == {"verify.py"}
+
+    def test_only_radial_ops_names_a_lapack_routine(self):
+        # numpy.polynomial and the numpy.linalg factorisations run LAPACK,
+        # whose first call touches ~1 MB of pages.  The one user left is
+        # GridProfile's quadratic fit in radial_ops, which no shot, annulus
+        # solve or benchmark workload reaches.
+        lapack = re.compile(r"^(polyfit|polynomial|lstsq|eig\w*|svd|inv)$")
+        users = set()
+        for path in sorted((SRC / "plap").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    dotted = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                    names = [part for name in dotted for part in name.split(".")]
+                else:
+                    continue
+                if any(lapack.match(n) for n in names):
+                    users.add(path.name)
+        assert users == {"radial_ops.py"}
+
+    def test_shooting_and_bvp_load_no_numpy_polynomial(self):
+        # After import numpy, which loads numpy.polynomial itself on numpy 1.x.
+        loaded = fresh_python(
+            "import contextlib, io, sys\n"
+            "import numpy\n"
+            "bare = set(sys.modules)\n"
+            "from plap import cli\n"
+            f"for argv in {[SHOOT, SWEEP, BVP]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted(set(sys.modules) - bare))")
+        assert "plap.shooting" in loaded and "plap.bvp" in loaded
+        assert [m for m in loaded if m.startswith("numpy.polynomial")] == []
 
 
 def counting(monkeypatch, owner, name):

@@ -28,6 +28,7 @@ from plap.shooting import (
     _GL_W,
     _GL_X,
     _cumulative_integral,
+    _fit_slope,
     _log_rates,
     _series_head,
     series_logs,
@@ -334,7 +335,28 @@ class TestDecayReport:
             decay_slope_report(traj, spec)
 
 
+class TestFitSlope:
+    def test_exact_on_an_affine_line(self):
+        x = np.log(np.geomspace(1e3, 1e4, 64))
+        assert abs(_fit_slope(x, -2.5 * x + 7.0) + 2.5) <= 4 * 2.5 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("points", [8, 64])
+    def test_agrees_with_polyfit_on_a_final_decade(self, points):
+        rng = np.random.default_rng(points)
+        x = np.log(np.geomspace(10.0, 100.0, points))
+        y = -0.4 * x + 0.3 + 0.01 * rng.standard_normal(points)
+        ref = np.polyfit(x, y, 1)[0]
+        assert abs(_fit_slope(x, y) - ref) <= 1e-13 * abs(ref)
+
+
 class TestQuadrature:
+    def test_rule_is_seven_point_gauss_legendre(self):
+        # The reference below reuses _GL_X and _GL_W; pin them to an
+        # independent source, bit for bit.
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert _GL_X.tobytes() == x.tobytes()
+        assert _GL_W.tobytes() == w.tobytes()
+
     def test_matches_per_panel_loop(self):
         # Reference: one 7-point Gauss-Legendre panel per node interval, added
         # in order to the series head, with sol queried one point at a time.
