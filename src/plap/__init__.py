@@ -22,7 +22,7 @@ _EXPORTS = {
         "hadamard_monotonicity_check", "log_barrier_plap",
     ),
     "bvp": (
-        "AnnulusProblem", "NewtonInfo", "comparison_check",
+        "AnnulusProblem", "GridProfile", "NewtonInfo", "comparison_check",
         "solve_annulus_dirichlet", "solve_annulus_dirichlet_detailed",
     ),
     "errors": ("NewtonDivergence", "PlapError", "SingularGradient"),
@@ -35,8 +35,8 @@ _EXPORTS = {
         "recursion_bound_report",
     ),
     "radial_ops": (
-        "Counterexample", "CutoffBarrier", "EvalPoint", "GridProfile",
-        "LogBarrier", "PowerBarrier", "eval_profile", "fd_agreement",
+        "Counterexample", "CutoffBarrier", "EvalPoint", "LogBarrier",
+        "PowerBarrier", "eval_profile", "fd_agreement",
         "p_laplacian_fd", "p_laplacian_radial", "power_transform_residual",
     ),
     "reports": ("IdentityReport",),

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import NewtonDivergence, PlapError
 from .exponents import ProblemParams
-from .radial_ops import GridProfile, check_p_harmonic, eval_profile
+from .radial_ops import check_p_harmonic, eval_profile
 from .reports import IdentityReport
 
 _EPS_LEVELS = tuple(10.0 ** -k for k in range(2, 11))  # 1e-2 ... 1e-10
@@ -55,7 +55,7 @@ _SEQUENCE_MIN_MESH = 256  # coarser meshes start from the straight line
 _EPS_MACH = float(np.finfo(float).eps)
 _COMPARISON_TOL = 1e-8
 
-RhsSpec = Union[None, Callable[[float], float], GridProfile]
+RhsSpec = Callable[[float], float] | None
 
 
 def solve_banded(c: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,9 +107,15 @@ class AnnulusProblem:
     def rhs_values(self, r: np.ndarray) -> np.ndarray:
         if self.rhs is None:
             return np.zeros_like(r)
-        if isinstance(self.rhs, GridProfile):
-            return np.interp(r, self.rhs.r, self.rhs.u)
         return np.array([float(self.rhs(ri)) for ri in r])
+
+
+@dataclass(frozen=True)
+class GridProfile:
+    """The discrete solution: u at the mesh nodes r."""
+
+    r: np.ndarray
+    u: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ Profile catalog (all immutable, evaluated through ``eval_profile``):
     LogBarrier      g1 r^lam (log r)^b + g2  (critical-case corrected barrier)
     CutoffBarrier   m1 [1 - ((r-r1)+)^{k+1}/(R-r1)^{k+1}]
     Counterexample  c (1+r)^{-alpha}
-    GridProfile     sampled (r, u) with local quadratic least-squares access
 """
 
 from __future__ import annotations
@@ -133,35 +132,7 @@ class Counterexample:
             raise ValueError("c and alpha must be positive")
 
 
-@dataclass(frozen=True)
-class GridProfile:
-    """Sampled radial profile; derivatives via local quadratic least squares.
-
-    Arrays must have equal length >= 4 with strictly increasing positive r.
-    Queries use the 5 nearest samples, so derivative accuracy is O(h^2) in
-    the local spacing -- adequate for the nonuniform grids the shooting
-    integrator produces.
-    """
-
-    r: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        if r.ndim != 1 or u.ndim != 1 or len(r) != len(u):
-            raise ValueError("r and u must be 1-d arrays of equal length")
-        if len(r) < 4:
-            raise ValueError("grid profile needs at least 4 samples")
-        if not np.all(np.diff(r) > 0):
-            raise ValueError("r must be strictly increasing")
-        if not r[0] > 0:
-            raise ValueError("r must be positive")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "u", u)
-
-
-ProfileSpec = PowerBarrier | LogBarrier | CutoffBarrier | Counterexample | GridProfile
+ProfileSpec = PowerBarrier | LogBarrier | CutoffBarrier | Counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +203,6 @@ def _(spec: Counterexample, r: float) -> EvalPoint:
     d1 = -spec.c * spec.alpha * base / (1.0 + r)
     d2 = spec.c * spec.alpha * (spec.alpha + 1.0) * base / (1.0 + r) ** 2
     return EvalPoint(r, value, d1, d2)
-
-
-@eval_profile.register
-def _(spec: GridProfile, r: float) -> EvalPoint:
-    rs, us = spec.r, spec.u
-    if not rs[0] <= r <= rs[-1]:
-        raise PlapError(
-            f"query r={r} outside sampled range [{rs[0]}, {rs[-1]}]"
-        )
-    i = int(np.searchsorted(rs, r))
-    lo = min(max(i - 2, 0), len(rs) - 5)
-    window = slice(lo, lo + 5)
-    rw, uw = rs[window], us[window]
-    h = max(rw[-1] - r, r - rw[0])
-    t = (rw - r) / h
-    a2, a1, a0 = np.polyfit(t, uw, 2)
-    return EvalPoint(r, float(a0), float(a1 / h), float(2.0 * a2 / h / h))
 
 
 # ---------------------------------------------------------------------------

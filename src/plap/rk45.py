@@ -5,6 +5,12 @@ accepted step costs six f evaluations.  Error control is the usual RMS of the
 embedded difference against atol + rtol * max(|y0|, |y1|) per component, with
 step factor 0.9 * err^(-1/5) clipped to [0.2, 5].
 
+The state is a tuple of floats from y0 to the last node: f and the events
+receive one, and f may return any sequence of d numbers.  The stages run on
+Python floats, which for the two-component states of radial shooting cost
+less than numpy's per-call overhead; numpy builds only the node arrays of
+the result, once, and its dense output ``sol``.
+
 Events are scalar functions g(t, y); a sign change over an accepted step is
 refined by bisection on the dense interpolant to ~1e-10 relative in t, and
 the earliest root ends the integration.  The integrator never raises on
@@ -16,27 +22,28 @@ budget (2e6 accepted steps) runs out, and leaves classification to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-# Butcher tableau (Dormand & Prince, 1980).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = np.array(
-    [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    ]
+# Butcher tableau (Dormand & Prince, 1980), stages 1..6: stage 0 is the slope
+# at the last node.  The last row of _A is the fifth-order weights b5, so the
+# FSAL stage ends the loop: its state is the new node and its slope the next
+# step's stage 0.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_E = tuple(b5 - b4 for b5, b4 in zip(_A[-1] + (0.0,), _B4))  # b5 - b4, per stage
 
 _COLLAPSE_FLOOR = 1e-14
 _EVENT_REL_TOL = 1e-10
@@ -56,7 +63,7 @@ class EventSpec:
     it came from.
     """
 
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, tuple[float, ...]], float]
     direction: int = 0
 
 
@@ -109,33 +116,30 @@ def _hermite(t0, t1, y0, y1, f0, f1, t):
 
 
 def integrate(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, tuple[float, ...]], Sequence[float]],
     t0: float,
     t1: float,
     y0: Sequence[float],
     first_step: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    max_step: float = np.inf,
+    max_step: float = math.inf,
     events: Sequence[EventSpec] = (),
 ) -> IntegrationResult:
     """Integrate y' = f(t, y) forward from t0 to t1 (t1 > t0), trying first_step first."""
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    y = np.asarray(y0, dtype=float).copy()
-    t = t0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fy = np.asarray(f(t, y), dtype=float)
+    t, y = t0, tuple(map(float, y0))
+    fy = tuple(map(float, f(t, y)))
     n_fev = 1
     h = min(first_step, max_step, t1 - t0)
 
-    ts, ys, fs = [t], [y.copy()], [fy.copy()]
+    ts, ys, fs = [t], [y], [fy]
     g_prev = [ev.fn(t, y) for ev in events]
     n_steps = n_rejected = 0
     status = "finished"
     event_index = None
     event_t = None
-    k = np.empty((7, y.size))
 
     while t < t1:
         if h < _COLLAPSE_FLOOR * max(abs(t), first_step):
@@ -146,33 +150,23 @@ def integrate(
             break
         h = min(h, t1 - t)
 
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            k[0] = fy
-            bad = False
-            for i in range(1, 6):
-                yi = y + h * (k[:i].T @ _A[i, :i])
-                ki = np.asarray(f(t + _C[i] * h, yi), dtype=float)
-                if not np.all(np.isfinite(ki)):
-                    bad = True
-                    break
-                k[i] = ki
-            if not bad:
-                y_new = y + h * (k[:6].T @ _B5[:6])
-                if np.all(np.isfinite(y_new)):
-                    f_new = np.asarray(f(t + h, y_new), dtype=float)
-                    k[6] = f_new
-                    bad = not np.all(np.isfinite(f_new))
-                else:
-                    bad = True
+        ks = [fy]
+        for c, row in zip(_C, _A):
+            y_new = tuple([yj + h * sum(map(mul, row, kj)) for yj, kj in zip(y, zip(*ks))])
+            f_new = tuple(map(float, f(t + c * h, y_new)))
+            if not all(map(math.isfinite, y_new + f_new)):
+                break
+            ks.append(f_new)
         n_fev += 6
-        if bad:
+        if len(ks) < 7:  # a stage state or slope past the float range
             n_rejected += 1
             h *= _MIN_FACTOR
             continue
 
-        err_vec = h * (k.T @ (_B5 - _B4))
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+        # e * e, unlike e ** 2, is inf past the float range, not OverflowError.
+        scaled = [h * sum(map(mul, _E, kj)) / (atol + rtol * max(abs(yj), abs(nj)))
+                  for yj, nj, kj in zip(y, y_new, zip(*ks))]
+        err = math.sqrt(sum([e * e for e in scaled]) / len(y))
 
         if err > 1.0:
             n_rejected += 1
@@ -202,22 +196,22 @@ def integrate(
             if te > t:  # a root on the last node is not appended twice
                 ts.append(te)
                 ys.append(ye)
-                fs.append(np.asarray(f(te, ye), dtype=float))
+                fs.append(tuple(map(float, f(te, ye))))
                 n_fev += 1
             break
 
         ts.append(t_new)
-        ys.append(y_new.copy())
-        fs.append(f_new.copy())
+        ys.append(y_new)
+        fs.append(f_new)
         t, y, fy = t_new, y_new, f_new  # FSAL
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         h = min(factor * h, max_step)
 
     return IntegrationResult(
-        ts=np.asarray(ts),
-        ys=np.asarray(ys),
-        fs=np.asarray(fs),
+        ts=np.array(ts),
+        ys=np.array(ys),
+        fs=np.array(fs),
         status=status,
         event_index=event_index,
         event_t=event_t,
@@ -229,13 +223,17 @@ def integrate(
 
 def _refine_event(g, t0, t1, y0, y1, f0, f1, g0):
     """Bisect g(t, herm(t)) = 0 inside one accepted step; g0 = g(t0) != 0."""
+
+    def herm(t):
+        return tuple([_hermite(t0, t1, *node, t) for node in zip(y0, y1, f0, f1)])
+
     a, b, ga = t0, t1, g0
     width_tol = _EVENT_REL_TOL * max(abs(t0), abs(t1), 1e-30)
     for _ in range(_EVENT_MAX_ITER):
         if (b - a) <= width_tol:
             break
         mid = 0.5 * (a + b)
-        gm = g(mid, _hermite(t0, t1, y0, y1, f0, f1, mid))
+        gm = g(mid, herm(mid))
         if gm == 0.0:
             a = b = mid
             break
@@ -244,4 +242,4 @@ def _refine_event(g, t0, t1, y0, y1, f0, f1, g0):
         else:
             b = mid
     te = 0.5 * (a + b)
-    return te, _hermite(t0, t1, y0, y1, f0, f1, te)
+    return te, herm(te)

@@ -138,7 +138,7 @@ def launch_radius(params: ProblemParams, u0: float, r_max: float) -> float:
     return max(math.exp(log_shrunk), 1e-300)
 
 
-def series_state(spec: IvpSpec, r: float) -> np.ndarray:
+def series_state(spec: IvpSpec, r: float) -> tuple[float, float]:
     """(u, w) from the origin series at radius r."""
     pr = spec.params
     sgn = float(spec.sign.value)
@@ -146,7 +146,7 @@ def series_state(spec: IvpSpec, r: float) -> np.ndarray:
     log_r = math.log(r)
     u = spec.u0 + sgn * math.exp(log_ku + s * log_r)
     w = sgn * math.exp(log_kw + (pr.n_dim + pr.gamma) * log_r)
-    return np.array([u, w])
+    return u, w
 
 
 def _log_rates(params: ProblemParams):
@@ -252,13 +252,12 @@ def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Traje
     rates = _log_rates(spec.params)
 
     def rhs(r, y):
-        u, w = y.tolist()  # scalar math runs faster on floats than on np.float64
+        u, w = y
         log_du, log_dw = rates(math.log(r), _log_abs(u), _log_abs(w))
         try:
-            return np.array([math.copysign(math.exp(log_du), w),
-                             sgn * math.copysign(math.exp(log_dw), u)])
+            return math.copysign(math.exp(log_du), w), sgn * math.copysign(math.exp(log_dw), u)
         except OverflowError:  # an inf stage, which rk45 rejects
-            return np.array([math.inf, math.inf])
+            return math.inf, math.inf
 
     def switch(r, y):
         """log(r u'/u), whose root is that of r u'/u - 1."""
@@ -289,13 +288,13 @@ def _blowup_phase(spec: IvpSpec, r0: float, y0) -> rk45.IntegrationResult:
     rates = _log_rates(spec.params)
 
     def rhs(s, y):
-        r, log_w = y.tolist()
+        r, log_w = y
         try:
             log_du, log_dw = rates(math.log(r), s, log_w)
             log_dr = s - log_du
-            return np.array([math.exp(log_dr), math.exp(log_dw - log_w + log_dr)])
+            return math.exp(log_dr), math.exp(log_dw - log_w + log_dr)
         except (OverflowError, ValueError):  # past the float range, or a stage past r = 0
-            return np.array([math.inf, math.inf])
+            return math.inf, math.inf
 
     s0, s1 = math.log(y0[0]), math.log(spec.blowup_threshold)
     return rk45.integrate(

@@ -8,7 +8,7 @@ import pytest
 
 from plap import (
     AnnulusProblem,
-    GridProfile,
+    CutoffBarrier,
     NewtonDivergence,
     PlapError,
     PowerBarrier,
@@ -236,22 +236,6 @@ class TestStructure:
         loaded = solve_annulus_dirichlet(AnnulusProblem(**base, rhs=lambda r: 2.0))
         assert np.all(loaded.u >= plain.u - 1e-10)
 
-    def test_grid_profile_rhs_matches_callable(self):
-        r = np.linspace(1.0, 2.0, 200)
-        f = 1.0 + 0.5 * np.sin(3.0 * r) ** 2
-        base = dict(
-            params=params(3, 2.0), r_inner=1.0, r_outer=2.0,
-            boundary_inner=1.0, boundary_outer=0.0, mesh_size=64,
-        )
-        via_grid = solve_annulus_dirichlet(
-            AnnulusProblem(**base, rhs=GridProfile(r=r, u=f))
-        )
-        via_call = solve_annulus_dirichlet(
-            AnnulusProblem(**base, rhs=lambda s: 1.0 + 0.5 * math.sin(3.0 * s) ** 2)
-        )
-        # Same data up to the linear interpolation of the sampled rhs.
-        assert np.max(np.abs(via_grid.u - via_call.u)) < 1e-5
-
 
 class TestComparison:
     def test_equal_boundary_data_is_the_tight_case(self):
@@ -305,18 +289,18 @@ class TestComparison:
             comparison_check(prob, bent)
 
     def test_rejects_degenerate_gradient_below_p_two(self):
-        # (r-1)^2 has V' = 0 and V'' = 2 at r = 1, the first scan radius; at
-        # p < 2 the singular |V'|^{p-2} is reported as a PlapError naming it.
+        # The cutoff leaves its flat part just before r = 1.25, the second scan
+        # radius, where |V'| ~ 1e-18 is below the floor; at p < 2 the singular
+        # |V'|^{p-2} is reported as a PlapError naming it.
         pr = params(3, 1.5)
-        r = np.linspace(1.0, 3.0, 65)
         prob = AnnulusProblem(
             params=pr, r_inner=1.0, r_outer=3.0,
             boundary_inner=1.0, boundary_outer=5.0, mesh_size=64,
         )
         with pytest.raises(
-            PlapError, match=r"^profile gradient degenerates at r=1 with p=1\.5 < 2$"
+            PlapError, match=r"^profile gradient degenerates at r=1\.25 with p=1\.5 < 2$"
         ) as info:
-            comparison_check(prob, GridProfile(r=r, u=(r - 1.0) ** 2 + 1.0))
+            comparison_check(prob, CutoffBarrier(m1=1.0, r1=1.25 - 1e-6, r_big=4.0, k=3))
         assert type(info.value) is PlapError
 
 

@@ -2,14 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from plap import (
     Counterexample,
     CutoffBarrier,
     EvalPoint,
-    GridProfile,
     LogBarrier,
     PlapError,
     PowerBarrier,
@@ -87,38 +85,6 @@ class TestEvalProfile:
                 assert pt.d2 == pytest.approx((vp - 2 * v0 + vm) / h**2, rel=1e-4, abs=1e-6)
 
 
-class TestGridProfile:
-    def test_recovers_quadratic_exactly(self):
-        # Local quadratic least squares is exact on quadratics.
-        r = np.linspace(1.0, 5.0, 40)
-        u = 2.0 * r**2 - 3.0 * r + 0.5
-        prof = GridProfile(r=r, u=u)
-        pt = eval_profile(prof, 2.37)
-        assert pt.value == pytest.approx(2 * 2.37**2 - 3 * 2.37 + 0.5, rel=1e-12)
-        assert pt.d1 == pytest.approx(4 * 2.37 - 3, rel=1e-10)
-        assert pt.d2 == pytest.approx(4.0, rel=1e-9)
-
-    def test_out_of_range_query(self):
-        prof = GridProfile(r=np.linspace(1, 2, 8), u=np.ones(8))
-        with pytest.raises(PlapError, match=r"^query r=0\.5 outside sampled range \[1\.0, 2\.0\]$"):
-            eval_profile(prof, 0.5)
-        with pytest.raises(PlapError, match=r"^query r=2\.5 outside sampled range \[1\.0, 2\.0\]$"):
-            eval_profile(prof, 2.5)
-
-    @pytest.mark.parametrize(
-        "r,u",
-        [
-            (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])),  # too short
-            (np.array([1.0, 2.0, 2.0, 3.0]), np.zeros(4)),  # not increasing
-            (np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4)),  # r[0] = 0
-            (np.linspace(1, 2, 5), np.zeros(4)),  # length mismatch
-        ],
-    )
-    def test_rejects_bad_grids(self, r, u):
-        with pytest.raises(ValueError):
-            GridProfile(r=r, u=u)
-
-
 class TestPLaplacianRadial:
     def test_harmonic_kernel_is_annihilated(self):
         # 1/r is harmonic in three dimensions away from the origin.
@@ -152,10 +118,6 @@ class TestPLaplacianRadial:
     def test_critical_point_at_two_gives_p_minus_one_times_curvature(self):
         # On V' = 0 the formula leaves (p-1)V'' at p = 2: Delta (r-1)^2 = 2 at r = 1.
         assert p_laplacian_radial(EvalPoint(1.0, 0.0, 0.0, 2.0), params()) == 2.0
-        r = np.linspace(0.5, 1.5, 101)
-        rep = fd_agreement(GridProfile(r=r, u=(r - 1.0) ** 2), 1.0, params())
-        assert rep.passed
-        assert rep.lhs == pytest.approx(2.0, rel=1e-12)
 
     def test_small_gradient_above_two_keeps_its_factor(self):
         pr = params(p=2.1)
@@ -166,10 +128,8 @@ class TestPLaplacianRadial:
 
     def test_laplacian_of_square(self):
         # u = r^2: Delta u = 2N.
-        r = np.linspace(0.5, 3.0, 30)
-        prof = GridProfile(r=r, u=r**2)
-        pt = eval_profile(prof, 1.5)
-        assert p_laplacian_radial(pt, params(n=5)) == pytest.approx(10.0, rel=1e-9)
+        pt = eval_profile(PowerBarrier(c2=1.0, c1=0.0, lam=2.0), 1.5)
+        assert p_laplacian_radial(pt, params(n=5)) == 10.0
 
 
 class TestFdOracle:

@@ -153,7 +153,7 @@ class TestFailureModes:
     def test_step_collapse_at_singularity(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1; steps collapse approaching it.
         def f(t, y):
-            return y * y
+            return [y[0] * y[0]]
 
         res = integrate(f, 0.0, 2.0, [1.0], rtol=1e-10, atol=1e-12, first_step=1e-3)
         assert res.status == "step_collapse"
@@ -162,9 +162,22 @@ class TestFailureModes:
     def test_launch_at_a_tiny_radius_steps(self):
         # y' = y / t (y = t / t0) from t0 = 1e-20: a step of 1e-21 is far
         # below 1e-14 but a tenth of t0, so it is no collapse.
-        res = integrate(lambda t, y: y / t, 1e-20, 1e-18, [1.0], first_step=1e-21)
+        res = integrate(lambda t, y: [y[0] / t], 1e-20, 1e-18, [1.0], first_step=1e-21)
         assert res.status == "finished"
         assert res.ys[-1, 0] == pytest.approx(100.0, rel=1e-8)
+
+    def test_error_estimate_past_the_float_range_rejects_the_step(self):
+        # Only the FSAL slope of the first step is huge: every stage state is
+        # finite, and the scaled error, ~1e200, squares past the float range.
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return [1e200 if len(calls) == 7 else 0.0]
+
+        res = integrate(f, 0.0, 1.0, [0.0], first_step=1e-3)
+        assert res.status == "finished"
+        assert res.n_rejected == 1
 
     def test_max_steps(self, monkeypatch):
         monkeypatch.setattr(rk45, "_MAX_STEPS", 100)
@@ -199,3 +212,42 @@ class TestBookkeeping:
         assert hit.ts.shape[0] == hit.ys.shape[0] == hit.fs.shape[0]
         assert hit.ts[-1] == hit.event_t
         assert np.all(np.diff(hit.ts) > 0)
+
+
+class TestStateContract:
+    def test_f_and_events_receive_tuples_of_floats(self):
+        seen = []
+
+        def f(t, y):
+            seen.append(y)
+            return np.array([y[1], -y[0]])
+
+        def g(t, y):
+            seen.append(y)
+            return y[0] + 0.5
+
+        res = integrate(f, 0.0, 3.0, np.array([1.0, 0.0]), first_step=1e-3,
+                        events=[EventSpec(fn=g, direction=-1)])
+        assert res.status == "event"
+        assert len(seen) > res.n_fev
+        for y in seen:
+            assert type(y) is tuple and len(y) == 2
+            assert all(type(v) is float for v in y)
+
+    @pytest.mark.parametrize("wrap", [list, tuple, np.array])
+    def test_f_may_return_any_sequence(self, wrap):
+        res = integrate(lambda t, y: wrap([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0],
+                        first_step=1e-3)
+        assert res.status == "finished"
+        assert res.ys.shape == res.fs.shape == (res.ts.size, 2)
+        assert res.ys[-1, 0] == pytest.approx(math.cos(3.0), abs=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_state_dimensions(self, d):
+        # y_j' = (j + 1) y_j, so y_j(1) = e^{j + 1}.
+        res = integrate(lambda t, y: [(j + 1) * v for j, v in enumerate(y)], 0.0, 1.0,
+                        [1.0] * d, first_step=1e-3)
+        assert res.status == "finished"
+        assert res.ys.shape == res.fs.shape == (res.ts.size, d)
+        for j in range(d):
+            assert res.ys[-1, j] == pytest.approx(math.exp(j + 1), rel=1e-9)

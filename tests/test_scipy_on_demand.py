@@ -175,11 +175,9 @@ class TestStartup:
                     importers.add(path.name)
         assert importers == {"verify.py"}
 
-    def test_only_radial_ops_names_a_lapack_routine(self):
+    def test_no_module_names_a_lapack_routine(self):
         # numpy.polynomial and the numpy.linalg factorisations run LAPACK,
-        # whose first call touches ~1 MB of pages.  The one user left is
-        # GridProfile's quadratic fit in radial_ops, which no shot, annulus
-        # solve or benchmark workload reaches.
+        # whose first call touches ~1 MB of pages.
         lapack = re.compile(r"^(polyfit|polynomial|lstsq|eig\w*|svd|inv)$")
         users = set()
         for path in sorted((SRC / "plap").glob("*.py")):
@@ -195,7 +193,7 @@ class TestStartup:
                     continue
                 if any(lapack.match(n) for n in names):
                     users.add(path.name)
-        assert users == {"radial_ops.py"}
+        assert users == set()
 
     def test_shooting_and_bvp_load_no_numpy_polynomial(self):
         # After import numpy, which loads numpy.polynomial itself on numpy 1.x.

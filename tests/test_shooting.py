@@ -24,6 +24,7 @@ from plap import (
     scaling_exponent,
     sweep_outcomes,
 )
+from plap import rk45
 from plap.shooting import (
     _GL_W,
     _GL_X,
@@ -459,6 +460,31 @@ class TestSweep:
         specs = [IvpSpec(params=SUBCRITICAL, u0=u0, r_max=30.0) for u0 in (2.0, 0.5)]
         out = sweep_outcomes(specs)
         assert out[0].r_cross < out[1].r_cross  # big u0 crosses first
+
+
+class TestStepperWork:
+    # The DP5 work of two reference runs, pinned so that a change to the
+    # stage arithmetic that moves the step-size sequence shows here.
+    def test_aubin_talenti_shot(self):
+        traj, _ = shoot(CRITICAL, 3.0 ** 0.25, r_max=1e4)
+        res = traj.result
+        assert (res.n_steps, res.n_rejected, res.n_fev) == (322, 1, 1939)
+
+    def test_sixty_four_point_q_sweep(self, monkeypatch):
+        work = []
+        integrate = rk45.integrate
+
+        def counted(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            work.append((res.n_steps, res.n_fev))
+            return res
+
+        monkeypatch.setattr(rk45, "integrate", counted)
+        specs = [IvpSpec(params=ProblemParams(3, 2.0, float(q)), u0=1.0, r_max=1e3)
+                 for q in np.linspace(2.0, 6.0, 64)]
+        labels = [out.label for out in sweep_outcomes(specs)]
+        assert (labels.count("crosses_zero"), labels.count("positive_decaying")) == (48, 16)
+        assert tuple(map(sum, zip(*work))) == (12884, 78161)
 
 
 class TestSpecValidation:
