@@ -238,10 +238,13 @@ def hadamard_lower_bound(inp: HadamardInput, r):
         denom = math.log(inp.r1 / inp.r2)
         out = (inp.m1 * np.log(r_arr / inp.r2) + inp.m2 * np.log(inp.r1 / r_arr)) / denom
     else:
-        lam = inp.lam
-        r1l, r2l = inp.r1 ** lam, inp.r2 ** lam
-        rl = r_arr ** lam
-        out = (inp.m1 * (rl - r2l) + inp.m2 * (r1l - rl)) / (r1l - r2l)
+        # The weight of the far end b is (r^lam - a^lam)/(b^lam - a^lam), as a
+        # ratio of expm1 anchored at the end a where lam log(r/a) <= 0: the
+        # differences cancel as lam -> 0, and r^lam overflows at large lam.
+        ends = ((inp.r1, inp.m1), (inp.r2, inp.m2))
+        (a, m_a), (b, m_b) = ends if inp.lam < 0 else ends[::-1]
+        theta = np.expm1(inp.lam * np.log(r_arr / a)) / np.expm1(inp.lam * np.log(b / a))
+        out = m_a * (1.0 - theta) + m_b * theta
     return out if out.shape else float(out)
 
 

@@ -8,8 +8,12 @@ step factor 0.9 * err^(-1/5) clipped to [0.2, 5].
 The state is a tuple of floats from y0 to the last node: f and the events
 receive one, and f may return any sequence of d numbers.  The stages run on
 Python floats, which for the two-component states of radial shooting cost
-less than numpy's per-call overhead; numpy builds only the node arrays of
-the result, once, and its dense output ``sol``.
+less than numpy's per-call overhead.  Every sum of floats is a left fold
+from 0.0 (``left_sum``), so a step rounds the same on every Python: from
+3.12 the builtin ``sum`` of floats is compensated and would not.  Accepted
+nodes live in three flat float buffers (t, then y and f with d values per
+node), 40 bytes a node for d = 2; the result's node arrays view them
+without a copy, and numpy builds only the dense output ``sol``.
 
 Events are scalar functions g(t, y); a sign change over an accepted step is
 refined by bisection on the dense interpolant to ~1e-10 relative in t, and
@@ -23,6 +27,7 @@ budget (2e6 accepted steps) runs out, and leaves classification to the caller.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
@@ -104,6 +109,14 @@ class IntegrationResult:
         return out[0] if np.ndim(t) == 0 else out
 
 
+def left_sum(values) -> float:
+    """Sum of floats folded left to right from 0.0, as Python 3.11's builtin sum does."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
 def _hermite(t0, t1, y0, y1, f0, f1, t):
     """Cubic Hermite interpolant of one step; broadcasts over leading axes."""
     h = t1 - t0
@@ -134,7 +147,7 @@ def integrate(
     n_fev = 1
     h = min(first_step, max_step, t1 - t0)
 
-    ts, ys, fs = [t], [y], [fy]
+    ts, ys, fs = array("d", (t,)), array("d", y), array("d", fy)
     g_prev = [ev.fn(t, y) for ev in events]
     n_steps = n_rejected = 0
     status = "finished"
@@ -152,7 +165,7 @@ def integrate(
 
         ks = [fy]
         for c, row in zip(_C, _A):
-            y_new = tuple([yj + h * sum(map(mul, row, kj)) for yj, kj in zip(y, zip(*ks))])
+            y_new = tuple([yj + h * left_sum(map(mul, row, kj)) for yj, kj in zip(y, zip(*ks))])
             f_new = tuple(map(float, f(t + c * h, y_new)))
             if not all(map(math.isfinite, y_new + f_new)):
                 break
@@ -164,9 +177,9 @@ def integrate(
             continue
 
         # e * e, unlike e ** 2, is inf past the float range, not OverflowError.
-        scaled = [h * sum(map(mul, _E, kj)) / (atol + rtol * max(abs(yj), abs(nj)))
+        scaled = [h * left_sum(map(mul, _E, kj)) / (atol + rtol * max(abs(yj), abs(nj)))
                   for yj, nj, kj in zip(y, y_new, zip(*ks))]
-        err = math.sqrt(sum([e * e for e in scaled]) / len(y))
+        err = math.sqrt(left_sum([e * e for e in scaled]) / len(y))
 
         if err > 1.0:
             n_rejected += 1
@@ -195,23 +208,24 @@ def integrate(
             event_index, event_t = ie, te
             if te > t:  # a root on the last node is not appended twice
                 ts.append(te)
-                ys.append(ye)
-                fs.append(tuple(map(float, f(te, ye))))
+                ys.extend(ye)
+                fs.extend(map(float, f(te, ye)))
                 n_fev += 1
             break
 
         ts.append(t_new)
-        ys.append(y_new)
-        fs.append(f_new)
+        ys.extend(y_new)
+        fs.extend(f_new)
         t, y, fy = t_new, y_new, f_new  # FSAL
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         h = min(factor * h, max_step)
 
+    d = len(y)
     return IntegrationResult(
-        ts=np.array(ts),
-        ys=np.array(ys),
-        fs=np.array(fs),
+        ts=np.frombuffer(ts),
+        ys=np.frombuffer(ys).reshape(-1, d),
+        fs=np.frombuffer(fs).reshape(-1, d),
         status=status,
         event_index=event_index,
         event_t=event_t,

@@ -49,6 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .errors import PlapError
 from .exponents import ProblemParams, pohozaev_coefficient, pohozaev_sign
 from .radial_ops import _odd_pow
 from .reports import IdentityReport
+from .rk45 import left_sum
 
 # The 7-point Gauss-Legendre rule on [-1, 1], as literals: computing it with
 # leggauss(7) loads numpy.polynomial and runs a LAPACK eigensolver.
@@ -380,21 +382,23 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
         return _unresolved(traj, f"with {sign_k}")
 
     # Final decade [r_max/10, r_max]: transients near the origin must not
-    # pollute the slope fit.
+    # pollute the slope fit.  u' has the sign of w, so u > 0 and w < 0 is
+    # "positive and decreasing".
     lo = spec.r_max / 10.0
-    mask = traj.r >= lo
-    r_dec, u_dec = traj.r[mask], traj.u[mask]
-    du_dec = _du_from_w(r_dec, traj.w[mask], spec.params)
-    if len(r_dec) < 8:
-        r_fill = np.geomspace(lo, traj.r[-1], 64)
-        u_dec, du_dec, _ = traj.sample(spec.params, r_fill)
-        r_dec = r_fill
-    if np.all(u_dec > 0) and np.all(du_dec < 0):
-        slope = _fit_slope(np.log(r_dec), np.log(u_dec))
+    i = int(traj.r.searchsorted(lo))
+    if traj.r.size - i >= 8:
+        r_dec, u_dec, w_dec = traj.r[i:], traj.u[i:], traj.w[i:]
+    else:
+        r_dec = np.geomspace(lo, traj.r[-1], 64)
+        u_dec, _, w_dec = traj.sample(spec.params, r_dec)
+    r_dec, u_dec, w_dec = r_dec.tolist(), u_dec.tolist(), w_dec.tolist()
+    positive = all(u > 0.0 for u in u_dec)
+    if positive and all(w < 0.0 for w in w_dec):
+        slope = _fit_slope(list(map(math.log, r_dec)), list(map(math.log, u_dec)))
         return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope, reason=(
             f"positive and decreasing on [{lo:.6g}, {spec.r_max:.6g}], {sign_k} "
             "rules out a crossing"))
-    if np.all(u_dec > 0):
+    if positive:
         return Outcome(
             OutcomeKind.INDETERMINATE, reason="u positive but not monotone in final decade"
         )
@@ -403,10 +407,11 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
     )
 
 
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+def _fit_slope(x: list[float], y: list[float]) -> float:
     """Least-squares slope of y against x, from centred sums (no LAPACK)."""
-    xc = x - x.mean()
-    return float(xc @ (y - y.mean()) / (xc @ xc))
+    x_mean, y_mean = left_sum(x) / len(x), left_sum(y) / len(y)
+    xc = [xi - x_mean for xi in x]
+    return left_sum(map(mul, xc, [yi - y_mean for yi in y])) / left_sum(map(mul, xc, xc))
 
 
 def _continue(traj: Trajectory, spec: IvpSpec) -> Trajectory:
@@ -438,9 +443,9 @@ def decay_slope_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:
     target_du = (pr.gamma + pr.q + 1.0) / (pr.p - 1.0 - pr.q)
     r_fit = np.geomspace(spec.r_max / 10.0, traj.r[-1], 64)
     u_fit, du_fit, _ = traj.sample(pr, r_fit)
-    log_r = np.log(r_fit)
-    slope_u = _fit_slope(log_r, np.log(u_fit))
-    slope_du = _fit_slope(log_r, np.log(np.abs(du_fit)))
+    log_r = np.log(r_fit).tolist()
+    slope_u = _fit_slope(log_r, np.log(u_fit).tolist())
+    slope_du = _fit_slope(log_r, np.log(np.abs(du_fit)).tolist())
     excess = max(slope_u - target_u, slope_du - target_du)
     return IdentityReport(
         label="decay_slopes",

@@ -242,6 +242,23 @@ class TestHadamardBound:
         r = np.geomspace(1.0, 10.0, 64)
         assert np.max(np.abs(hadamard_lower_bound(inp, r) - m(r))) < 1e-13
 
+    @pytest.mark.parametrize("lam", [1e-12, -1e-12, 1e-14, -1e-14])
+    def test_keeps_its_digits_as_lam_goes_to_zero(self, lam):
+        # The bound is analytic in lam, so it lies within O(|lam|) of the
+        # log r interpolant of lam = 0; forming r^lam - r2^lam loses the digits.
+        r = np.linspace(1.0, 7.389, 41)
+        ends = dict(r1=1.0, r2=7.389, m1=1.0, m2=0.2)
+        near = hadamard_lower_bound(HadamardInput(**ends, lam=lam), r)
+        at_zero = hadamard_lower_bound(HadamardInput(**ends, lam=0.0), r)
+        assert np.max(np.abs(near - at_zero)) <= 10 * abs(lam)
+
+    def test_finite_at_a_large_exponent(self):
+        # 7.389 ** 400 is past the float range.
+        inp = HadamardInput(r1=1.0, r2=7.389, m1=1.0, m2=0.2, lam=400.0)
+        out = hadamard_lower_bound(inp, np.linspace(1.0, 7.389, 41))
+        assert np.all(np.isfinite(out))
+        assert (out[0], out[-1]) == (1.0, 0.2)
+
     def test_lam_is_required(self):
         with pytest.raises(TypeError):
             HadamardInput(1.0, 2.0, 1.0, 1.0)

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import plap.bvp
+import plap.rk45
 import plap.verify
 from plap import cli, shooting
 from plap.errors import NewtonDivergence
@@ -87,6 +88,13 @@ class TestExitCodes:
         assert "numerical failure" in err
         # a file the run created is removed again; one that was there is untouched
         assert (dest.read_text() if dest.exists() else None) == existing
+
+    def test_step_collapse_at_launch_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(plap.rk45, "_COLLAPSE_FLOOR", 1.0)  # every first step is too small
+        code, _, err = run(["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1"], capsys)
+        assert code == 2
+        assert "outcome=indeterminate  status=step_collapse  nodes=1  " in err
+        assert "reason=integrator status step_collapse at r=1e-06 before a crossing" in err
 
     def test_series_launch_past_float_range_exits_zero(self, capsys):
         # u0^q = 2^1500 is past the float range; the origin series and the
@@ -283,6 +291,28 @@ class TestSweep:
         assert by_q[3.0] == "crosses_zero"
         assert by_q[5.0] == "positive_decaying"
         assert by_q[6.0] == "positive_decaying"
+
+
+class TestSweepAxes:
+    def sweep(self, capsys, axis, lo, hi, steps, *flags):
+        code, out, _ = run(["sweep", "--axis", axis, "--from", lo, "--to", hi, "--steps", steps,
+                            "--n", "3", "--p", "2", *flags], capsys)
+        assert code == 0
+        return list(csv.DictReader(io.StringIO(out)))
+
+    def test_u0_axis_crosses_at_a_radius_inverse_to_u0(self, capsys):
+        # At p = 2, q = 3 the shot from u0 is u0 U1(u0 r), so r_event u0 is constant.
+        rows = self.sweep(capsys, "u0", "0.5", "2", "4", "--q", "3")
+        assert [row["outcome"] for row in rows] == ["crosses_zero"] * 4
+        scaled = [float(row["r_event"]) * float(row["axis_value"]) for row in rows]
+        assert max(scaled) - min(scaled) <= 1e-7 * scaled[0]
+
+    def test_gamma_axis_is_critical_only_at_zero(self, capsys):
+        # q_E = 5 + 2 gamma, so q = 5 is critical at gamma = 0 and below q_E after it.
+        rows = self.sweep(capsys, "gamma", "0", "2", "5", "--q", "5", "--u0", "1")
+        assert [row["axis_value"] for row in rows] == ["0.0", "0.5", "1.0", "1.5", "2.0"]
+        assert [row["outcome"] for row in rows] == ["positive_decaying"] + ["crosses_zero"] * 4
+        assert [row["boundary_case"] for row in rows] == ["true"] + ["false"] * 4
 
 
 class TestShootCsv:

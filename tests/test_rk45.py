@@ -1,12 +1,14 @@
 """Embedded 5(4) integrator: accuracy, dense output, events, failure modes."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plap import rk45
-from plap.rk45 import EventSpec, _hermite, integrate
+from plap.rk45 import EventSpec, _hermite, integrate, left_sum
 
 
 class TestAccuracy:
@@ -251,3 +253,30 @@ class TestStateContract:
         assert res.ys.shape == res.fs.shape == (res.ts.size, d)
         for j in range(d):
             assert res.ys[-1, j] == pytest.approx(math.exp(j + 1), rel=1e-9)
+
+
+class TestNodeStorage:
+    def test_node_arrays_view_the_stepper_buffers(self):
+        # The nodes are not copied at return: each array views a flat buffer.
+        res = integrate(lambda t, y: (y[1], -y[0]), 0.0, 3.0, [1.0, 0.0], first_step=1e-3)
+        for arr in (res.ts, res.ys, res.fs):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert not arr.flags.owndata
+        assert res.ys.shape == res.fs.shape == (res.ts.size, 2)
+
+
+class TestLeftSum:
+    def test_folds_left_to_right(self):
+        # A compensated sum (the builtin sum of floats from Python 3.12) gives 1.0.
+        assert left_sum((1e16, 1.0, -1e16)) == 0.0
+        assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+        assert left_sum(()) == 0.0
+
+    @pytest.mark.parametrize("module", ["rk45", "shooting"])
+    def test_no_builtin_sum_on_the_shooting_path(self, module):
+        # The builtin sum rounds differently from Python 3.12 on.
+        path = Path(rk45.__file__).with_name(f"{module}.py")
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "sum"]
+        assert calls == []

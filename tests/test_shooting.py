@@ -13,6 +13,7 @@ from plap import (
     OutcomeKind,
     PlapError,
     ProblemParams,
+    Trajectory,
     classify_outcome,
     conservation_report,
     decay_slope_report,
@@ -339,7 +340,9 @@ class TestDecayReport:
 class TestFitSlope:
     def test_exact_on_an_affine_line(self):
         x = np.log(np.geomspace(1e3, 1e4, 64))
-        assert abs(_fit_slope(x, -2.5 * x + 7.0) + 2.5) <= 4 * 2.5 * np.finfo(float).eps
+        slope = _fit_slope(x.tolist(), (-2.5 * x + 7.0).tolist())
+        assert type(slope) is float
+        assert abs(slope + 2.5) <= 4 * 2.5 * np.finfo(float).eps
 
     @pytest.mark.parametrize("points", [8, 64])
     def test_agrees_with_polyfit_on_a_final_decade(self, points):
@@ -347,7 +350,78 @@ class TestFitSlope:
         x = np.log(np.geomspace(10.0, 100.0, points))
         y = -0.4 * x + 0.3 + 0.01 * rng.standard_normal(points)
         ref = np.polyfit(x, y, 1)[0]
-        assert abs(_fit_slope(x, y) - ref) <= 1e-13 * abs(ref)
+        assert abs(_fit_slope(x.tolist(), y.tolist()) - ref) <= 1e-13 * abs(ref)
+
+
+def final_decade_traj(u, w, r_max=1e3):
+    """A finished K >= 0 shot whose nodes on [r_max/10, r_max] carry u and w."""
+    r = np.geomspace(r_max / 10.0, r_max, len(u))
+    ys = np.column_stack([u, w])
+    res = rk45.IntegrationResult(ts=r, ys=ys, fs=np.zeros_like(ys), status="finished")
+    return Trajectory(res), IvpSpec(params=CRITICAL, u0=1.0, r_max=r_max)
+
+
+DECAYING = np.geomspace(1.0, 0.1, 10)  # u = 100/r on the nodes of [100, 1e3]
+
+
+class TestFinalDecade:
+    # The K >= 0 verdict on a positive shot: u > 0 and w < 0 (u' has the sign
+    # of w) on the final decade, read from the nodes, or from 64 dense samples
+    # where the decade has fewer than 8 nodes.
+    @pytest.mark.parametrize("u, w, kind, reason", [
+        (DECAYING, [-1.0] * 10, "positive_decaying", "positive and decreasing on [100, 1000]"),
+        # |u'| = |w| / r^2 underflows to 0 here; the sign of w still says decreasing.
+        (DECAYING, [-1e-320] * 10, "positive_decaying", "positive and decreasing on [100, 1000]"),
+        (DECAYING, [-1.0] * 4 + [1e-20] + [-1.0] * 5, "indeterminate",
+         "u positive but not monotone in final decade"),
+        (np.append(DECAYING[:-1], 0.0), [-1.0] * 10, "indeterminate",
+         "sign behavior unresolved in final decade"),
+    ])
+    def test_verdict_on_the_nodes(self, u, w, kind, reason):
+        traj, spec = final_decade_traj(u, w)
+        out = classify_outcome(traj, spec)
+        assert out.label == kind and out.reason.startswith(reason)
+        if kind == "positive_decaying":
+            assert out.tail_slope == pytest.approx(-1.0, rel=1e-13)
+
+    FLAT_TAIL = IvpSpec(params=ProblemParams(3, 2.917, 220.0, 1.323), u0=0.718, r_max=1e3)
+
+    def test_flat_tail_resamples_its_final_decade(self):
+        # 17 nodes, 3 of them in the final decade: the verdict reads 64 Hermite
+        # samples, of which 14 give w >= 0 at roundoff size.
+        traj = integrate_ivp(self.FLAT_TAIL)
+        assert traj.status == "finished"
+        assert (traj.r.size, int(np.sum(traj.r >= 100.0))) == (17, 3)
+        _, _, w = traj.sample(self.FLAT_TAIL.params, np.geomspace(100.0, traj.r[-1], 64))
+        assert int(np.sum(w >= 0.0)) == 14 and w.max() < 1e-20
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: at u0 = 0.718 the flat K >= 0 tail is indeterminate "
+        "('u positive but not monotone in final decade'); at u0 = 1 it is positive_decaying"))
+    def test_flat_tail_is_positive_decaying(self):
+        out = classify_outcome(integrate_ivp(self.FLAT_TAIL), self.FLAT_TAIL)
+        assert out.kind is OutcomeKind.POSITIVE_DECAYING
+
+
+class TestUnresolved:
+    @pytest.mark.parametrize("q, sign, max_steps, what", [
+        (3.0, EquationSign.PLUS, 40, "before blow-up"),            # stops in the r phase
+        (3.0, EquationSign.PLUS, 150, "before blow-up"),           # stops in the log u phase
+        (3.0, EquationSign.MINUS, 40, "before a crossing, although K=-0.5<0 forces one"),
+        (5.0, EquationSign.MINUS, 40, "with K=0>=0"),
+    ])
+    def test_step_budget_runs_out(self, monkeypatch, q, sign, max_steps, what):
+        monkeypatch.setattr(rk45, "_MAX_STEPS", max_steps)
+        spec = IvpSpec(params=ProblemParams(3, 2.0, q), u0=1.0, sign=sign, r_max=30.0)
+        traj = integrate_ivp(spec)
+        out = classify_outcome(traj, spec)
+        assert out.kind is OutcomeKind.INDETERMINATE
+        assert out.reason.startswith("integrator status max_steps at r=")
+        assert out.reason.endswith(what)
+        in_log_u = traj.blowup is not None
+        assert in_log_u == (max_steps == 150)
+        r_end = traj.blowup.ys[-1, 0] if in_log_u else traj.r[-1]
+        assert f"at r={r_end:.6g} " in out.reason
 
 
 class TestQuadrature:
