@@ -43,9 +43,9 @@ _EXPORTS = {
     "rk45": (),
     "shooting": (
         "EquationSign", "IvpSpec", "Outcome", "OutcomeKind", "Trajectory",
-        "classify_outcome", "conservation_report", "decay_slope_report",
-        "integrate_ivp", "pohozaev_residual", "rescaled_spec",
-        "scaling_covariance_report", "scaling_exponent", "sweep_outcomes",
+        "classify_outcome", "integrate_ivp", "pohozaev_residual",
+        "rescaled_spec", "scaling_covariance_report", "scaling_exponent",
+        "sweep_outcomes",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -17,11 +17,12 @@ without a copy, and numpy builds only the dense output ``sol``.
 
 Events are scalar functions g(t, y); a sign change over an accepted step is
 refined by bisection on the dense interpolant to ~1e-10 relative in t, and
-the earliest root ends the integration.  The integrator never raises on
-difficult problems: it reports status "step_collapse" when h underflows
-(1e-14 * max(|t|, first_step): near t = 0 the step first tried, not 1, sets
-the scale, so a launch at a tiny t0 can step) and "max_steps" when the step
-budget (2e6 accepted steps) runs out, and leaves classification to the caller.
+the earliest root ends the integration as its last node.  The integrator
+never raises on difficult problems: it reports status "step_collapse" when h
+underflows (1e-14 * max(|t|, first_step): near t = 0 the step first tried,
+not 1, sets the scale, so a launch at a tiny t0 can step) and "max_steps"
+when the step budget (2e6 accepted steps) runs out, and leaves
+classification to the caller.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class IntegrationResult:
     ys: np.ndarray                      # states at nodes, shape (n+1, d)
     fs: np.ndarray                      # f at nodes (FSAL byproduct), shape (n+1, d)
     status: str                         # finished | event | step_collapse | max_steps
-    event_index: int | None = None
-    event_t: float | None = None
+    event_index: int | None = None      # the event that fired; its root is ts[-1]
     n_steps: int = 0
     n_rejected: int = 0
     n_fev: int = 0
@@ -152,7 +152,6 @@ def integrate(
     n_steps = n_rejected = 0
     status = "finished"
     event_index = None
-    event_t = None
 
     while t < t1:
         if h < _COLLAPSE_FLOOR * max(abs(t), first_step):
@@ -205,7 +204,7 @@ def integrate(
         if triggered:
             te, ie, ye = min(triggered, key=lambda item: item[0])
             status = "event"
-            event_index, event_t = ie, te
+            event_index = ie
             if te > t:  # a root on the last node is not appended twice
                 ts.append(te)
                 ys.extend(ye)
@@ -228,7 +227,6 @@ def integrate(
         fs=np.frombuffer(fs).reshape(-1, d),
         status=status,
         event_index=event_index,
-        event_t=event_t,
         n_steps=n_steps,
         n_rejected=n_rejected,
         n_fev=n_fev,

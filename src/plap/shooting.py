@@ -1,6 +1,5 @@
 """Radial shooting for -(r^{N-1}|u'|^{p-2}u')' = a r^{N-1+gamma} u^q and its
-sign variant, with outcome classification, decay-slope checks, and the radial
-Pohozaev identity.
+sign variant, with outcome classification and the radial Pohozaev identity.
 
 The integration variable pair is (u, w) with w = r^{N-1}|u'|^{p-2}u', so
 u' = sign(w) (|w| / r^{N-1})^{1/(p-1)} and w' = -+ a r^{N-1+gamma} |u|^{q-1} u
@@ -70,8 +69,6 @@ _GL_W = np.array([
     0.12948496616886973, 0.27970539148927687, 0.3818300505051187, 0.4179591836734693,
     0.3818300505051187, 0.27970539148927687, 0.12948496616886973,
 ])
-_DECAY_SLOPE_TOL = 0.05
-_CONSERVATION_TOL_FACTOR = 10.0
 _SCALING_SAMPLES = 40
 _SCALING_FACTOR = 2.0   # scaling_covariance_report compares u_s(r) = s^kappa u(s r) at this s
 _SCALING_TOL = 1e-6
@@ -208,7 +205,7 @@ class Trajectory:
     def r_cross(self) -> float | None:
         res = self.result
         if res.status == "event" and res.event_index == 0:
-            return float(res.event_t)
+            return float(res.ts[-1])
         return None
 
     @property
@@ -429,36 +426,6 @@ def _unresolved(traj: Trajectory, what: str) -> Outcome:
         f"integrator status {traj.status} at r={r_end:.6g} {what}"))
 
 
-def decay_slope_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:
-    """Final-decade log-log slopes of u and |u'| against the decay exponents.
-
-    Targets: slope(u) <= (gamma+p)/(p-1-q), slope(|u'|) <= (gamma+q+1)/(p-1-q)
-    (both negative for q > p - 1).
-    """
-    outcome = classify_outcome(traj, spec)
-    if outcome.kind is not OutcomeKind.POSITIVE_DECAYING:
-        raise PlapError(f"trajectory classified {outcome.label}, not positive_decaying")
-    pr = spec.params
-    target_u = (pr.gamma + pr.p) / (pr.p - 1.0 - pr.q)
-    target_du = (pr.gamma + pr.q + 1.0) / (pr.p - 1.0 - pr.q)
-    r_fit = np.geomspace(spec.r_max / 10.0, traj.r[-1], 64)
-    u_fit, du_fit, _ = traj.sample(pr, r_fit)
-    log_r = np.log(r_fit).tolist()
-    slope_u = _fit_slope(log_r, np.log(u_fit).tolist())
-    slope_du = _fit_slope(log_r, np.log(np.abs(du_fit)).tolist())
-    excess = max(slope_u - target_u, slope_du - target_du)
-    return IdentityReport(
-        label="decay_slopes",
-        lhs=slope_u,
-        rhs=slope_du,
-        residual=excess,
-        scale=1.0,
-        tol=_DECAY_SLOPE_TOL,
-        passed=excess <= _DECAY_SLOPE_TOL,
-        note=f"targets: slope(u) <= {target_u:.6g}, slope(|u'|) <= {target_du:.6g}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quadrature along the dense trajectory
 # ---------------------------------------------------------------------------
@@ -475,57 +442,24 @@ def _series_head(spec: IvpSpec, power: float) -> float:
     return lead * (1.0 + sgn * power * term * ng / (ng + s))
 
 
-def _cumulative_integral(
-    traj: Trajectory, spec: IvpSpec, power: float, signed: bool, edges: np.ndarray
-) -> np.ndarray:
-    """int_0^{e} r^{N-1+gamma} u^power dr at each edge e (series head + panels).
+def _weighted_integral(traj: Trajectory, spec: IvpSpec, power: float, r_end: float) -> float:
+    """int_0^{r_end} r^{N-1+gamma} |u|^power dr: the series head, then one
+    Gauss-Legendre panel per node interval, the last one cut at r_end.
 
-    Gauss-Legendre panels between consecutive edges, all from one ``sol`` call.
+    All panels come from one ``sol`` call and are added in order to the head.
     The rule's nodes and weights, ``_GL_X`` and ``_GL_W``, are the literal
     values of numpy.polynomial.legendre.leggauss(7), bit for bit.
     """
     pr = spec.params
+    edges = np.append(traj.r[traj.r < r_end], r_end)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = mid[:, None] + half[:, None] * _GL_X
     u = traj.result.sol(pts.ravel())[:, 0].reshape(pts.shape)
-    uq = np.sign(u) * np.abs(u) ** power if signed else np.abs(u) ** power
-    vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * uq
+    vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * np.abs(u) ** power
     # (1, 7) @ (7, 1) per panel rounds like a 7-point dot; an (m, 7) @ (7,) gemv does not.
     panels = half * (vals[:, None, :] @ _GL_W[:, None])[:, 0, 0]
-    return np.cumsum(np.concatenate(([_series_head(spec, power)], panels)))
-
-
-def conservation_report(traj: Trajectory, spec: IvpSpec) -> IdentityReport:
-    """w(r) -+ a int_0^r s^{N-1+gamma} u^q ds = 0 at every node.
-
-    The check's quadrature samples the dense interpolant (locally 4th
-    order), so its own error floor is ~rtol^{4/5}, not rtol; the tolerance
-    is 10 * rtol^{4/5}.  Nodes where w has not yet grown past the
-    accumulated absolute allowance (10 * atol) are judged absolutely --
-    near the origin w ~ r^{N+gamma} sits below atol and a relative
-    comparison there only measures the integrator's (permitted) noise.
-    """
-    pr = spec.params
-    sgn = float(spec.sign.value)
-    integral = _cumulative_integral(traj, spec, pr.q, signed=True, edges=traj.r)
-    resid = np.abs(traj.w - sgn * pr.amplitude * integral)
-    scale = np.maximum(np.abs(traj.w), pr.amplitude * np.abs(integral))
-    scale = np.maximum(scale, spec.atol)
-    excess = np.maximum(resid - 10.0 * spec.atol, 0.0) / scale
-    worst = float(np.max(excess))
-    i_worst = int(np.argmax(excess))
-    tol = _CONSERVATION_TOL_FACTOR * spec.rtol ** 0.8
-    return IdentityReport(
-        label="w_conservation",
-        lhs=float(traj.w[i_worst]),
-        rhs=float(sgn * pr.amplitude * integral[i_worst]),
-        residual=worst,
-        scale=1.0,
-        tol=tol,
-        passed=worst <= tol,
-        note=f"max relative defect over {len(traj.r)} nodes, at r={traj.r[i_worst]:.6g}",
-    )
+    return left_sum([_series_head(spec, power), *panels.tolist()])
 
 
 def pohozaev_residual(
@@ -548,8 +482,7 @@ def pohozaev_residual(
     pr = spec.params
     coeff = pohozaev_coefficient(pr)
 
-    edges = np.append(traj.r[traj.r < r_eval], r_eval)
-    integral = float(_cumulative_integral(traj, spec, pr.q + 1.0, signed=False, edges=edges)[-1])
+    integral = _weighted_integral(traj, spec, pr.q + 1.0, r_eval)
 
     u_arr, du_arr, _ = traj.sample(pr, r_eval)
     u, du = float(u_arr[0]), float(du_arr[0])

@@ -64,3 +64,23 @@ def test_fd_oracle_failure_names_the_family(monkeypatch):
     res = verify.run_one(10)
     assert not res.passed
     assert "LogBarrier" in res.detail and "r=" in res.detail
+
+
+def test_truncated_shots_fail_with_their_reason(monkeypatch):
+    # With a budget of 40 steps no shot reaches its event or r_max: criteria
+    # 4, 5 and 11 must fail with the outcome's label and reason, not raise.
+    # The shot caches are cleared on both sides, so no other test reuses a
+    # truncated shot.
+    from plap import rk45, verify
+
+    verify._at_shot.cache_clear()
+    verify._subcritical_shot.cache_clear()
+    monkeypatch.setattr(rk45, "_MAX_STEPS", 40)
+    try:
+        for res in verify.run_all([4, 5, 11]):
+            assert not res.passed
+            assert "raised" not in res.detail, res.line()
+            assert "outcome indeterminate: integrator status max_steps at r=" in res.detail
+    finally:
+        verify._at_shot.cache_clear()
+        verify._subcritical_shot.cache_clear()

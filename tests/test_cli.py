@@ -5,6 +5,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +337,33 @@ class TestShootCsv:
             assert float(rows[i]["r"]) == traj.r[i]
             assert float(rows[i]["u"]) == traj.u[i]
             assert float(rows[i]["w"]) == traj.w[i]
+
+
+class TestReadmeExamples:
+    def test_shoot_and_sweep_print_what_the_readme_shows(self, capsys, tmp_path):
+        # Each `$ plap shoot|sweep` example of the README, run with --out under
+        # tmp_path, prints every line the README shows under it ("..." elides).
+        examples, shown = [], None
+        for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+            if line.startswith("$ plap "):
+                argv = line.split()[2:]
+                shown = [] if argv[0] in ("shoot", "sweep") else None
+                if shown is not None:
+                    examples.append((argv, shown))
+            elif line.startswith("```"):
+                shown = None
+            elif shown is not None and line and line != "...":
+                shown.append(line)
+        assert [argv[0] for argv, _ in examples] == ["shoot", "sweep"]
+        for argv, shown in examples:
+            if "--out" in argv:
+                i = argv.index("--out")
+                del argv[i:i + 2]
+            dest = tmp_path / f"{argv[0]}.csv"
+            code, out, err = run(argv + ["--out", str(dest)], capsys)
+            assert code == 0
+            printed = (out + err + dest.read_text()).splitlines()
+            assert shown and [line for line in shown if line not in printed] == []
 
 
 class TestOtherSubcommands:

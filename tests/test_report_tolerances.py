@@ -15,12 +15,9 @@ from plap import (
     RecursionSpec,
     build_counterexample,
     comparison_check,
-    conservation_report,
     counterexample_residual,
-    decay_slope_report,
     fd_agreement,
     hadamard_monotonicity_check,
-    integrate_ivp,
     moser_recursion_bound,
     power_transform_residual,
     scaling_covariance_report,
@@ -45,11 +42,6 @@ CASES = {
     "fd_agreement": (lambda: fd_agreement(PowerBarrier.fundamental(P3), 2.0, P3), 1e-6),
     "power_transform_residual": (
         lambda: power_transform_residual(Counterexample(c=1.0, alpha=1.0), 2.0, 2.0, P3), 1e-8),
-    "conservation_report": (
-        lambda: conservation_report(integrate_ivp(CRITICAL_SHOT), CRITICAL_SHOT),
-        10 * CRITICAL_SHOT.rtol**0.8),
-    "decay_slope_report": (
-        lambda: decay_slope_report(integrate_ivp(CRITICAL_SHOT), CRITICAL_SHOT), 0.05),
     "scaling_covariance_report": (lambda: scaling_covariance_report(CRITICAL_SHOT), 1e-6),
     "counterexample_residual": (
         lambda: counterexample_residual(build_counterexample(P3), P3, 1.0), 0.0),

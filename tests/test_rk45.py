@@ -113,12 +113,11 @@ class TestEvents:
         assert res.status == "event"
         assert res.event_index == 0
         # Root accuracy is set by the dense interpolant, not the step tolerance.
-        assert res.event_t == pytest.approx(math.log(5.0), rel=1e-7)
-        assert res.ts[-1] == res.event_t
+        assert res.ts[-1] == pytest.approx(math.log(5.0), rel=1e-7)
         fine = integrate(
             lambda t, y: y, 0.0, 3.0, [1.0], events=[ev], max_step=0.02, first_step=1e-3
         )
-        assert fine.event_t == pytest.approx(math.log(5.0), rel=1e-10)
+        assert fine.ts[-1] == pytest.approx(math.log(5.0), rel=1e-10)
 
     def test_direction_filter(self):
         # sin t crosses zero at pi (decreasing) and 2 pi (increasing).
@@ -128,7 +127,7 @@ class TestEvents:
         up_only = EventSpec(fn=lambda t, y: y[0], direction=1)
         res = integrate(f, 0.1, 8.0, [math.sin(0.1)], events=[up_only], first_step=1e-3)
         assert res.status == "event"
-        assert res.event_t == pytest.approx(2 * math.pi, rel=1e-8)
+        assert res.ts[-1] == pytest.approx(2 * math.pi, rel=1e-8)
 
     @pytest.mark.parametrize("direction,status", [(1, "finished"), (-1, "event")])
     def test_step_landing_on_a_zero_keeps_its_direction(self, direction, status):
@@ -138,7 +137,7 @@ class TestEvents:
                         first_step=0.25, max_step=0.25)
         assert res.status == status
         if status == "event":
-            assert res.event_t == pytest.approx(1.0, rel=1e-9)
+            assert res.ts[-1] == pytest.approx(1.0, rel=1e-9)
         else:
             assert res.ts[-1] == 2.0
 
@@ -148,7 +147,7 @@ class TestEvents:
         res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], events=[late, early], first_step=1e-3)
         assert res.status == "event"
         assert res.event_index == 1
-        assert res.event_t == pytest.approx(1.25, rel=1e-9)
+        assert res.ts[-1] == pytest.approx(1.25, rel=1e-9)
 
 
 class TestFailureModes:
@@ -212,7 +211,7 @@ class TestBookkeeping:
         hit = integrate(lambda t, y: y, 0.0, 1.0, [1.0], events=[ev], first_step=1e-3)
         assert hit.status == "event"
         assert hit.ts.shape[0] == hit.ys.shape[0] == hit.fs.shape[0]
-        assert hit.ts[-1] == hit.event_t
+        assert hit.ts[-1] == pytest.approx(math.log(2.0), rel=1e-7)
         assert np.all(np.diff(hit.ts) > 0)
 
 

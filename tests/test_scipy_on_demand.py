@@ -255,10 +255,10 @@ EXPORTED = [
     "Outcome", "OutcomeKind", "PlapError", "PowerBarrier", "ProblemParams",
     "RecursionSpec", "Regime", "SingularGradient",
     "Trajectory", "barriers", "build_counterexample", "bvp",
-    "classify_outcome", "classify_regime", "comparison_check", "conservation_report",
+    "classify_outcome", "classify_regime", "comparison_check",
     "counterexample_epsilon", "counterexample_plap", "counterexample_residual", "counterexample_residual_grid",
     "cutoff_barrier_plap", "cutoff_plap_bound",
-    "decay_slope_report", "equation_critical", "errors", "eval_profile", "exponents",
+    "equation_critical", "errors", "eval_profile", "exponents",
     "extremal_log_sequence", "fd_agreement", "hadamard_lower_bound",
     "hadamard_monotonicity_check", "identities", "integrate_ivp", "lambda_exponent",
     "log_barrier_plap", "moser_recursion_bound", "p_laplacian_fd", "p_laplacian_radial",
@@ -271,7 +271,7 @@ EXPORTED = [
 
 class TestLazyPackage:
     def test_all_is_the_exported_set(self):
-        assert len(EXPORTED) == 65
+        assert len(EXPORTED) == 63
         assert sorted(plap.__all__) == EXPORTED
         assert set(EXPORTED) <= set(dir(plap))
 

@@ -15,8 +15,6 @@ from plap import (
     ProblemParams,
     Trajectory,
     classify_outcome,
-    conservation_report,
-    decay_slope_report,
     equation_critical,
     integrate_ivp,
     pohozaev_residual,
@@ -29,10 +27,10 @@ from plap import rk45
 from plap.shooting import (
     _GL_W,
     _GL_X,
-    _cumulative_integral,
     _fit_slope,
     _log_rates,
     _series_head,
+    _weighted_integral,
     series_logs,
     series_state,
 )
@@ -288,20 +286,6 @@ class TestTrajectoryInvariants:
         assert w[0] == pytest.approx(traj.w[mid], rel=1e-12)
         assert du[0] == pytest.approx(traj.du(spec.params)[mid], rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "params,u0,r_max",
-        [
-            (CRITICAL, 3**0.25, 100.0),
-            (SUBCRITICAL, 1.0, 30.0),
-            (ProblemParams(n_dim=4, p=1.5, q=2.0, gamma=0.5), 1.0, 10.0),
-            (ProblemParams(n_dim=5, p=3.0, q=4.0, gamma=1.0), 2.0, 20.0),
-        ],
-    )
-    def test_conservation(self, params, u0, r_max):
-        traj, spec = shoot(params, u0, r_max=r_max)
-        rep = conservation_report(traj, spec)
-        assert rep.passed, rep.note
-
     def test_tolerance_convergence_of_crossing(self):
         radii = []
         for rtol in (1e-6, 1e-8, 1e-10):
@@ -311,30 +295,6 @@ class TestTrajectoryInvariants:
         d_fine = abs(radii[1] - radii[2])
         assert d_fine < d_coarse
         assert d_fine < 1e-6 * radii[2]
-
-
-class TestDecayReport:
-    def test_critical_slopes(self):
-        traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
-        rep = decay_slope_report(traj, spec)
-        assert rep.passed
-        assert rep.lhs == pytest.approx(-1.0, abs=5e-3)  # u-slope
-        assert rep.rhs == pytest.approx(-2.0, abs=2e-2)  # u'-slope
-
-    def test_supercritical_slow_decay(self):
-        pr = ProblemParams(n_dim=3, p=2.0, q=6.0, gamma=0.0)
-        traj, spec = shoot(pr, 1.0, r_max=1e4)
-        rep = decay_slope_report(traj, spec)
-        assert rep.passed, rep.note
-        # target slope (gamma+p)/(p-1-q) = -0.4; measured settles just below
-        assert rep.lhs <= -0.4 + rep.tol
-
-    def test_crossing_trajectory_rejected(self):
-        traj, spec = shoot(SUBCRITICAL, 1.0)
-        with pytest.raises(
-            PlapError, match=r"^trajectory classified crosses_zero, not positive_decaying$"
-        ):
-            decay_slope_report(traj, spec)
 
 
 class TestFitSlope:
@@ -433,17 +393,25 @@ class TestQuadrature:
         assert _GL_W.tobytes() == w.tobytes()
 
     def test_matches_per_panel_loop(self):
-        # Reference: one 7-point Gauss-Legendre panel per node interval, added
-        # in order to the series head, with sol queried one point at a time.
+        # Reference: the series head, then one 7-point Gauss-Legendre panel per
+        # node interval below r_end (the last cut at r_end), added in order,
+        # with sol queried one point at a time.  r_end on a node, and inside a
+        # node interval as pohozaev_residual's r_eval mostly is.
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
-        q, n = spec.params.q, spec.params.n_dim
-        ref = [_series_head(spec, q)]
-        for a, b in zip(traj.r[:-1], traj.r[1:]):
-            pts = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
-            u = np.array([traj.result.sol(t)[0] for t in pts])
-            ref.append(ref[-1] + 0.5 * (b - a) * float(_GL_W @ (pts ** (n - 1.0) * u**q)))
-        got = _cumulative_integral(traj, spec, q, signed=True, edges=traj.r)
-        np.testing.assert_allclose(got, ref, rtol=64 * np.finfo(float).eps, atol=0)
+        power, n = spec.params.q + 1.0, spec.params.n_dim
+        k = len(traj.r) // 2
+        for r_end in (traj.r[k], 0.5 * (traj.r[k] + traj.r[k + 1])):
+            ref = _series_head(spec, power)
+            for a, b in zip(traj.r[:-1], traj.r[1:]):
+                if a >= r_end:
+                    break
+                b = min(b, r_end)
+                pts = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
+                u = np.array([traj.result.sol(t)[0] for t in pts])
+                ref += 0.5 * (b - a) * float(_GL_W @ (pts ** (n - 1.0) * np.abs(u) ** power))
+            got = _weighted_integral(traj, spec, power, r_end)
+            assert type(got) is float
+            assert got == pytest.approx(ref, rel=64 * np.finfo(float).eps, abs=0)
 
 
 class TestPohozaevResidual:
