@@ -535,6 +535,10 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     traj = integrate_ivp(spec)
     spec2 = rescaled_spec(spec, s)
     traj2 = integrate_ivp(spec2)
+    for sp, tr in ((spec, traj), (spec2, traj2)):
+        if tr.status not in ("finished", "event"):  # cut short of r_max and of any event
+            out = classify_outcome(tr, sp)
+            raise PlapError(f"shot from u0={sp.u0:.6g} outcome {out.label}: {out.reason}")
     kappa = scaling_exponent(spec.params)
     # overlap range, clear of both hand-off radii and both endpoints
     lo = 10.0 * max(traj.r[0] / s, traj2.r[0])

@@ -4,8 +4,11 @@ principle, the recursion bound, and scaling covariance.
 
 Oracles are independent of the code under test: closed forms evaluated by
 hand-derived formulas, finite differences on profile values only, and (for
-crossing/blow-up radii) a scipy DOP853 integration of the (u, u') system --
-a different integrator on a different formulation of the same ODE.
+crossing/blow-up radii) ``taylor_oracle``, an order-24 Taylor-series
+integration of (u, |u'|^{p-2}u') in pure Python -- a different method on a
+different formulation from the shooting code's Dormand-Prince pair on
+(u, r^{N-1}|u'|^{p-2}u') in logs.  Its own check against scipy's DOP853 is in
+the test suite; nothing here imports scipy.
 
 ``run_all`` returns one result per criterion; the cli ``verify`` subcommand
 prints them one per line and exits 3 if any fail.
@@ -21,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import barriers, bvp, identities, shooting
+from .errors import PlapError
 from .exponents import (
     ProblemParams,
     equation_critical,
@@ -74,44 +78,148 @@ def _subcritical_shot(u0: float, r_max: float = 30.0):
     return spec, shooting.integrate_ivp(spec)
 
 
-def solve_ivp(fun, t_span, y0, **options):
-    """``scipy.integrate.solve_ivp``, imported on first call: scipy.integrate
-    (with the scipy.linalg it loads) costs a cold start about 0.6 s on top of
-    numpy (``-X importtime``, 2 cores) that only the oracle needs."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(fun, t_span, y0, **options)
+class _ShortShot(Exception):
+    """A shot ended before a radius its criterion reads; the message is the FAIL detail."""
 
 
-def _oracle_p2_events(params: ProblemParams, u0: float, sgn: float, r_max: float,
-                      threshold: float):
-    """DOP853 on the (u, u') formulation (p = 2 only): independent oracle."""
-    n, gamma, q, a = params.n_dim, params.gamma, params.q, params.amplitude
-    s = 2.0 + gamma
-    ku = a * u0 ** q / ((2.0 + gamma) * (n + gamma))
-    delta0 = 1e-6 * min(1.0, r_max)
-    y0 = [u0 + sgn * ku * delta0 ** s, sgn * ku * s * delta0 ** (s - 1.0)]
+def _reached(spec: shooting.IvpSpec, traj: shooting.Trajectory, r_read: float, what: str):
+    """Raise _ShortShot, naming the shot's outcome, unless it reached r_read."""
+    if traj.r[-1] < r_read:
+        outcome = shooting.classify_outcome(traj, spec)
+        raise _ShortShot(f"{what} ends at r={traj.r[-1]:.6g} before r={r_read:g}: "
+                         f"outcome {outcome.label}: {outcome.reason}")
 
-    def f(r, y):
-        u, v = y
-        return [v, -(n - 1.0) / r * v + sgn * a * r ** gamma * math.copysign(abs(u) ** q, u)]
 
-    def ev_cross(r, y):
-        return y[0]
+# ---------------------------------------------------------------------------
+# Taylor-series oracle for crossing and blow-up radii
+# ---------------------------------------------------------------------------
 
-    ev_cross.terminal = True
-    ev_cross.direction = -1
+_TAYLOR_ORDER = 24
+_TAYLOR_TOL = 1e-16  # last-coefficient size relative to the state, per component
 
-    def ev_blow(r, y):
-        return y[0] - threshold
 
-    ev_blow.terminal = True
-    ev_blow.direction = 1
+@dataclass(frozen=True)
+class TaylorRun:
+    """Nodes of one oracle run.  ``event`` is "crosses_zero" (u = 0) or
+    "blows_up" (u = threshold) when the last node is that event, else "r_max"."""
 
-    return solve_ivp(
-        f, (delta0, r_max), y0, method="DOP853", rtol=1e-12, atol=1e-14,
-        events=(ev_cross, ev_blow), dense_output=False,
-    )
+    r: list[float]
+    u: list[float]
+    event: str
+
+
+def taylor_launch(params: ProblemParams, u0: float, sgn: float, r_max: float):
+    """(r, u, w) at r = 1e-6 min(1, r_max) from the leading-order origin series
+    w = sgn c r^{1+gamma}, u = u0 + sgn c^{1/(p-1)} r^s / s, c = a u0^q / (N+gamma),
+    s = (p+gamma)/(p-1)."""
+    pr = params
+    m = 1.0 / (pr.p - 1.0)
+    s = (pr.p + pr.gamma) * m
+    c = pr.amplitude * u0 ** pr.q / (pr.n_dim + pr.gamma)
+    r = 1e-6 * min(1.0, r_max)
+    return r, u0 + sgn * c ** m * r ** s / s, sgn * c * r ** (1.0 + pr.gamma)
+
+
+def _power_coefficient(f: list[float], pw: list[float], alpha: float, k: int) -> float:
+    """Coefficient k of f^alpha from f[:k+1] and pw[:k] (the power recurrence
+    k f_0 P_k = sum_{j=1}^k ((alpha+1) j - k) f_j P_{k-j})."""
+    acc = 0.0
+    for j in range(1, k + 1):
+        acc += ((alpha + 1.0) * j - k) * f[j] * pw[k - j]
+    return acc / (k * f[0])
+
+
+def _horner(c: list[float], t: float) -> float:
+    acc = 0.0
+    for ck in reversed(c):
+        acc = acc * t + ck
+    return acc
+
+
+def _polynomial_root(c: list[float], level: float, h: float) -> float:
+    """The t in [0, h] where the polynomial c reaches ``level``, given that it
+    lies on opposite sides of it at 0 and h: Newton, kept in the bracket by bisection."""
+    dc = [k * ck for k, ck in enumerate(c)][1:]
+    lo, hi = (0.0, h) if c[0] < level else (h, 0.0)  # g(lo) < 0 < g(hi)
+    g0, gh = c[0] - level, _horner(c, h) - level
+    t = h * g0 / (g0 - gh)
+    for _ in range(100):
+        g = _horner(c, t) - level
+        if g == 0.0:
+            return t
+        if g < 0.0:
+            lo = t
+        else:
+            hi = t
+        t_new = t - g / _horner(dc, t)
+        if not min(lo, hi) < t_new < max(lo, hi):
+            t_new = 0.5 * (lo + hi)
+        if abs(t_new - t) <= 4e-16 * t:
+            return t_new
+        t = t_new
+    return t
+
+
+def taylor_oracle(params: ProblemParams, sgn: float, r: float, u: float, w: float,
+                  r_max: float, threshold: float) -> TaylorRun:
+    """Order-24 Taylor integration of r w' + (N-1) w = sgn a r^{1+gamma} u^q,
+    w = |u'|^{p-2} u', from (r, u, w) to the first of u = 0 (sgn < 0),
+    u = threshold (sgn > 0) or r_max.
+
+    Works on omega = sgn w > 0, so r omega' + (N-1) omega = a r^{1+gamma} u^q
+    and u' = sgn omega^{1/(p-1)}.  The Taylor coefficients at each node come
+    from the power recurrence (for u^q and omega^{1/(p-1)}) and the binomial
+    series of (r+h)^{1+gamma}; the step is where the last two coefficients of
+    either component fall to _TAYLOR_TOL times its value (Jorba and Zou,
+    Experimental Math. 14, 2005), and an event is the root of the step polynomial.
+    """
+    n, q, a = params.n_dim, params.q, params.amplitude
+    m, e = 1.0 / (params.p - 1.0), 1.0 + params.gamma
+    level = threshold if sgn > 0 else 0.0
+    rs, us = [r], [u]
+    omega = sgn * w
+    while r < r_max:
+        uc, oc = [u], [omega]
+        pq, pm, rp = [u ** q], [omega ** m], [r ** e]
+        for k in range(_TAYLOR_ORDER):
+            if k:
+                pq.append(_power_coefficient(uc, pq, q, k))
+                pm.append(_power_coefficient(oc, pm, m, k))
+                rp.append(rp[-1] * (e - k + 1.0) / (k * r))
+            source = 0.0
+            for j in range(k + 1):
+                source += rp[j] * pq[k - j]
+            oc.append((a * source - (k + n - 1.0) * oc[k]) / ((k + 1.0) * r))
+            uc.append(sgn * pm[k] / (k + 1.0))
+        h = r_max - r
+        for c in (uc, oc):
+            for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER):
+                if c[k]:
+                    h = min(h, (_TAYLOR_TOL * abs(c[0]) / abs(c[k])) ** (1.0 / k))
+        if not r + h > r:
+            raise PlapError(f"Taylor oracle step collapsed at r={r!r}")
+        u_h = _horner(uc, h)
+        if sgn * (u_h - level) >= 0.0:
+            t = _polynomial_root(uc, level, h)
+            rs.append(r + t)
+            us.append(level)
+            return TaylorRun(rs, us, "blows_up" if sgn > 0 else "crosses_zero")
+        r = r_max if h == r_max - r else r + h
+        u, omega = u_h, _horner(oc, h)
+        rs.append(r)
+        us.append(u)
+    return TaylorRun(rs, us, "r_max")
+
+
+def _oracle_radius(spec: shooting.IvpSpec, event: str) -> float:
+    """The oracle's radius of ``event`` for the shot ``spec``: launched from
+    the origin series at spec.u0 and integrated up to spec.r_max."""
+    sgn = float(spec.sign.value)
+    start = taylor_launch(spec.params, spec.u0, sgn, spec.r_max)
+    run = taylor_oracle(spec.params, sgn, *start, spec.r_max, spec.blowup_threshold)
+    if run.event != event:
+        raise PlapError(f"Taylor oracle ended in {run.event} at r={run.r[-1]:.6g}, not {event}")
+    return run.r[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +318,7 @@ def _c05_subcritical_crossing():
             passed = False
             details.append(f"u0={u0}: outcome {outcome.label}: {outcome.reason}")
             continue
-        sol = _oracle_p2_events(spec.params, u0, -1.0, spec.r_max, spec.blowup_threshold)
-        r_oracle = float(sol.t_events[0][0])
+        r_oracle = _oracle_radius(spec, "crosses_zero")
         rel = abs(outcome.r_cross - r_oracle) / r_oracle
         passed &= rel <= 1e-4
         details.append(
@@ -221,6 +328,7 @@ def _c05_subcritical_crossing():
 
 def _c06_pohozaev_residual():
     spec_at, traj_at = _at_shot(100.0)
+    _reached(spec_at, traj_at, 50.0, "critical shot")
     worst_crit = 0.0
     for r_eval in (1.0, 5.0, 50.0):
         rep = shooting.pohozaev_residual(traj_at, spec_at, r_eval, tol=1e-6)
@@ -229,6 +337,7 @@ def _c06_pohozaev_residual():
             return False, f"critical case fails at r={r_eval}: rel {rep.rel_residual():.2e}"
     worst_sub = 0.0
     spec_sub, traj_sub = _subcritical_shot(1.0)
+    _reached(spec_sub, traj_sub, 6.0, "subcritical shot")
     for r_eval in (1.0, 3.0, 6.0):
         rep = shooting.pohozaev_residual(traj_sub, spec_sub, r_eval, tol=1e-4)
         worst_sub = max(worst_sub, rep.rel_residual())
@@ -236,7 +345,9 @@ def _c06_pohozaev_residual():
     q_near = equation_critical(base) * 0.98
     pr_deg = base.replace(q=q_near)
     spec_deg = shooting.IvpSpec(params=pr_deg, u0=1.0, r_max=10.0)
-    rep_deg = shooting.pohozaev_residual(shooting.integrate_ivp(spec_deg), spec_deg, 0.5, tol=1e-4)
+    traj_deg = shooting.integrate_ivp(spec_deg)
+    _reached(spec_deg, traj_deg, 0.5, "near-critical shot")
+    rep_deg = shooting.pohozaev_residual(traj_deg, spec_deg, 0.5, tol=1e-4)
     worst_sub = max(worst_sub, rep_deg.rel_residual())
 
     # refinement: cap the step so discretization dominates, then halve the cap
@@ -247,6 +358,7 @@ def _c06_pohozaev_residual():
             rtol=1.0, atol=1.0, max_step=h,
         )
         traj_h = shooting.integrate_ivp(spec_h)
+        _reached(spec_h, traj_h, 3.0, f"max_step={h} shot")
         rep_h = shooting.pohozaev_residual(traj_h, spec_h, 3.0, tol=1.0)
         res_levels.append(abs(rep_h.residual) / rep_h.scale)
     orders = [math.log2(res_levels[i] / res_levels[i + 1]) for i in range(2)]
@@ -286,12 +398,14 @@ def _c07_hadamard():
 
     # (b) monotonicity of m(r) r^{-lam} along global supersolutions
     spec_at, traj_at = _at_shot(100.0)
+    _reached(spec_at, traj_at, spec_at.r_max, "critical shot")
     mask = traj_at.r >= 0.05
     rep_at = barriers.hadamard_monotonicity_check(
         np.column_stack([traj_at.r[mask], traj_at.u[mask]]), lam=-1.0
     )
     spec_sup = shooting.IvpSpec(params=ProblemParams(3, 2.0, 6.0), u0=1.0, r_max=100.0)
     traj_sup = shooting.integrate_ivp(spec_sup)
+    _reached(spec_sup, traj_sup, spec_sup.r_max, "supercritical shot")
     mask2 = traj_sup.r >= 0.05
     rep_sup = barriers.hadamard_monotonicity_check(
         np.column_stack([traj_sup.r[mask2], traj_sup.u[mask2]]), lam=-1.0
@@ -527,8 +641,7 @@ def _c11_blowup_power_transform():
     outcome = shooting.classify_outcome(traj, spec)
     if outcome.kind is not shooting.OutcomeKind.BLOWS_UP:
         return False, f"plus shot outcome {outcome.label}: {outcome.reason}"
-    sol = _oracle_p2_events(pr, 1.0, +1.0, 100.0, spec.blowup_threshold)
-    r_blow_oracle = float(sol.t_events[1][0])
+    r_blow_oracle = _oracle_radius(spec, "blows_up")
     rel = abs(outcome.r_blow - r_blow_oracle) / r_blow_oracle
 
     cx = barriers.build_counterexample(ProblemParams(3, 2.0, 4.0))
@@ -573,10 +686,15 @@ def _c12_scaling_covariance():
             pr = base.replace(q=q)
             u0 = float(rng.uniform(0.5, 2.0))
             spec = shooting.IvpSpec(params=pr, u0=u0, r_max=50.0)
-            rep = shooting.scaling_covariance_report(spec)
+            tag = f"{kind} (N={n},p={p:.3g},q={q:.3g})"
+            try:
+                rep = shooting.scaling_covariance_report(spec)
+            except PlapError as exc:
+                tags.append(f"{tag}: {exc}")
+                continue
             worst = max(worst, rep.residual)
             if not rep.passed:
-                tags.append(f"{kind} (N={n},p={p:.3g},q={q:.3g}): rel {rep.residual:.2e}")
+                tags.append(f"{tag}: rel {rep.residual:.2e}")
     passed = not tags
     detail = f"10 draws (5 supercritical, 5 subcritical), worst rel error {worst:.2e}"
     if tags:
@@ -605,6 +723,8 @@ def run_one(index: int) -> CriterionResult:
     name, fn = CRITERIA[index - 1]
     try:
         passed, detail = fn()
+    except _ShortShot as exc:
+        passed, detail = False, str(exc)
     except Exception as exc:  # a crash is a failure, not a crash of the suite
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     return CriterionResult(index=index, name=name, passed=passed, detail=detail)

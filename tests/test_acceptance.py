@@ -66,21 +66,35 @@ def test_fd_oracle_failure_names_the_family(monkeypatch):
     assert "LogBarrier" in res.detail and "r=" in res.detail
 
 
-def test_truncated_shots_fail_with_their_reason(monkeypatch):
-    # With a budget of 40 steps no shot reaches its event or r_max: criteria
-    # 4, 5 and 11 must fail with the outcome's label and reason, not raise.
-    # The shot caches are cleared on both sides, so no other test reuses a
-    # truncated shot.
+@pytest.fixture
+def forty_step_board(monkeypatch):
+    """``verify`` with a budget of 40 rk45 steps, so no shot reaches its event
+    or r_max.  The shot caches are cleared on both sides, so no other test
+    reuses a truncated shot."""
     from plap import rk45, verify
 
     verify._at_shot.cache_clear()
     verify._subcritical_shot.cache_clear()
     monkeypatch.setattr(rk45, "_MAX_STEPS", 40)
-    try:
-        for res in verify.run_all([4, 5, 11]):
-            assert not res.passed
-            assert "raised" not in res.detail, res.line()
-            assert "outcome indeterminate: integrator status max_steps at r=" in res.detail
-    finally:
-        verify._at_shot.cache_clear()
-        verify._subcritical_shot.cache_clear()
+    yield verify
+    verify._at_shot.cache_clear()
+    verify._subcritical_shot.cache_clear()
+
+
+def test_truncated_shots_fail_with_their_reason(forty_step_board):
+    # Criteria 4, 5 and 11 compare an event or r_max of their shots: they
+    # must fail with the outcome's label and reason, not raise.
+    for res in forty_step_board.run_all([4, 5, 11]):
+        assert not res.passed
+        assert "raised" not in res.detail, res.line()
+        assert "outcome indeterminate: integrator status max_steps at r=" in res.detail
+
+
+def test_shots_short_of_the_radii_read_fail_with_their_reason(forty_step_board):
+    # Criteria 6, 7 and 12 read their shots at fixed radii (r_eval, r_max and
+    # the rescaled overlap): a shot cut short must fail them with its label
+    # and reason, not pass on the part it reached.
+    for res in forty_step_board.run_all([6, 7, 12]):
+        assert not res.passed, res.line()
+        assert "raised" not in res.detail, res.line()
+        assert "outcome indeterminate: integrator status max_steps at r=" in res.detail

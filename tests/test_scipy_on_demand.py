@@ -4,13 +4,13 @@
 modules; the package resolves its exported names on first access, and each
 subcommand imports what it uses when it is dispatched.  Nor do they load
 ``dataclasses`` (with ``inspect``), ``json`` or ``csv``: ``import plap.cli``
-adds seven modules to the interpreter's start-up set.  scipy is imported on
-first use, and only by the verify oracles (scipy.integrate), so every other
-subcommand, the annulus solver included, starts without it.  The annulus
-solver's Newton systems go through plap's own ``bvp.solve_banded`` and the
-oracles call scipy through ``verify.solve_ivp``; the benchmark's tracer
-wraps exactly those names, so they are pinned here too.  Shooting and the
-annulus solver load no ``numpy.polynomial`` and name no LAPACK routine."""
+adds seven modules to the interpreter's start-up set.  No module imports
+scipy, so every subcommand, ``verify`` included, runs without it.  The
+annulus solver's Newton systems go through plap's own ``bvp.solve_banded``
+and the crossing and blow-up oracles through ``verify.taylor_oracle``; the
+benchmark's tracer wraps ``bvp.solve_banded``, so both names are pinned here.
+Shooting and the annulus solver load no ``numpy.polynomial`` and name no
+LAPACK routine."""
 
 import ast
 import os
@@ -45,6 +45,7 @@ NO_SCIPY_COMMANDS = [
     ["hadamard", "--r1", "1", "--r2", "4", "--m1", "1", "--m2", "0.5", "--n", "3", "--p", "2"],
     ["pohozaev", "--n", "3", "--p", "2", "--q", "4", "--u0", "1", "--r-eval", "3"],
     BVP,
+    ["verify", "--only", "5,11"],  # the criteria that run the Taylor oracle
 ]
 
 # Runs in a fresh interpreter: after each step, record every module loaded
@@ -151,16 +152,17 @@ class TestStartup:
             assert of("scipy", loaded) == [], f"{step} loaded {of('scipy', loaded)}"
 
     @pytest.mark.parametrize(
-        "argv,module", [(["verify", "--only", "5"], "scipy.integrate")], ids=["verify-5"]
+        "argv,module", [(["verify", "--only", "5"], "plap.verify")], ids=["verify-5"]
     )
-    def test_scipy_users_load_it(self, argv, module):
-        # Positive control: the probe above would see scipy if it were loaded.
+    def test_probe_sees_what_a_command_loads(self, argv, module):
+        # Positive control: the probe above sees a module once a command loads it.
         (_, _, _), (_, _, at_cli), (step, code, loaded) = run_fresh([argv])
-        assert of("scipy", at_cli) == []
+        assert module not in at_cli
         assert code == 0, step
         assert module in loaded
+        assert of("scipy", loaded) == []
 
-    def test_only_verify_imports_scipy(self):
+    def test_no_module_imports_scipy(self):
         # Every import statement in src/plap, function bodies included.
         importers = set()
         for path in sorted((SRC / "plap").glob("*.py")):
@@ -173,7 +175,7 @@ class TestStartup:
                     continue
                 if any(n == "scipy" or n.startswith("scipy.") for n in names):
                     importers.add(path.name)
-        assert importers == {"verify.py"}
+        assert importers == set()
 
     def test_no_module_names_a_lapack_routine(self):
         # numpy.polynomial and the numpy.linalg factorisations run LAPACK,
@@ -225,7 +227,7 @@ def counting(monkeypatch, owner, name):
 
 class TestTracedEntryPoints:
     """The annulus solve goes through plap's own ``bvp.solve_banded``, the
-    oracle through scipy's ``verify.solve_ivp``."""
+    crossing and blow-up oracle through ``verify.taylor_oracle``."""
 
     def test_annulus_solve_goes_through_bvp_solve_banded(self, monkeypatch):
         prob = AnnulusProblem(ProblemParams(3, 3.0, 3.0), 1.0, 3.0, 1.0, 0.2,
@@ -237,11 +239,11 @@ class TestTracedEntryPoints:
         assert info == ref_info
         np.testing.assert_array_equal(prof.u, ref.u)
 
-    def test_oracle_goes_through_verify_solve_ivp(self, monkeypatch):
+    def test_oracle_goes_through_verify_taylor_oracle(self, monkeypatch):
         ref = verify.run_one(5)
-        calls = counting(monkeypatch, verify, "solve_ivp")
+        calls = counting(monkeypatch, verify, "taylor_oracle")
         res = verify.run_one(5)
-        assert len(calls) >= 1
+        assert len(calls) == 3  # one per crossing shot
         assert res == ref
         assert res.passed
 

@@ -82,17 +82,19 @@ class TestOutcomes:
         assert out.kind is OutcomeKind.BLOWS_UP
         assert out.r_blow == pytest.approx(R_BLOW, rel=1e-8)
 
-    def test_crossing_beyond_r_max_matches_dop853(self):
+    def test_crossing_beyond_r_max_matches_taylor_oracle(self):
         # q = 0.97 q_E < q_E crosses at r ~ 113, past r_max = 100: the shot
         # continues to it rather than being labelled positive_decaying.
-        from plap.verify import _oracle_p2_events
+        from plap.verify import taylor_launch, taylor_oracle
 
         params = ProblemParams(n_dim=3, p=2.0, q=4.85, gamma=0.0)
         traj, spec = shoot(params, 1.0, r_max=100.0)
         out = classify_outcome(traj, spec)
-        oracle = _oracle_p2_events(params, 1.0, -1.0, 1e4, spec.blowup_threshold)
+        oracle = taylor_oracle(params, -1.0, *taylor_launch(params, 1.0, -1.0, 1e4), 1e4,
+                               spec.blowup_threshold)
         assert out.kind is OutcomeKind.CROSSES_ZERO
-        assert out.r_cross == pytest.approx(oracle.t_events[0][0], rel=1e-6)
+        assert oracle.event == "crosses_zero"
+        assert out.r_cross == pytest.approx(oracle.r[-1], rel=1e-6)
 
     def test_blowup_radius_matches_closed_form(self):
         # u = (1 - r^2/3)^{-1/2} solves Delta u = u^5 in R^3 (the Aubin-Talenti
