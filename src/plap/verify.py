@@ -10,6 +10,11 @@ different formulation from the shooting code's Dormand-Prince pair on
 (u, r^{N-1}|u'|^{p-2}u') in logs.  Its own check against scipy's DOP853 is in
 the test suite; nothing here imports scipy.
 
+Criteria 2, 3, 7, 8, 10 and 12 draw seeded cases from ``_stream``: plap's
+own pure-Python copy of the ``numpy.random.default_rng`` stream
+(``_pcg64``), equal to numpy's draw for draw, so the board loads no
+``numpy.random`` and its cases do not move with the installed numpy.
+
 ``run_all`` returns one result per criterion; the cli ``verify`` subcommand
 prints them one per line and exits 3 if any fail.
 """
@@ -42,6 +47,13 @@ from .radial_ops import (
 )
 
 _SEED = 20260814
+
+
+def _stream(k: int):
+    """Criterion k's seeded draws: the ``numpy.random.default_rng(_SEED + k)`` stream."""
+    from ._pcg64 import Generator  # compiled on the first draw, not with verify
+
+    return Generator(_SEED + k)
 
 
 @dataclass(frozen=True)
@@ -253,15 +265,15 @@ def _c02_counterexample_soundness():
     spot = barriers.counterexample_residual(cx, pr, 1.0).residual
     spot_ref = 2.0 ** (-8.0 / 3.0) * (4.0 / 3.0) * cx.c
     spot_err = abs(spot - spot_ref)
-    rng = np.random.default_rng(_SEED)
+    rng = _stream(0)
     worst_random = math.inf
     worst_tag = ""
     for _ in range(100):
-        n = int(rng.integers(2, 9))
-        p = float(rng.uniform(1.05, min(4.0, n - 0.1)))
-        gamma = float(rng.uniform(0.0, 5.0))
-        base = ProblemParams(n, p, p, gamma, float(rng.uniform(0.5, 2.0)))
-        q = serrin_critical(base) * (1.0 + float(rng.uniform(0.02, 2.0)))
+        n = rng.integers(2, 9)
+        p = rng.uniform(1.05, min(4.0, n - 0.1))
+        gamma = rng.uniform(0.0, 5.0)
+        base = ProblemParams(n, p, p, gamma, rng.uniform(0.5, 2.0))
+        q = serrin_critical(base) * (1.0 + rng.uniform(0.02, 2.0))
         prr = base.replace(q=q)
         cxr = barriers.build_counterexample(prr)
         _, rs = barriers.counterexample_residual_grid(cxr, prr, 1e-3, 1e6, 400)
@@ -276,12 +288,12 @@ def _c02_counterexample_soundness():
 
 
 def _c03_pohozaev_root():
-    rng = np.random.default_rng(_SEED + 1)
+    rng = _stream(1)
     worst = 0.0
     for _ in range(100):
-        n = int(rng.integers(2, 11))
-        p = float(rng.uniform(1.05, min(6.0, n - 0.05)))
-        gamma = float(rng.uniform(-p + 0.2, 4.0))
+        n = rng.integers(2, 11)
+        p = rng.uniform(1.05, min(6.0, n - 0.05))
+        gamma = rng.uniform(-p + 0.2, 4.0)
         base = ProblemParams(n, p, p, gamma)
         qe = equation_critical(base)
         k = pohozaev_coefficient(base.replace(q=qe))
@@ -412,22 +424,22 @@ def _c07_hadamard():
     )
 
     # (c) bound below BVP supersolution minima on random annuli
-    rng = np.random.default_rng(_SEED + 2)
+    rng = _stream(2)
     worst_margin = math.inf
     for draw in range(10):
         if draw < 2:
-            n = int(rng.integers(2, 4))
+            n = rng.integers(2, 4)
             p = float(n)
         else:
-            n = int(rng.integers(2, 7))
-            p = float(rng.uniform(1.4, 3.5))
+            n = rng.integers(2, 7)
+            p = rng.uniform(1.4, 3.5)
             while abs(p - n) < 0.1:
-                p = float(rng.uniform(1.4, 3.5))
+                p = rng.uniform(1.4, 3.5)
         pr = ProblemParams(n, p, max(p, 2.0))
-        r1 = float(rng.uniform(0.5, 2.0))
-        r2 = r1 * float(rng.uniform(1.8, 4.0))
-        b1, b2 = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0))
-        amp = float(rng.uniform(0.05, 1.0))
+        r1 = rng.uniform(0.5, 2.0)
+        r2 = r1 * rng.uniform(1.8, 4.0)
+        b1, b2 = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+        amp = rng.uniform(0.05, 1.0)
         prob = bvp.AnnulusProblem(
             params=pr, r_inner=r1, r_outer=r2, boundary_inner=b1, boundary_outer=b2,
             rhs=lambda rr, A=amp: A * (1.0 + math.sin(3.0 * rr) ** 2), mesh_size=256,
@@ -449,22 +461,22 @@ def _c07_hadamard():
 
 
 def _c08_comparison():
-    rng = np.random.default_rng(_SEED + 3)
+    rng = _stream(3)
     worst = math.inf
     for _ in range(20):
-        n = int(rng.integers(2, 7))
-        p = float(rng.uniform(1.3, 4.0))
+        n = rng.integers(2, 7)
+        p = rng.uniform(1.3, 4.0)
         if abs(p - n) < 0.15:
             p = float(n)
         pr = ProblemParams(n, p, max(p, 2.0))
-        r1 = float(rng.uniform(0.6, 1.5))
-        r2 = r1 * float(rng.uniform(1.6, 3.5))
-        c2 = float(rng.uniform(0.3, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        c1 = float(rng.uniform(-1.0, 1.0))
+        r1 = rng.uniform(0.6, 1.5)
+        r2 = r1 * rng.uniform(1.6, 3.5)
+        c2 = rng.uniform(0.3, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)
+        c1 = rng.uniform(-1.0, 1.0)
         phi = PowerBarrier.fundamental(pr, c2=c2, c1=c1)
-        lift1, lift2 = float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8))
-        amp = float(rng.uniform(0.0, 1.5))
-        om = float(rng.uniform(0.5, 4.0))
+        lift1, lift2 = rng.uniform(0.05, 0.8), rng.uniform(0.05, 0.8)
+        amp = rng.uniform(0.0, 1.5)
+        om = rng.uniform(0.5, 4.0)
         prob = bvp.AnnulusProblem(
             params=pr, r_inner=r1, r_outer=r2,
             boundary_inner=eval_profile(phi, r1).value + lift1,
@@ -543,21 +555,21 @@ def _c09_moser():
 
 
 def _c10_fd_oracle():
-    rng = np.random.default_rng(_SEED + 4)
+    rng = _stream(4)
     draws = []  # (profile, params, r, closed-form Delta_p)
 
     # fundamental (r^lam, and log r at N = p)
     for _ in range(25):
-        n = int(rng.integers(2, 7))
+        n = rng.integers(2, 7)
         if rng.random() < 0.2:
             p = float(n)
         else:
-            p = float(rng.uniform(1.4, 3.5))
+            p = rng.uniform(1.4, 3.5)
             while p >= n:
-                p = float(rng.uniform(1.4, 3.5))
+                p = rng.uniform(1.4, 3.5)
         pr = ProblemParams(n, p, max(p, 2.0))
-        phi = PowerBarrier.fundamental(pr, c2=float(rng.uniform(0.5, 2.0)),
-                                       c1=float(rng.uniform(0.0, 1.0)))
+        phi = PowerBarrier.fundamental(pr, c2=rng.uniform(0.5, 2.0),
+                                       c1=rng.uniform(0.0, 1.0))
         r = float(np.exp(rng.uniform(np.log(0.4), np.log(20.0))))
         draws.append((phi, pr, r, 0.0))  # p-harmonic: Delta_p = 0
 
@@ -566,20 +578,20 @@ def _c10_fd_oracle():
     # difference loses all its signal there; sample clear of that corner.
     cut_cases = [(3, 2.0, 3), (3, 2.0, 5), (4, 2.0, 5), (3, 1.5, 2)]
     for _ in range(25):
-        k, p, n = cut_cases[int(rng.integers(0, len(cut_cases)))]
-        r1 = float(rng.uniform(0.5, 2.0))
-        spec = CutoffBarrier(m1=float(rng.uniform(0.5, 2.0)), r1=r1, r_big=2.0 * r1, k=k)
+        k, p, n = cut_cases[rng.integers(0, len(cut_cases))]
+        r1 = rng.uniform(0.5, 2.0)
+        spec = CutoffBarrier(m1=rng.uniform(0.5, 2.0), r1=r1, r_big=2.0 * r1, k=k)
         pr = ProblemParams(n, p, max(p, 2.0))
-        r = float(rng.uniform(1.3 * r1, 1.98 * r1))
+        r = rng.uniform(1.3 * r1, 1.98 * r1)
         draws.append((spec, pr, r, -barriers.cutoff_barrier_plap(spec, pr, r)))
 
     # log-corrected barrier, radii clear of the gradient-degenerate point
     log_cases = [(2.0, 3, 1.0), (3.0, 4, 0.4), (1.7, 3, 1.0)]
     for _ in range(25):
-        p, n, beta = log_cases[int(rng.integers(0, len(log_cases)))]
+        p, n, beta = log_cases[rng.integers(0, len(log_cases))]
         pr = ProblemParams(n, p, max(p, 2.0))
-        lb = LogBarrier.for_params(pr, gamma1=float(rng.uniform(0.05, 1.0)),
-                                   gamma2=float(rng.uniform(0.0, 0.5)), beta=beta)
+        lb = LogBarrier.for_params(pr, gamma1=rng.uniform(0.05, 1.0),
+                                   gamma2=rng.uniform(0.0, 0.5), beta=beta)
         r_star = math.exp(beta * (p - 1.0) / (n - p))
         r = float(np.exp(rng.uniform(np.log(1.5), np.log(50.0))))
         while abs(r - r_star) < 0.05 * r_star:
@@ -588,11 +600,11 @@ def _c10_fd_oracle():
 
     # counterexample profile
     for _ in range(25):
-        n = int(rng.integers(2, 8))
-        p = float(rng.uniform(1.2, min(3.5, n - 0.1)))
-        gamma = float(rng.uniform(0.0, 3.0))
+        n = rng.integers(2, 8)
+        p = rng.uniform(1.2, min(3.5, n - 0.1))
+        gamma = rng.uniform(0.0, 3.0)
         base = ProblemParams(n, p, p, gamma)
-        q = serrin_critical(base) * (1.0 + float(rng.uniform(0.05, 1.5)))
+        q = serrin_critical(base) * (1.0 + rng.uniform(0.05, 1.5))
         pr = base.replace(q=q)
         cx = barriers.build_counterexample(pr)
         r = float(np.exp(rng.uniform(np.log(0.01), np.log(1e3))))
@@ -669,22 +681,22 @@ def _c11_blowup_power_transform():
 
 
 def _c12_scaling_covariance():
-    rng = np.random.default_rng(_SEED + 5)
+    rng = _stream(5)
     worst = 0.0
     tags = []
     for kind in ("supercritical", "subcritical"):
         for _ in range(5):
-            n = int(rng.integers(3, 6))
-            p = float(rng.uniform(1.6, 2.6))
-            gamma = float(rng.uniform(0.0, 1.5))
+            n = rng.integers(3, 6)
+            p = rng.uniform(1.6, 2.6)
+            gamma = rng.uniform(0.0, 1.5)
             base = ProblemParams(n, p, p, gamma)
             qe = equation_critical(base)
             if kind == "supercritical":
-                q = qe * float(rng.uniform(1.1, 1.6))
+                q = qe * rng.uniform(1.1, 1.6)
             else:
-                q = (p - 1.0) + (qe - (p - 1.0)) * float(rng.uniform(0.55, 0.9))
+                q = (p - 1.0) + (qe - (p - 1.0)) * rng.uniform(0.55, 0.9)
             pr = base.replace(q=q)
-            u0 = float(rng.uniform(0.5, 2.0))
+            u0 = rng.uniform(0.5, 2.0)
             spec = shooting.IvpSpec(params=pr, u0=u0, r_max=50.0)
             tag = f"{kind} (N={n},p={p:.3g},q={q:.3g})"
             try:

@@ -10,7 +10,9 @@ annulus solver's Newton systems go through plap's own ``bvp.solve_banded``
 and the crossing and blow-up oracles through ``verify.taylor_oracle``; the
 benchmark's tracer wraps ``bvp.solve_banded``, so both names are pinned here.
 Shooting and the annulus solver load no ``numpy.polynomial`` and name no
-LAPACK routine."""
+LAPACK routine.  The verify board draws its seeded cases from plap's own copy
+of the ``numpy.random.default_rng`` stream, so on numpy 2.x, where ``import
+numpy`` leaves ``numpy.random`` unloaded, the whole board loads none of it."""
 
 import ast
 import os
@@ -95,6 +97,16 @@ def added_by(statement):
     """Modules a fresh interpreter loads for ``statement`` beyond its start-up set."""
     return fresh_python(
         f"import sys\nbare = set(sys.modules)\n{statement}\nprint(sorted(set(sys.modules) - bare))")
+
+
+def added_after_numpy(statements):
+    """Modules a fresh interpreter loads for ``statements`` after ``import numpy``."""
+    return fresh_python(
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "bare = set(sys.modules)\n"
+        f"{statements}\n"
+        "print(sorted(set(sys.modules) - bare))")
 
 
 def of(package, loaded):
@@ -199,17 +211,42 @@ class TestStartup:
 
     def test_shooting_and_bvp_load_no_numpy_polynomial(self):
         # After import numpy, which loads numpy.polynomial itself on numpy 1.x.
-        loaded = fresh_python(
-            "import contextlib, io, sys\n"
-            "import numpy\n"
-            "bare = set(sys.modules)\n"
+        loaded = added_after_numpy(
             "from plap import cli\n"
             f"for argv in {[SHOOT, SWEEP, BVP]!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-            "print(sorted(set(sys.modules) - bare))")
+            "        assert cli.main(argv) == 0, argv")
         assert "plap.shooting" in loaded and "plap.bvp" in loaded
         assert [m for m in loaded if m.startswith("numpy.polynomial")] == []
+
+    def test_verify_board_loads_no_numpy_random(self):
+        if "numpy.random" in added_by("import numpy"):
+            pytest.skip("import numpy loads numpy.random itself (numpy 1.x)")
+        loaded = added_after_numpy(
+            "from plap import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify']) == 3")
+        assert "plap.verify" in loaded and "plap._pcg64" in loaded
+        assert [m for m in loaded if m.startswith("numpy.random")] == []
+        # Positive control: the probe sees numpy.random once default_rng runs.
+        assert "numpy.random" in added_after_numpy("numpy.random.default_rng(0)")
+
+    def test_no_module_refers_to_numpy_random(self):
+        users = set()
+        for path in sorted((SRC / "plap").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr == "random":
+                    named = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                elif isinstance(node, ast.Import):
+                    named = any(a.name.startswith("numpy.random") for a in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    named = (node.module or "").startswith("numpy.random") or (
+                        node.module == "numpy" and any(a.name == "random" for a in node.names))
+                else:
+                    continue
+                if named:
+                    users.add(path.name)
+        assert users == set()
 
 
 def counting(monkeypatch, owner, name):
