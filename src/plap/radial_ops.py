@@ -220,13 +220,14 @@ def p_laplacian_radial(point: EvalPoint, params: ProblemParams) -> float:
     """Expanded-form Delta_p V = |V'|^{p-2}((p-1)V'' + (N-1)/r V').
 
     On the degenerate set V' = 0 the formula gives (p-1)V'' at p = 2 and 0
-    for p > 2; for p < 2 it is singular, and |V'| at or below the floor
-    (relative to max(1, |V''| r)) raises SingularGradient.
+    for p > 2; for p < 2 it is singular, and |V'| <= 1e-12 |V''| r raises
+    SingularGradient.  Both sides scale with V, so multiplying the profile by a
+    constant does not move the floor.
     """
     if point.r <= 0:
         raise PlapError(f"p_laplacian_radial needs r > 0, got r={point.r}")
     p, n = params.p, params.n_dim
-    if p < 2.0 and abs(point.d1) <= GRADIENT_FLOOR * max(1.0, abs(point.d2) * point.r):
+    if p < 2.0 and abs(point.d1) <= GRADIENT_FLOOR * abs(point.d2) * point.r:
         raise SingularGradient(
             f"|V'| = {abs(point.d1):.3e} below floor at r={point.r} with p={p} < 2"
         )

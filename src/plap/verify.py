@@ -10,10 +10,11 @@ different formulation from the shooting code's Dormand-Prince pair on
 (u, r^{N-1}|u'|^{p-2}u') in logs.  Its own check against scipy's DOP853 is in
 the test suite; nothing here imports scipy.
 
-Criteria 2, 3, 7, 8, 10 and 12 draw seeded cases from ``_stream``: plap's
-own pure-Python copy of the ``numpy.random.default_rng`` stream
-(``_pcg64``), equal to numpy's draw for draw, so the board loads no
-``numpy.random`` and its cases do not move with the installed numpy.
+Criteria 2, 3, 7, 8, 10 and 12 draw seeded cases from ``_stream``, the
+standard library's ``random.Random``, so the board loads no ``numpy.random``
+and its cases do not move with the installed numpy.  Python keeps
+``random()`` the same for an int seed across releases, and the test suite
+pins the first draws.
 
 ``run_all`` returns one result per criterion; the cli ``verify`` subcommand
 prints them one per line and exits 3 if any fail.
@@ -22,6 +23,7 @@ prints them one per line and exits 3 if any fail.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -49,11 +51,9 @@ from .radial_ops import (
 _SEED = 20260814
 
 
-def _stream(k: int):
-    """Criterion k's seeded draws: the ``numpy.random.default_rng(_SEED + k)`` stream."""
-    from ._pcg64 import Generator  # compiled on the first draw, not with verify
-
-    return Generator(_SEED + k)
+def _stream(k: int) -> random.Random:
+    """Criterion k's seeded draws."""
+    return random.Random(_SEED + k)
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def _c02_counterexample_soundness():
     worst_random = math.inf
     worst_tag = ""
     for _ in range(100):
-        n = rng.integers(2, 9)
+        n = rng.randrange(2, 9)
         p = rng.uniform(1.05, min(4.0, n - 0.1))
         gamma = rng.uniform(0.0, 5.0)
         base = ProblemParams(n, p, p, gamma, rng.uniform(0.5, 2.0))
@@ -291,7 +291,7 @@ def _c03_pohozaev_root():
     rng = _stream(1)
     worst = 0.0
     for _ in range(100):
-        n = rng.integers(2, 11)
+        n = rng.randrange(2, 11)
         p = rng.uniform(1.05, min(6.0, n - 0.05))
         gamma = rng.uniform(-p + 0.2, 4.0)
         base = ProblemParams(n, p, p, gamma)
@@ -428,10 +428,10 @@ def _c07_hadamard():
     worst_margin = math.inf
     for draw in range(10):
         if draw < 2:
-            n = rng.integers(2, 4)
+            n = rng.randrange(2, 4)
             p = float(n)
         else:
-            n = rng.integers(2, 7)
+            n = rng.randrange(2, 7)
             p = rng.uniform(1.4, 3.5)
             while abs(p - n) < 0.1:
                 p = rng.uniform(1.4, 3.5)
@@ -464,7 +464,7 @@ def _c08_comparison():
     rng = _stream(3)
     worst = math.inf
     for _ in range(20):
-        n = rng.integers(2, 7)
+        n = rng.randrange(2, 7)
         p = rng.uniform(1.3, 4.0)
         if abs(p - n) < 0.15:
             p = float(n)
@@ -560,7 +560,7 @@ def _c10_fd_oracle():
 
     # fundamental (r^lam, and log r at N = p)
     for _ in range(25):
-        n = rng.integers(2, 7)
+        n = rng.randrange(2, 7)
         if rng.random() < 0.2:
             p = float(n)
         else:
@@ -578,7 +578,7 @@ def _c10_fd_oracle():
     # difference loses all its signal there; sample clear of that corner.
     cut_cases = [(3, 2.0, 3), (3, 2.0, 5), (4, 2.0, 5), (3, 1.5, 2)]
     for _ in range(25):
-        k, p, n = cut_cases[rng.integers(0, len(cut_cases))]
+        k, p, n = cut_cases[rng.randrange(0, len(cut_cases))]
         r1 = rng.uniform(0.5, 2.0)
         spec = CutoffBarrier(m1=rng.uniform(0.5, 2.0), r1=r1, r_big=2.0 * r1, k=k)
         pr = ProblemParams(n, p, max(p, 2.0))
@@ -588,7 +588,7 @@ def _c10_fd_oracle():
     # log-corrected barrier, radii clear of the gradient-degenerate point
     log_cases = [(2.0, 3, 1.0), (3.0, 4, 0.4), (1.7, 3, 1.0)]
     for _ in range(25):
-        p, n, beta = log_cases[rng.integers(0, len(log_cases))]
+        p, n, beta = log_cases[rng.randrange(0, len(log_cases))]
         pr = ProblemParams(n, p, max(p, 2.0))
         lb = LogBarrier.for_params(pr, gamma1=rng.uniform(0.05, 1.0),
                                    gamma2=rng.uniform(0.0, 0.5), beta=beta)
@@ -600,7 +600,7 @@ def _c10_fd_oracle():
 
     # counterexample profile
     for _ in range(25):
-        n = rng.integers(2, 8)
+        n = rng.randrange(2, 8)
         p = rng.uniform(1.2, min(3.5, n - 0.1))
         gamma = rng.uniform(0.0, 3.0)
         base = ProblemParams(n, p, p, gamma)
@@ -686,7 +686,7 @@ def _c12_scaling_covariance():
     tags = []
     for kind in ("supercritical", "subcritical"):
         for _ in range(5):
-            n = rng.integers(3, 6)
+            n = rng.randrange(3, 6)
             p = rng.uniform(1.6, 2.6)
             gamma = rng.uniform(0.0, 1.5)
             base = ProblemParams(n, p, p, gamma)

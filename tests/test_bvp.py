@@ -9,6 +9,7 @@ import pytest
 from plap import (
     AnnulusProblem,
     CutoffBarrier,
+    LogBarrier,
     NewtonDivergence,
     PlapError,
     PowerBarrier,
@@ -289,19 +290,29 @@ class TestComparison:
             comparison_check(prob, bent)
 
     def test_rejects_degenerate_gradient_below_p_two(self):
-        # The cutoff leaves its flat part just before r = 1.25, the second scan
-        # radius, where |V'| ~ 1e-18 is below the floor; at p < 2 the singular
-        # |V'|^{p-2} is reported as a PlapError naming it.
+        # r^-3 (log r)^3 has a true critical point where -3 log r + 3 = 0, at
+        # r = e, the first scan radius; at p < 2 the singular |V'|^{p-2} there
+        # is reported as a PlapError naming it.
         pr = params(3, 1.5)
         prob = AnnulusProblem(
-            params=pr, r_inner=1.0, r_outer=3.0,
-            boundary_inner=1.0, boundary_outer=5.0, mesh_size=64,
+            params=pr, r_inner=math.e, r_outer=2.0 * math.e,
+            boundary_inner=1.0, boundary_outer=1.0, mesh_size=64,
         )
         with pytest.raises(
-            PlapError, match=r"^profile gradient degenerates at r=1\.25 with p=1\.5 < 2$"
+            PlapError, match=r"^profile gradient degenerates at r=2\.71828 with p=1\.5 < 2$"
         ) as info:
-            comparison_check(prob, CutoffBarrier(m1=1.0, r1=1.25 - 1e-6, r_big=4.0, k=3))
+            comparison_check(prob, LogBarrier.for_params(pr, gamma1=1.0, gamma2=0.0, beta=3.0))
         assert type(info.value) is PlapError
+
+    def test_small_gradient_past_a_cutoff_kink_is_not_degenerate(self):
+        # 1e-6 past r1, |V'| / (|V''| r) ~ 3e-7: far above the gradient floor,
+        # so the cutoff is rejected for what it is, a profile that is not p-harmonic.
+        prob = AnnulusProblem(
+            params=params(3, 1.5), r_inner=1.0, r_outer=3.0,
+            boundary_inner=1.0, boundary_outer=5.0, mesh_size=64,
+        )
+        with pytest.raises(PlapError, match=r"^Delta_p V = .* at r=1\.25 .* not p-harmonic"):
+            comparison_check(prob, CutoffBarrier(m1=1.0, r1=1.25 - 1e-6, r_big=4.0, k=3))
 
 
 class TestValidation:

@@ -154,6 +154,14 @@ class TestFdOracle:
         rep = fd_agreement(build_counterexample(pr), r, pr)
         assert rep.passed, rep.rel_residual()
 
+    def test_counterexample_tail_is_not_a_critical_point(self):
+        # At r ~ 800 the profile is small: V' = -1.6e-13 and |V''| r = 7.9e-13.
+        # A floor relative to max(1, |V''| r) took that for V' = 0; relative
+        # to |V''| r it does not, and the FD oracle agrees with the closed form.
+        pr = ProblemParams(7, 1.708293288804351, 1.671162455477315, 2.052066636253529)
+        rep = fd_agreement(build_counterexample(pr), 797.7098158014795, pr)
+        assert rep.passed, rep.rel_residual()
+
     def test_requires_room_for_the_stencil(self):
         with pytest.raises(PlapError, match=r"^need r > 2h \(r=1e-05, h="):
             p_laplacian_fd(Counterexample(c=1.0, alpha=1.0), 1e-5, params(), h=1e-4)
