@@ -104,8 +104,9 @@ def counterexample_plap(profile: Counterexample, params: ProblemParams, r):
 def _counterexample_sides(profile, params, r):
     r = np.asarray(r, dtype=float)
     lhs = -np.asarray(counterexample_plap(profile, params, r))
-    gamma_val = profile.c * (1.0 + r) ** (-profile.alpha)
-    rhs = params.amplitude * r ** params.gamma * gamma_val ** params.q
+    # a r^gamma Gamma^q in logs: Gamma itself can be subnormal before the power q
+    log_gamma = math.log(profile.c) - profile.alpha * np.log1p(r)
+    rhs = np.exp(math.log(params.amplitude) + params.gamma * np.log(r) + params.q * log_gamma)
     return lhs, rhs
 
 

@@ -26,10 +26,8 @@ one.  Mesh sequencing gives the first level its start: from mesh 256 up the
 same problem is first solved at eps = 1e-2 on a mesh four times coarser (the
 same rule applied again below it) and interpolated, so the Newton count per
 level does not grow with the mesh; a coarser mesh starts from the straight
-line between the boundary values.  If Newton stops converging at some level
-the last converged solution is returned and the achieved eps is reported --
-for p > 2 the Jacobian degenerates wherever the discrete gradient vanishes,
-and chasing eps below that point buys no accuracy.
+line between the boundary values.  A solve finishes every level or raises
+NewtonDivergence naming the eps at which Newton stalled.
 """
 
 from __future__ import annotations
@@ -120,15 +118,10 @@ class GridProfile:
 
 @dataclass(frozen=True)
 class NewtonInfo:
-    flux_eps: float        # achieved continuation level
+    flux_eps: float        # the last continuation level, 0.0 at p = 2
     iterations: int        # Newton iterations across all levels and meshes
     residual: float        # final scaled RMS residual
-    levels_done: int
-
-
-class _LevelStalled(Exception):
-    def __init__(self, residual: float):
-        self.residual = residual
+    levels_done: int       # every level: 9, or 1 at p = 2
 
 
 def _flux_and_dflux(D: np.ndarray, p: float, eps: float):
@@ -151,8 +144,8 @@ def _phi_increment(D: np.ndarray, h: np.ndarray, p: float, eps: float) -> np.nda
 
 
 def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
-    """Damped Newton at one eps level; mutates and returns (u, iterations,
-    scaled RMS residual).
+    """Damped Newton at one eps level; mutates u and returns (iterations,
+    scaled RMS residual), or raises NewtonDivergence naming eps.
 
     The step delta = J^{-1}(-res) descends the energy E of the module
     docstring with slope -res . delta < 0.  Its length t halves until E falls
@@ -163,13 +156,17 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
     midpoint increments (_phi_increment), never as a difference of two
     energies, so it stays resolved down to the stopping test.
 
-    Newton stops when the RMS residual is _NEWTON_TOL times the largest flux
-    or load term, or the roundoff of evaluating the residual if that is
-    larger: the flux magnitudes, and c * u taken per midpoint with the larger
-    |u| of its two nodes, since the largest c and the largest |u| may sit at
-    opposite ends of the mesh.  The reported residual is the RMS over the
-    flux-or-load scale.  Constant data with no load has no flux, a
-    zero residual, and stops at once.
+    Newton stops when the residual at every node is _NEWTON_TOL times the
+    largest flux or load term, or the roundoff of evaluating that node's
+    residual if that is larger: 8 eps_mach times the sum of what it is formed
+    from -- its two fluxes, its load term, and c * u at its two midpoints,
+    each with the larger |u| of the midpoint's two nodes.  The floor is per
+    node because c can span tens of decades (p < 2 with a steep profile): one
+    floor for the whole mesh then exceeds every far-field flux, and Newton
+    stops far from the solution.  The reported residual is the RMS over the
+    flux-or-load scale; where far-field nodes sit at their own floor it need
+    not be small.  Constant data with no load has no flux, a zero residual,
+    and stops at once.
     """
     rms = math.sqrt(len(u) - 2)
 
@@ -180,23 +177,23 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
         c = r_mid_pow * dflux / dr
         scale = max(float(np.max(np.abs(fl))), float(np.max(np.abs(rhs_term))))
         au = np.abs(uu)
-        cu = np.maximum(au[:-1], au[1:])
-        cu *= c
-        floor = 8.0 * _EPS_MACH * (scale + float(np.max(cu)))
+        terms = np.abs(fl) + c * np.maximum(au[:-1], au[1:])
+        floor = 8.0 * _EPS_MACH * (terms[:-1] + terms[1:] + np.abs(rhs_term))
         res = fl[1:] - fl[:-1] + rhs_term
+        done = bool(np.all(np.abs(res) <= np.maximum(_NEWTON_TOL * scale, floor)))
         norm = float(np.linalg.norm(res)) / rms
-        return D, res, c, norm, max(_NEWTON_TOL * scale, floor), scale
+        return D, res, c, done, norm / scale if norm else 0.0
 
     for it in range(_MAX_NEWTON_ITER + 1):
-        D, res, c, norm, tol, scale = residual(u)
-        if norm <= tol:
-            return u, it, norm / scale if norm else 0.0
+        D, res, c, done, norm = residual(u)
+        if done:
+            return it, norm
         if it == _MAX_NEWTON_ITER:
             break
         delta = solve_banded(c, -res)
         slope = float(res @ delta)
         if not (np.all(np.isfinite(delta)) and slope > 0.0):
-            raise _LevelStalled(norm / scale)
+            break
         dD = np.diff(delta, prepend=0.0, append=0.0) / dr
         load = float(rhs_term @ delta)
         t = 1.0
@@ -207,14 +204,15 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
                     break
                 t *= 0.5
             else:
-                raise _LevelStalled(norm / scale)
+                break
         u[1:-1] += t * delta
-    raise _LevelStalled(norm / scale)
+    raise NewtonDivergence(f"Newton stalled at continuation level eps={eps:g}",
+                           last_residual=norm, flux_eps=eps)
 
 
 def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, NewtonInfo]:
-    """u on the nodes r, for the load samples f, continued through the eps
-    levels; NewtonInfo.iterations includes those of every coarser mesh."""
+    """u on the nodes r, for the load samples f, continued through every eps
+    level; NewtonInfo.iterations includes those of every coarser mesh."""
     p = prob.params.p
     mesh = len(r) - 1
     iterations = 0
@@ -228,29 +226,11 @@ def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, Newto
     dr = float(r[1] - r[0])
     r_mid_pow = (0.5 * (r[:-1] + r[1:])) ** (prob.params.n_dim - 1.0)
     rhs_term = dr * r[1:-1] ** (prob.params.n_dim - 1.0) * f[1:-1]
-
-    done = 0
-    best = None
     for eps in levels:
-        try:
-            u, it, norm = _newton_level(u.copy(), r_mid_pow, rhs_term, dr, p, eps)
-        except _LevelStalled as stall:
-            if best is None:
-                raise NewtonDivergence(
-                    f"Newton stalled at first continuation level eps={eps:g}",
-                    last_residual=stall.residual,
-                    flux_eps=eps,
-                ) from None
-            break
+        it, norm = _newton_level(u, r_mid_pow, rhs_term, dr, p, eps)
         iterations += it
-        done += 1
-        best = (u, eps, norm)
-    u_final, eps_final, norm_final = best
-    return u_final, NewtonInfo(
-        flux_eps=eps_final,
-        iterations=iterations,
-        residual=norm_final,
-        levels_done=done,
+    return u, NewtonInfo(
+        flux_eps=levels[-1], iterations=iterations, residual=norm, levels_done=len(levels),
     )
 
 

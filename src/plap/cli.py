@@ -98,9 +98,6 @@ def _add_shot_flags(p: _Parser):
     p.add_argument("--r-max", type=float, default=100.0, help="integration endpoint")
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--delta0", type=float, default=None,
-                   help="series hand-off radius (default 1e-6 min(1, r_max), shrunk "
-                        "until the series term is 1e-6 of u0)")
 
 
 def _add_out_flag(p: _Parser):
@@ -212,7 +209,7 @@ def _run_shoot(args) -> int:
     from . import shooting
     spec = shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=_sign_from(args),
-        r_max=args.r_max, rtol=args.rtol, atol=args.atol, delta0=args.delta0,
+        r_max=args.r_max, rtol=args.rtol, atol=args.atol,
         max_step=args.max_step if args.max_step is not None else math.inf,
     )
     traj = shooting.integrate_ivp(spec)
@@ -364,7 +361,7 @@ def _run_pohozaev(args) -> int:
     from . import shooting
     spec = shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=shooting.EquationSign.MINUS,
-        r_max=args.r_max, rtol=args.rtol, atol=args.atol, delta0=args.delta0,
+        r_max=args.r_max, rtol=args.rtol, atol=args.atol,
     )
     traj = shooting.integrate_ivp(spec)
     rep = shooting.pohozaev_residual(traj, spec, args.r_eval, tol=args.tol)
@@ -452,24 +449,6 @@ _SUBCOMMANDS = {
 # Config splicing and dispatch
 # ---------------------------------------------------------------------------
 
-def _extract_config(tokens: list[str]) -> tuple[str | None, list[str]]:
-    path, rest, i = None, [], 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "--config":
-            if i + 1 >= len(tokens):
-                raise _UsageExit("--config needs a path")
-            path = tokens[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            rest.append(tok)
-            i += 1
-    return path, rest
-
-
 def _config_tokens(parser: _Parser, path: str) -> list[str]:
     """key=value lines -> flag tokens, spliced ahead of explicit flags."""
     try:
@@ -507,12 +486,14 @@ def dispatch(argv: list[str]) -> int:
     build(parser)
     created = False
     try:
-        config_path, rest = _extract_config(argv[1:])
-        tokens = rest
-        if config_path is not None:
-            tokens = _config_tokens(parser, config_path) + rest
+        # argparse finds --config (or a unique prefix of it) wherever it sits,
+        # so the file's values go ahead of every explicit flag
+        pre = _Parser(prog=f"plap {cmd}", add_help=False)
+        pre.add_argument("--config")
+        known, tokens = pre.parse_known_args(argv[1:])
+        if known.config is not None:
+            tokens = _config_tokens(parser, known.config) + tokens
         args = parser.parse_args(tokens)
-        args.config = config_path
         created = _claim_out(args.out)
         return run(args)
     except _HelpShown:

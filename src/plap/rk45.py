@@ -166,10 +166,10 @@ def integrate(
         for c, row in zip(_C, _A):
             y_new = tuple([yj + h * left_sum(map(mul, row, kj)) for yj, kj in zip(y, zip(*ks))])
             f_new = tuple(map(float, f(t + c * h, y_new)))
+            n_fev += 1
             if not all(map(math.isfinite, y_new + f_new)):
                 break
             ks.append(f_new)
-        n_fev += 6
         if len(ks) < 7:  # a stage state or slope past the float range
             n_rejected += 1
             h *= _MIN_FACTOR

@@ -12,8 +12,8 @@ the origin series, whose log ku and log kw come from ``series_logs``:
     u(r) = u0 -+ ku r^s + O(r^{2s}),   s = (p+gamma)/(p-1),
     w(r) = -+ kw r^{N+gamma},   kw = a u0^q/(N+gamma),   ku = (p-1)/(p+gamma) kw^{1/(p-1)},
 
-so the hand-off error is O(delta0^{2s}) relative.  The default delta0,
-``launch_radius``, is 1e-6 min(1, r_max), shrunk where needed until
+so the hand-off error is O(delta0^{2s}) relative.  delta0 is derived, not
+set: ``launch_radius`` gives 1e-6 min(1, r_max), shrunk where needed until
 ku delta0^s <= 1e-6 u0, but not below 1e-300, where a tiny s would
 underflow it to 0.
 
@@ -84,7 +84,11 @@ class EquationSign(enum.Enum):
 
 @dataclass(frozen=True)
 class IvpSpec:
-    """Shooting problem: u(0) = u0 > 0, u'(0) = 0, integrate to r_max."""
+    """Shooting problem: u(0) = u0 > 0, u'(0) = 0, integrate to r_max.
+
+    The hand-off radius ``delta0`` follows from params, u0 and r_max
+    (``launch_radius``); it is not a setting.
+    """
 
     params: ProblemParams
     u0: float
@@ -92,7 +96,6 @@ class IvpSpec:
     r_max: float = 100.0
     rtol: float = 1e-10
     atol: float = 1e-12
-    delta0: float | None = None            # default: launch_radius(params, u0, r_max)
     max_step: float = math.inf             # refinement-study knob
 
     def __post_init__(self):
@@ -102,14 +105,15 @@ class IvpSpec:
             raise ValueError(f"need finite r_max > 0, got {self.r_max}")
         if not self.params.n_dim + self.params.gamma > 0:
             raise ValueError("the origin series needs N + gamma > 0")
-        if self.delta0 is None:
-            object.__setattr__(self, "delta0", launch_radius(self.params, self.u0, self.r_max))
-        if not (0 < self.delta0 < 0.01 * self.r_max):
-            raise ValueError(f"need 0 < delta0 << r_max, got {self.delta0}")
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError(f"rtol, atol must be finite and positive: {self.rtol}, {self.atol}")
         if not (self.max_step > 0):
             raise ValueError("max_step must be positive")
+
+    @property
+    def delta0(self) -> float:
+        """The hand-off radius, launch_radius(params, u0, r_max)."""
+        return launch_radius(self.params, self.u0, self.r_max)
 
     @property
     def blowup_threshold(self) -> float:
@@ -126,7 +130,7 @@ def series_logs(params: ProblemParams, u0: float) -> tuple[float, float, float]:
 
 
 def launch_radius(params: ProblemParams, u0: float, r_max: float) -> float:
-    """The default hand-off radius: 1e-6 min(1, r_max), shrunk where needed to
+    """The hand-off radius: 1e-6 min(1, r_max), shrunk where needed to
     (1e-6 u0 / ku)^{1/s}, so the series term ku r^s stays within 1e-6 of u0,
     but not below 1e-300, where a tiny s would underflow it to 0."""
     s, log_ku, _ = series_logs(params, u0)
@@ -525,7 +529,6 @@ def rescaled_spec(spec: IvpSpec, s: float) -> IvpSpec:
         r_max=spec.r_max / s,
         rtol=spec.rtol,
         atol=spec.atol,
-        delta0=spec.delta0 / s,
     )
 
 

@@ -18,6 +18,7 @@ from plap import (
     solve_annulus_dirichlet,
     solve_annulus_dirichlet_detailed,
 )
+import plap.bvp
 from plap.bvp import solve_banded
 
 
@@ -80,6 +81,25 @@ class TestSolverDiagnostics:
         _, info = solve_annulus_dirichlet_detailed(prob)
         assert info.flux_eps == pytest.approx(1e-10)
         assert info.levels_done == 9
+
+    def test_stall_at_a_later_level_raises(self, monkeypatch):
+        # Newton fails at the fourth level only; the solve raises and names
+        # that eps, as a stall at the first level does, and returns no
+        # partially continued solution.
+        flux_and_dflux = plap.bvp._flux_and_dflux
+
+        def nan_weights_at_1e5(D, p, eps):
+            flux, dflux = flux_and_dflux(D, p, eps)
+            return flux, dflux * math.nan if eps == 1e-5 else dflux
+
+        monkeypatch.setattr(plap.bvp, "_flux_and_dflux", nan_weights_at_1e5)
+        prob = AnnulusProblem(
+            params=params(3, 3.0), r_inner=1.0, r_outer=2.0,
+            boundary_inner=1.0, boundary_outer=0.0, mesh_size=64,
+        )
+        with pytest.raises(NewtonDivergence) as err:
+            solve_annulus_dirichlet_detailed(prob)
+        assert err.value.flux_eps == 1e-5
 
     def test_boundary_values_imposed_exactly(self):
         prob = AnnulusProblem(
@@ -204,6 +224,38 @@ class TestConvergence:
             assert info.residual <= 1e-11
             errs.append(float(np.max(np.abs(sol.u - phi(sol.r)))))
         assert errs[0] >= 10.0 * errs[1]
+
+    def test_weights_spanning_tens_of_decades_converge_with_the_mesh(self):
+        # lambda = -22.3: c spans tens of decades, and one roundoff floor for
+        # the whole mesh exceeded every far-field flux, so Newton stopped far
+        # from the solution, 38% of max|u| off at mesh 1024 and growing with
+        # the mesh.  Judged node by node, the error falls with the mesh.
+        n, p, r1, r2, b1, b2 = 8, 1.3, 0.2, 6.0, 2.0, -4.0
+        phi, _ = p_harmonic(n, p, r1, r2, b1, b2)
+        errs = []
+        for mesh in (1024, 4096):
+            prob = AnnulusProblem(
+                params=params(n, p), r_inner=r1, r_outer=r2,
+                boundary_inner=b1, boundary_outer=b2, mesh_size=mesh,
+            )
+            sol, _ = solve_annulus_dirichlet_detailed(prob)
+            errs.append(float(np.max(np.abs(sol.u - phi(sol.r)))) / max(abs(b1), abs(b2)))
+        assert max(errs) <= 1e-3
+        assert errs[0] >= 8.0 * errs[1]
+
+    @pytest.mark.xfail(strict=True, raises=NewtonDivergence, reason=(
+        "flat start at p = 8: the first Newton step is about eps^(2-p) long, "
+        "and _MAX_HALVINGS = 40 halvings cannot shorten it enough"))
+    @pytest.mark.parametrize("mesh", [64, 1024])
+    def test_flat_start_with_a_load_converges_at_large_p(self, mesh):
+        # Zero boundary data and f = 1: the start is the zero line, where
+        # phi'(D) = eps^(p-2) is tiny; p = 7 converges in about 20 iterations.
+        prob = AnnulusProblem(
+            params=params(3, 8.0), r_inner=1.0, r_outer=3.0,
+            boundary_inner=0.0, boundary_outer=0.0, rhs=lambda r: 1.0, mesh_size=mesh,
+        )
+        _, info = solve_annulus_dirichlet_detailed(prob)
+        assert info.levels_done == 9
 
     @pytest.mark.parametrize("mesh", [64, 1024])
     def test_constant_data_without_load_returns_at_once(self, mesh):

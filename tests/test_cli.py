@@ -261,6 +261,14 @@ class TestConfigFile:
         obj = json.loads(out)
         assert obj["q"] == 5.0 and "boundary" in obj
 
+    def test_config_accepts_a_unique_prefix(self, capsys, tmp_path):
+        # argparse matches --conf to --config, as it does for every flag; the
+        # file's values must then be read, not dropped.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 3\np = 2\nq = 4\n")
+        _, full, _ = run(["classify", "--config", str(cfg)], capsys)
+        assert run(["classify", "--conf", str(cfg)], capsys) == (0, full, "")
+
     def test_unknown_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 3\np = 2\nq = 4\nwibble = 7\n")
@@ -407,6 +415,13 @@ class TestOtherSubcommands:
         code, _, err = run(self.HADAMARD_ANNULUS + ["--log-mode"], capsys)
         assert code == 1
         assert "unrecognized arguments: --log-mode" in err
+
+    @pytest.mark.parametrize("cmd", [["shoot"], ["pohozaev", "--r-eval", "1"]])
+    def test_launch_radius_has_no_flag(self, capsys, cmd):
+        code, _, err = run(cmd + ["--n", "3", "--p", "2", "--q", "3", "--u0", "1",
+                                  "--delta0", "1e-7"], capsys)
+        assert code == 1
+        assert "unrecognized arguments: --delta0" in err
 
     def test_pohozaev_balance_at_equation_critical(self, capsys):
         code, out, _ = run(

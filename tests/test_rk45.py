@@ -201,6 +201,21 @@ class TestBookkeeping:
         # One seed evaluation plus six per attempted step.
         assert res.n_fev == 1 + 6 * (res.n_steps + res.n_rejected)
 
+    def test_counts_only_the_evaluations_made(self):
+        # The third call (stage 2 of the first step) is not finite, so that
+        # attempt stops after two stages and is rejected; stages 3 to 6 are
+        # never evaluated and are not counted.
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return [math.inf if len(calls) == 3 else -y[0]]
+
+        res = integrate(f, 0.0, 1.0, [1.0], first_step=1e-3)
+        assert res.status == "finished"
+        assert res.n_rejected == 1
+        assert res.n_fev == len(calls)
+
     def test_nodes_and_states_align(self):
         res = integrate(lambda t, y: y, 0.0, 1.0, [1.0], first_step=1e-3)
         assert res.ts.shape[0] == res.ys.shape[0] == res.fs.shape[0]

@@ -19,14 +19,12 @@ def test_stream_is_pinned():
 
 
 # Criteria 2 and 10 check the paper's optimality claim and the FD oracle on
-# seeded draws.  At some seeds other than _SEED they fail, through rounding
-# in the checks rather than a refuted claim; the failures are pinned here so
-# that a fix shows up as an XPASS.
+# seeded draws.  At some seeds other than _SEED criterion 10 fails, through
+# rounding in its FD check rather than a refuted claim; the failures are
+# pinned here so that a fix shows up as an XPASS.
 _C10_POWER = "criterion 10: FD rounding eps |V| / h^2 swamps a fundamental c2 r^lam + c1"
 _SEED_FAILURES = {
-    5: "criterion 2: 100 draws min residual -5.724e-29 at (N=8,p=1.07,gamma=3.87,q=0.1516), "
-       "where c (1+r)^-alpha is subnormal before its power q; "
-       + _C10_POWER + " (PowerBarrier mismatch at r=11.15, N=5, p=1.6922: fd rel 1.40e-06)",
+    5: _C10_POWER + " (PowerBarrier mismatch at r=11.15, N=5, p=1.6922: fd rel 1.40e-06)",
     8: _C10_POWER + " (PowerBarrier mismatch at r=18.23, N=6, p=1.4640: fd rel 1.00e+00)",
     9: _C10_POWER + " (PowerBarrier mismatch at r=10.47, N=6, p=1.5626: fd rel 1.87e-05)",
     12: _C10_POWER + " (PowerBarrier mismatch at r=6.456, N=5, p=1.5102: fd rel 2.30e-06)",

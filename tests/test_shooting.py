@@ -538,7 +538,7 @@ class TestSpecValidation:
             dict(u0=0.0),
             dict(u0=-1.0),
             dict(u0=1.0, r_max=-5.0),
-            dict(u0=1.0, delta0=50.0),  # not << r_max
+            dict(u0=1.0, atol=0.0),
             dict(u0=1.0, max_step=0.0),
             dict(u0=1.0, rtol=0.0),
             dict(u0=math.inf),
