@@ -18,7 +18,9 @@ c_{i+1/2} = rm^{N-1} phi'(D)/dr, phi'(D) = (D^2+eps^2)^{(p-4)/2}((p-1)D^2+eps^2)
 on E.  Each Newton system J x = b is solved exactly by two prefix sums: the
 fluxes G_i = c_i (x_{i+1} - x_i) satisfy G_i - G_{i-1} = b_i, so G is the
 running sum of b shifted until the increments G_i / c_i add up to zero (the
-Dirichlet ends), and x is their running sum.
+Dirichlet ends), and x is their running sum, from the inner end below a split
+index k and from the outer end above it.  A Newton iteration forms its arrays
+in place and drops each once used, so it holds at most six of mesh length.
 
 eps continues geometrically 1e-2 -> 1e-10 (a single exact level for p = 2,
 where eps drops out of the flux); each level warm-starts from the previous
@@ -32,6 +34,7 @@ NewtonDivergence naming the eps at which Newton stalled.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -60,19 +63,24 @@ def solve_banded(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x_1..x_n with c_{i-1} x_{i-1} - (c_{i-1} + c_i) x_i + c_i x_{i+1} = b_i and
     x_0 = x_{n+1} = 0, for the n + 1 weights c_0..c_n, by the two prefix sums
     of the module docstring.  A zero or NaN weight gives a non-finite x,
-    without a warning."""
+    without a warning.  x_i sums w = G / c from the end with the smaller
+    accumulated |w| (the whole sum is zero), which switches once, at k, so
+    where c spans many decades the roundoff of the large increments never
+    reaches the small ones.  Two (n + 1)-arrays are reused in place."""
     with np.errstate(all="ignore"):
-        inv_c = 1.0 / c
-        flux = np.concatenate(([0.0], np.cumsum(b)))
-        flux -= (flux @ inv_c) / np.sum(inv_c)
-        w = flux * inv_c
-        # x_i sums w from either end (the whole sum is zero); take the end with
-        # the smaller accumulated |w|, so where c spans many decades the
-        # roundoff of the large increments never reaches the small ones
-        from_inner = np.cumsum(w)[:-1]
-        from_outer = -np.cumsum(w[::-1])[::-1][1:]
-        acc = np.cumsum(np.abs(w))[:-1]
-        return np.where(acc <= np.sum(np.abs(w)) - acc, from_inner, from_outer)
+        w = 1.0 / c
+        acc = np.zeros_like(w)
+        np.cumsum(b, out=acc[1:])
+        acc -= (acc @ w) / np.sum(w)
+        w *= acc
+        total = np.sum(np.abs(w, out=acc))
+        np.cumsum(acc, out=acc)
+        # acc_i <= total - acc_i holds below k and fails from k on: acc grows
+        k = bisect.bisect_left(range(len(b)), True, key=lambda i: not acc[i] <= total - acc[i])
+        np.cumsum(w[:k], out=acc[:k])
+        np.cumsum(w[k + 1:][::-1], out=acc[k:-1][::-1])
+        np.negative(acc[k:-1], out=acc[k:-1])
+        return acc[:-1]
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ class AnnulusProblem:
     def rhs_values(self, r: np.ndarray) -> np.ndarray:
         if self.rhs is None:
             return np.zeros_like(r)
-        return np.array([float(self.rhs(ri)) for ri in r])
+        return np.fromiter((float(self.rhs(ri)) for ri in r), float, count=len(r))
 
 
 @dataclass(frozen=True)
@@ -129,18 +137,44 @@ def _flux_and_dflux(D: np.ndarray, p: float, eps: float):
         return D, np.ones_like(D)
     m2 = D * D + eps * eps
     flux = m2 ** ((p - 2.0) / 2.0) * D
-    dflux = m2 ** ((p - 4.0) / 2.0) * ((p - 1.0) * D * D + eps * eps)
+    dflux = (p - 1.0) * D * D + eps * eps
+    dflux *= m2 ** ((p - 4.0) / 2.0)
     return flux, dflux
 
 
-def _phi_increment(D: np.ndarray, h: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Phi(D + h) - Phi(D) per midpoint, for Phi(D) = (D^2 + eps^2)^{p/2} / p
-    (D^2 / 2 at p = 2), computed without subtracting two nearly equal
-    energies, so a short step still has an accurate energy change."""
-    if p == 2.0:
-        return h * (D + 0.5 * h)
-    m2 = D * D + eps * eps
-    return m2 ** (p / 2.0) / p * np.expm1(p / 2.0 * np.log1p(h * (2.0 * D + h) / m2))
+def _line_search(u, D, delta, slope, load, r_mid_pow, dr, p, eps) -> bool:
+    """Add the Armijo step t delta to u, or return False if no t passes.
+    Consumes the midpoint slopes D; D^2 + eps^2, Phi(D) and 2D are formed once."""
+    t = 1.0
+    with np.errstate(all="ignore"):  # an overflowing trial has dE = nan: rejected
+        if p != 2.0:
+            m2 = D * D + eps * eps
+            phi = m2 ** (p / 2.0) / p
+            D *= 2.0
+        h, inc = np.empty_like(D), np.empty_like(D)  # t dD; Phi(D + h) - Phi(D)
+        for _ in range(_MAX_HALVINGS):
+            np.subtract(delta[1:], delta[:-1], out=h[1:-1])
+            h[0], h[-1] = delta[0] - 0.0, 0.0 - delta[-1]  # as np.diff with zero ends
+            h /= dr
+            h *= t
+            if p == 2.0:  # h (D + h/2)
+                np.multiply(h, 0.5, out=inc)
+                inc += D
+                inc *= h
+            else:  # Phi(D) expm1(p/2 log1p(h (2D + h) / m2))
+                np.add(D, h, out=inc)
+                inc *= h
+                inc /= m2
+                np.log1p(inc, out=inc)
+                inc *= p / 2.0
+                np.expm1(inc, out=inc)
+                inc *= phi
+            dE = dr * float(r_mid_pow @ inc) - t * load
+            if dE <= -_ARMIJO * t * slope:
+                u[1:-1] += np.multiply(delta, t, out=delta)
+                return True
+            t *= 0.5
+    return False
 
 
 def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
@@ -153,8 +187,8 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
     and t = 1 passes.  The fraction is large enough to reject the full step
     where it overshoots, as it does by about a factor 2 where Phi grows like
     |D|^p with p < 2, and E barely moves.  E's change is summed from per-
-    midpoint increments (_phi_increment), never as a difference of two
-    energies, so it stays resolved down to the stopping test.
+    midpoint increments Phi(D + h) - Phi(D) (via log1p/expm1), never as a
+    difference of two energies, so it stays resolved down to the stopping test.
 
     Newton stops when the residual at every node is _NEWTON_TOL times the
     largest flux or load term, or the roundoff of evaluating that node's
@@ -172,15 +206,19 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
 
     def residual(uu):
         D = np.diff(uu) / dr
-        flux, dflux = _flux_and_dflux(D, p, eps)
-        fl = r_mid_pow * flux
-        c = r_mid_pow * dflux / dr
+        fl, c = _flux_and_dflux(D, p, eps)
+        fl = r_mid_pow * fl
+        c = r_mid_pow * c / dr
         scale = max(float(np.max(np.abs(fl))), float(np.max(np.abs(rhs_term))))
-        au = np.abs(uu)
-        terms = np.abs(fl) + c * np.maximum(au[:-1], au[1:])
-        floor = 8.0 * _EPS_MACH * (terms[:-1] + terms[1:] + np.abs(rhs_term))
+        terms = np.maximum(np.abs(uu[:-1]), np.abs(uu[1:]))
+        terms *= c
+        terms += np.abs(fl)
         res = fl[1:] - fl[:-1] + rhs_term
-        done = bool(np.all(np.abs(res) <= np.maximum(_NEWTON_TOL * scale, floor)))
+        floor = np.add(terms[:-1], terms[1:], out=fl[:-1])
+        floor += np.abs(rhs_term, out=terms[:-1])
+        floor *= 8.0 * _EPS_MACH
+        np.maximum(floor, _NEWTON_TOL * scale, out=floor)
+        done = bool(np.all(np.abs(res, out=terms[:-1]) <= floor))
         norm = float(np.linalg.norm(res)) / rms
         return D, res, c, done, norm / scale if norm else 0.0
 
@@ -192,20 +230,12 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
             break
         delta = solve_banded(c, -res)
         slope = float(res @ delta)
+        del res, c
         if not (np.all(np.isfinite(delta)) and slope > 0.0):
             break
-        dD = np.diff(delta, prepend=0.0, append=0.0) / dr
-        load = float(rhs_term @ delta)
-        t = 1.0
-        with np.errstate(all="ignore"):  # an overflowing trial has dE = nan: rejected
-            for _ in range(_MAX_HALVINGS):
-                dE = dr * float(r_mid_pow @ _phi_increment(D, t * dD, p, eps)) - t * load
-                if dE <= -_ARMIJO * t * slope:
-                    break
-                t *= 0.5
-            else:
-                break
-        u[1:-1] += t * delta
+        if not _line_search(u, D, delta, slope, float(rhs_term @ delta), r_mid_pow, dr, p, eps):
+            break
+        del D, delta
     raise NewtonDivergence(f"Newton stalled at continuation level eps={eps:g}",
                            last_residual=norm, flux_eps=eps)
 

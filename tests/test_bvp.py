@@ -1,6 +1,7 @@
 """Annulus Dirichlet solver: closed-form accuracy, convergence, comparison."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +126,31 @@ def assert_matches_dense_solve(c, b):
     assert np.max(np.abs(x - dense)) <= 1e-10 * np.max(np.abs(dense))
 
 
+def two_sweep_solve(c, b):
+    """solve_banded's formula written as two full prefix sums and np.where:
+    the reference its result must match bit for bit.  Also returns the split
+    index k, the number of nodes summed from the inner end."""
+    with np.errstate(all="ignore"):
+        inv_c = 1.0 / c
+        flux = np.concatenate(([0.0], np.cumsum(b)))
+        flux -= (flux @ inv_c) / np.sum(inv_c)
+        w = flux * inv_c
+        from_inner = np.cumsum(w)[:-1]
+        from_outer = -np.cumsum(w[::-1])[::-1][1:]
+        acc = np.cumsum(np.abs(w))[:-1]
+        inner = acc <= np.sum(np.abs(w)) - acc
+        return np.where(inner, from_inner, from_outer), int(np.count_nonzero(inner))
+
+
+def assert_matches_two_sweep_solve(c, b):
+    """The split index k of the reference, after checking solve_banded against it."""
+    ref, k = two_sweep_solve(c, b)
+    x = solve_banded(c, b)
+    assert np.array_equal(x, ref)
+    assert x.tobytes() == ref.tobytes()  # signed zeros too
+    return k
+
+
 class TestNewtonSolve:
     @pytest.mark.parametrize("n", [1, 5, 1024])
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
@@ -139,6 +165,28 @@ class TestNewtonSolve:
         s = np.linspace(0.0, 1.0, 1025)
         assert_matches_dense_solve(10.0 ** (12.0 * np.abs(2.0 * s - 1.0)),
                                    np.random.default_rng(1024).standard_normal(1024))
+
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    def test_bit_identical_to_two_sweeps(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            assert_matches_two_sweep_solve(10.0 ** rng.uniform(-6.0, 6.0, n + 1),
+                                           rng.standard_normal(n))
+
+    @pytest.mark.parametrize("n", [1, 5, 1024])
+    def test_bit_identical_with_the_split_at_either_end(self, n):
+        # A load at one end node alone: the increments past it share one sign
+        # and balance it exactly, so rounding puts the split at that end (k = 0
+        # or k = n) in about half of these draws.
+        rng = np.random.default_rng(n)
+        splits = set()
+        for end in (0, n - 1):
+            for _ in range(20):
+                b = np.zeros(n)
+                b[end] = rng.uniform(0.5, 2.0)
+                c = 10.0 ** rng.uniform(-6.0, 6.0, n + 1)
+                splits.add(assert_matches_two_sweep_solve(c, b))
+        assert {0, n} <= splits
 
     def test_zero_weight_gives_non_finite_without_warning(self):
         c = np.ones(6)
@@ -159,6 +207,32 @@ class TestNewtonSolve:
             warnings.simplefilter("error")
             with pytest.raises(NewtonDivergence):
                 solve_annulus_dirichlet_detailed(prob)
+
+
+class TestWorkingSet:
+    def test_nonlinear_solve_peaks_below_thirteen_mesh_arrays(self):
+        # The nodes, load, iterate, midpoint weights r^{N-1} and load terms
+        # live through the solve; a Newton iteration adds at most six arrays.
+        mesh = 8192
+        prob = AnnulusProblem(
+            params=params(5, 3.0), r_inner=1.0, r_outer=3.0,
+            boundary_inner=1.0, boundary_outer=0.2, rhs=lambda r: 0.5, mesh_size=mesh,
+        )
+        solve_annulus_dirichlet_detailed(  # first-call imports stay out of the peak
+            AnnulusProblem(params(5, 3.0), 1.0, 3.0, 1.0, 0.2, rhs=lambda r: 0.5))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, info = solve_annulus_dirichlet_detailed(prob)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert info.levels_done == 9
+        assert peak < 13 * 8 * (mesh + 1)
 
 
 def p_harmonic(n, p, r1, r2, b1, b2):

@@ -128,6 +128,7 @@ class TestStartup:
             assert code == 0, step
             assert of("numpy", loaded) == [], step
             assert not set(NUMERICAL_MODULES) & set(loaded), f"{step} loaded {loaded}"
+            assert "plap.runners" not in loaded, step
 
     def test_import_cli_adds_seven_modules(self):
         # Where start-up has not loaded re (which argparse needs), collections
@@ -149,7 +150,7 @@ class TestStartup:
         (_, _, _), (_, _, _), (step, code, loaded) = run_fresh([SHOOT])
         assert code == 0, step
         # Positive control: the probe sees numpy and shooting once they load.
-        assert "numpy" in loaded and "plap.shooting" in loaded
+        assert "numpy" in loaded and "plap.shooting" in loaded and "plap.runners" in loaded
         assert "dataclasses" in loaded and "csv" in loaded
         for module in ("plap.bvp", "plap.identities", "plap.verify"):
             assert module not in loaded
