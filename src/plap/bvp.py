@@ -10,7 +10,7 @@ F_{i+1/2} - F_{i-1/2} + dr r_i^{N-1} f_i is minus the gradient of the convex
 discrete energy
 
     E(u) = dr sum rm^{N-1} Phi(D) - sum dr r_i^{N-1} f_i u_i,
-    Phi(D) = (D^2 + eps^2)^{p/2} / p   (D^2 / 2 at p = 2),
+    Phi(D) = (D^2 + eps^2)^{p/2} / p,
 
 and its Jacobian is the symmetric tridiagonal with off-diagonals
 c_{i+1/2} = rm^{N-1} phi'(D)/dr, phi'(D) = (D^2+eps^2)^{(p-4)/2}((p-1)D^2+eps^2)
@@ -22,14 +22,16 @@ Dirichlet ends), and x is their running sum, from the inner end below a split
 index k and from the outer end above it.  A Newton iteration forms its arrays
 in place and drops each once used, so it holds at most six of mesh length.
 
-eps continues geometrically 1e-2 -> 1e-10 (a single exact level for p = 2,
-where eps drops out of the flux); each level warm-starts from the previous
-one.  Mesh sequencing gives the first level its start: from mesh 256 up the
-same problem is first solved at eps = 1e-2 on a mesh four times coarser (the
-same rule applied again below it) and interpolated, so the Newton count per
-level does not grow with the mesh; a coarser mesh starts from the straight
-line between the boundary values.  A solve finishes every level or raises
-NewtonDivergence naming the eps at which Newton stalled.
+eps continues geometrically 1e-2 -> 1e-10; each level warm-starts from the
+previous one.  At p = 2 the problem is linear: only the last level runs,
+through the same formulas, and eps drops out of the flux ((D^2 + eps^2)^0 D
+is D).  Mesh sequencing gives the first level its start: from mesh 256 up a
+p != 2 problem is first solved at eps = 1e-2 on a mesh four times coarser
+(the same rule applied again below it) and interpolated, so the Newton count
+per level does not grow with the mesh; a coarser mesh, and every p = 2 mesh,
+starts from the straight line between the boundary values.  A solve
+finishes every level or raises NewtonDivergence naming the eps at which
+Newton stalled.
 """
 
 from __future__ import annotations
@@ -126,15 +128,12 @@ class GridProfile:
 
 @dataclass(frozen=True)
 class NewtonInfo:
-    flux_eps: float        # the last continuation level, 0.0 at p = 2
     iterations: int        # Newton iterations across all levels and meshes
     residual: float        # final scaled RMS residual
     levels_done: int       # every level: 9, or 1 at p = 2
 
 
 def _flux_and_dflux(D: np.ndarray, p: float, eps: float):
-    if p == 2.0:
-        return D, np.ones_like(D)
     m2 = D * D + eps * eps
     flux = m2 ** ((p - 2.0) / 2.0) * D
     dflux = (p - 1.0) * D * D + eps * eps
@@ -147,28 +146,23 @@ def _line_search(u, D, delta, slope, load, r_mid_pow, dr, p, eps) -> bool:
     Consumes the midpoint slopes D; D^2 + eps^2, Phi(D) and 2D are formed once."""
     t = 1.0
     with np.errstate(all="ignore"):  # an overflowing trial has dE = nan: rejected
-        if p != 2.0:
-            m2 = D * D + eps * eps
-            phi = m2 ** (p / 2.0) / p
-            D *= 2.0
+        m2 = D * D + eps * eps
+        phi = m2 ** (p / 2.0) / p
+        D *= 2.0
         h, inc = np.empty_like(D), np.empty_like(D)  # t dD; Phi(D + h) - Phi(D)
         for _ in range(_MAX_HALVINGS):
             np.subtract(delta[1:], delta[:-1], out=h[1:-1])
             h[0], h[-1] = delta[0] - 0.0, 0.0 - delta[-1]  # as np.diff with zero ends
             h /= dr
             h *= t
-            if p == 2.0:  # h (D + h/2)
-                np.multiply(h, 0.5, out=inc)
-                inc += D
-                inc *= h
-            else:  # Phi(D) expm1(p/2 log1p(h (2D + h) / m2))
-                np.add(D, h, out=inc)
-                inc *= h
-                inc /= m2
-                np.log1p(inc, out=inc)
-                inc *= p / 2.0
-                np.expm1(inc, out=inc)
-                inc *= phi
+            # Phi(D) expm1(p/2 log1p(h (2D + h) / m2))
+            np.add(D, h, out=inc)
+            inc *= h
+            inc /= m2
+            np.log1p(inc, out=inc)
+            inc *= p / 2.0
+            np.expm1(inc, out=inc)
+            inc *= phi
             dE = dr * float(r_mid_pow @ inc) - t * load
             if dE <= -_ARMIJO * t * slope:
                 u[1:-1] += np.multiply(delta, t, out=delta)
@@ -259,9 +253,7 @@ def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, Newto
     for eps in levels:
         it, norm = _newton_level(u, r_mid_pow, rhs_term, dr, p, eps)
         iterations += it
-    return u, NewtonInfo(
-        flux_eps=levels[-1], iterations=iterations, residual=norm, levels_done=len(levels),
-    )
+    return u, NewtonInfo(iterations=iterations, residual=norm, levels_done=len(levels))
 
 
 def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile, NewtonInfo]:
@@ -271,7 +263,7 @@ def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile,
     f = prob.rhs_values(r)
     if not np.all((f >= 0) & (f < math.inf)):
         raise ValueError(f"rhs must be finite and >= 0 where sampled: [{f.min()}, {f.max()}]")
-    levels = (0.0,) if prob.params.p == 2.0 else _EPS_LEVELS
+    levels = _EPS_LEVELS[-1:] if prob.params.p == 2.0 else _EPS_LEVELS
     u, info = _continuation(prob, r, f, levels)
     return GridProfile(r=r, u=u), info
 
@@ -303,7 +295,7 @@ def comparison_check(prob: AnnulusProblem, phi) -> IdentityReport:
             f"boundary data ({prob.boundary_inner}, {prob.boundary_outer}) does not "
             f"dominate phi's boundary values ({phi_in}, {phi_out})"
         )
-    sol, info = solve_annulus_dirichlet_detailed(prob)
+    sol = solve_annulus_dirichlet(prob)
     phi_mesh = np.array([eval_profile(phi, float(ri)).value for ri in sol.r])
     diff = sol.u - phi_mesh
     i_min = int(np.argmin(diff))
@@ -316,5 +308,5 @@ def comparison_check(prob: AnnulusProblem, phi) -> IdentityReport:
         scale=1.0,
         tol=_COMPARISON_TOL,
         passed=residual >= -_COMPARISON_TOL,
-        note=f"min(u - phi) at r={sol.r[i_min]:.6g}; flux_eps={info.flux_eps:g}",
+        note=f"min(u - phi) at r={sol.r[i_min]:.6g}",
     )

@@ -4,8 +4,12 @@ the self-verification suite.
 Exit codes: 0 success (``--help`` included), 1 usage error (bad flags,
 parameters outside the regime a subcommand needs, or an --out path that
 cannot be written), 2 numerical failure (Newton divergence, step collapse,
-overflow), 3 verification failure.  --out is opened before anything is
-computed; a run that then exits 1 or 2 removes the file if it created it.
+overflow), 3 verification failure.  A usage error is a ValueError, or a
+PlapError other than NewtonDivergence: the front end raises ValueError for
+bad flags, argparse's complaints included, as the library does for bad
+parameters, and ``dispatch`` prints the message and the usage text.  --out
+is opened before anything is computed; a run that then exits 1 or 2 removes
+the file if it created it.
 
 Floats are serialized with ``repr`` (shortest round-trip decimals), so CSV
 output is byte-identical across runs and reading a column back with
@@ -53,11 +57,6 @@ subcommands:
 _BOUNDARY_NOTE = "proof uses strict inequality"
 
 
-class _UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-
-
 class _HelpShown(Exception):
     pass
 
@@ -67,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
     Its other exit, after printing --help, becomes a return of 0."""
 
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageExit(message)
+        raise ValueError(message)
 
     def exit(self, status=0, message=None):  # noqa: D102 - argparse hook
         raise _HelpShown
@@ -105,7 +104,7 @@ def _open_out(out: str, mode: str):
     try:
         return open(out, mode, newline="")
     except OSError as exc:
-        raise _UsageExit(f"cannot write {out!r}: {exc.strerror or exc}")
+        raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}")
 
 
 def _claim_out(out: str | None) -> bool:
@@ -173,7 +172,7 @@ def _config_tokens(parser: _Parser, path: str) -> list[str]:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _UsageExit(f"cannot read config {path!r}: {exc}")
+        raise ValueError(f"cannot read config {path!r}: {exc}")
     known = parser._option_string_actions  # noqa: SLF001 - argparse has no public map
     out: list[str] = []
     for lineno, raw in enumerate(lines, 1):
@@ -181,12 +180,12 @@ def _config_tokens(parser: _Parser, path: str) -> list[str]:
         if not line:
             continue
         if "=" not in line:
-            raise _UsageExit(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (tok.strip() for tok in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         action = known.get(flag)
         if action is None or action.dest in ("config", "help"):
-            raise _UsageExit(f"{path}:{lineno}: unknown key {key!r} for this subcommand")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r} for this subcommand")
         out.extend((flag, value))
     return out
 
@@ -220,8 +219,6 @@ def dispatch(argv: list[str]) -> int:
         return run(args)
     except _HelpShown:
         return 0
-    except _UsageExit as exc:
-        message, code = f"plap {cmd}: {exc}\n\n{_USAGE}", 1
     except (NewtonDivergence, OverflowError) as exc:
         message, code = f"plap {cmd}: numerical failure: {exc}\n", 2
     except (PlapError, ValueError) as exc:
@@ -237,6 +234,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    # plap.runners raises the package module's _UsageExit, not this copy's
-    from plap.cli import main
     sys.exit(main())

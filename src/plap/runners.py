@@ -19,7 +19,6 @@ from .cli import (
     _emit_json,
     _params_from,
     _Parser,
-    _UsageExit,
     _write,
 )
 from .exponents import (
@@ -116,30 +115,22 @@ def _build_sweep(p: _Parser):
 def _run_sweep(args) -> int:
     import numpy as np
     from . import shooting
-    if args.q is None:
-        if args.axis != "q":
-            raise _UsageExit("--q is required unless --axis q")
-        base_q = max(args.from_, args.p)  # placeholder; replaced per point
-    else:
-        base_q = args.q
-    base = ProblemParams(n_dim=args.n, p=args.p, q=base_q,
-                         gamma=args.gamma, amplitude=args.a)
+    if args.q is None and args.axis != "q":
+        raise ValueError("--q is required unless --axis q")
     if not args.from_ < args.to:
-        raise _UsageExit(f"need from < to, got {args.from_} >= {args.to}")
+        raise ValueError(f"need from < to, got {args.from_} >= {args.to}")
     if args.steps < 2:
-        raise _UsageExit(f"steps must be an integer >= 2, got {args.steps!r}")
+        raise ValueError(f"steps must be an integer >= 2, got {args.steps!r}")
     sign = _sign_from(args)
     values = [float(v) for v in np.linspace(args.from_, args.to, args.steps)]
     specs = []
     for v in values:
-        params, u0 = base, args.u0
-        if args.axis == "q":
-            params = base.replace(q=v)
-        elif args.axis == "gamma":
-            params = base.replace(gamma=v)
-        else:
-            u0 = v
-        specs.append(shooting.IvpSpec(params=params, u0=u0, sign=sign, r_max=args.r_max))
+        # the axis value replaces its flag, which is therefore never validated
+        point = {"q": args.q, "gamma": args.gamma, "u0": args.u0, args.axis: v}
+        params = ProblemParams(n_dim=args.n, p=args.p, q=point["q"],
+                               gamma=point["gamma"], amplitude=args.a)
+        specs.append(shooting.IvpSpec(params=params, u0=point["u0"], sign=sign,
+                                      r_max=args.r_max))
     outcomes = shooting.sweep_outcomes(specs)
     rows = []
     for v, ivp, outc in zip(values, specs, outcomes):
@@ -203,10 +194,10 @@ def _run_hadamard(args) -> int:
     elif args.n is not None and args.p is not None:
         lam = lambda_exponent(ProblemParams(n_dim=args.n, p=args.p, q=max(args.p, 2.0)))
     else:
-        raise _UsageExit("hadamard needs --lam or both --n and --p")
+        raise ValueError("hadamard needs --lam or both --n and --p")
     inp = barriers.HadamardInput(args.r1, args.r2, args.m1, args.m2, lam=lam)
     if args.points < 2:
-        raise _UsageExit("--points must be >= 2")
+        raise ValueError("--points must be >= 2")
     r = np.linspace(args.r1, args.r2, args.points)
     vals = barriers.hadamard_lower_bound(inp, r)
     _emit_csv(args.out, ("r", "lower_bound"), zip(r.tolist(), np.asarray(vals).tolist()))
@@ -224,7 +215,7 @@ def _build_pohozaev(p: _Parser):
 
 def _run_pohozaev(args) -> int:
     if args.sign != "minus":
-        raise _UsageExit("the balance identity holds for the minus sign only")
+        raise ValueError("the balance identity holds for the minus sign only")
     from . import shooting
     spec = shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=shooting.EquationSign.MINUS,
@@ -265,7 +256,7 @@ def _run_bvp(args) -> int:
     _emit_csv(args.out, ("r", "u"), zip(sol.r.tolist(), sol.u.tolist()))
     print(
         f"newton iterations={info.iterations}  residual={info.residual!r}  "
-        f"flux_eps={info.flux_eps!r}  levels={info.levels_done}",
+        f"levels={info.levels_done}",
         file=sys.stderr,
     )
     return 0
@@ -285,12 +276,12 @@ def _run_verify(args) -> int:
             # dict.fromkeys drops repeated selectors and keeps first-seen order
             indices = list(dict.fromkeys(int(tok) for tok in args.only.split(",") if tok.strip()))
         except ValueError:
-            raise _UsageExit(f"--only expects comma-separated integers, got {args.only!r}")
+            raise ValueError(f"--only expects comma-separated integers, got {args.only!r}")
         if not indices:
-            raise _UsageExit(f"--only selects no criteria: {args.only!r}")
+            raise ValueError(f"--only selects no criteria: {args.only!r}")
         bad = [i for i in indices if not 1 <= i <= len(verify.CRITERIA)]
         if bad:
-            raise _UsageExit(f"criterion numbers must be in 1..{len(verify.CRITERIA)}: {bad}")
+            raise ValueError(f"criterion numbers must be in 1..{len(verify.CRITERIA)}: {bad}")
     results = verify.run_all(indices)
     _write(args.out, "".join(res.line() + "\n" for res in results))
     n_fail = sum(1 for res in results if not res.passed)

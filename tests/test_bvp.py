@@ -69,7 +69,6 @@ class TestSolverDiagnostics:
             boundary_inner=1.0, boundary_outer=0.0, mesh_size=64,
         )
         _, info = solve_annulus_dirichlet_detailed(prob)
-        assert info.flux_eps == 0.0
         assert info.levels_done == 1
         assert info.iterations == 1
         assert info.residual < 1e-12
@@ -80,7 +79,6 @@ class TestSolverDiagnostics:
             boundary_inner=1.0, boundary_outer=0.0, mesh_size=64,
         )
         _, info = solve_annulus_dirichlet_detailed(prob)
-        assert info.flux_eps == pytest.approx(1e-10)
         assert info.levels_done == 9
 
     def test_stall_at_a_later_level_raises(self, monkeypatch):
@@ -210,16 +208,18 @@ class TestNewtonSolve:
 
 
 class TestWorkingSet:
-    def test_nonlinear_solve_peaks_below_thirteen_mesh_arrays(self):
-        # The nodes, load, iterate, midpoint weights r^{N-1} and load terms
-        # live through the solve; a Newton iteration adds at most six arrays.
-        mesh = 8192
+    # The nodes, load, iterate, midpoint weights r^{N-1} and load terms live
+    # through the solve; a Newton iteration adds at most six arrays.
+    MESH = 8192
+
+    def solve_and_trace_peak(self, p):
+        """(levels_done, heap peak in bytes) of a mesh-8192 solve at p."""
         prob = AnnulusProblem(
-            params=params(5, 3.0), r_inner=1.0, r_outer=3.0,
-            boundary_inner=1.0, boundary_outer=0.2, rhs=lambda r: 0.5, mesh_size=mesh,
+            params=params(5, p), r_inner=1.0, r_outer=3.0,
+            boundary_inner=1.0, boundary_outer=0.2, rhs=lambda r: 0.5, mesh_size=self.MESH,
         )
         solve_annulus_dirichlet_detailed(  # first-call imports stay out of the peak
-            AnnulusProblem(params(5, 3.0), 1.0, 3.0, 1.0, 0.2, rhs=lambda r: 0.5))
+            AnnulusProblem(params(5, p), 1.0, 3.0, 1.0, 0.2, rhs=lambda r: 0.5))
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -231,8 +231,17 @@ class TestWorkingSet:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert info.levels_done == 9
-        assert peak < 13 * 8 * (mesh + 1)
+        return info.levels_done, peak
+
+    def test_nonlinear_solve_peaks_below_thirteen_mesh_arrays(self):
+        levels, peak = self.solve_and_trace_peak(3.0)
+        assert levels == 9
+        assert peak < 13 * 8 * (self.MESH + 1)
+
+    def test_linear_solve_peaks_below_thirteen_mesh_arrays(self):
+        levels, peak = self.solve_and_trace_peak(2.0)
+        assert levels == 1
+        assert peak < 13 * 8 * (self.MESH + 1)
 
 
 def p_harmonic(n, p, r1, r2, b1, b2):
@@ -342,6 +351,42 @@ class TestConvergence:
             sol, info = solve_annulus_dirichlet_detailed(prob)
         assert np.all(sol.u == 0.7)
         assert (info.iterations, info.residual, info.levels_done) == (0, 0.0, 9)
+
+
+class TestLinearCase:
+    # At p = 2 the last eps level runs through the general flux and energy
+    # formulas, where (D^2 + eps^2)^0 D is D: one Newton step solves it.
+    @pytest.mark.parametrize("mesh", [64, 1024, 8192])
+    def test_constant_data_without_load_returns_at_once(self, mesh):
+        # every midpoint slope is D = 0, where an eps of zero would divide by zero
+        prob = AnnulusProblem(
+            params=params(3, 2.0), r_inner=1.0, r_outer=2.0,
+            boundary_inner=0.7, boundary_outer=0.7, mesh_size=mesh,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, info = solve_annulus_dirichlet_detailed(prob)
+        assert np.all(sol.u == 0.7)
+        assert (info.iterations, info.residual, info.levels_done) == (0, 0.0, 1)
+
+    @pytest.mark.parametrize("mesh", [64, 1024, 8192])
+    @pytest.mark.parametrize("b_inner,rhs,exact,c", [
+        (1.0, None, lambda r: 2.0 / r - 1.0, 0.03),
+        # zero boundary values and f = 1: u peaks inside, so D changes sign there
+        (0.0, lambda r: 1.0, lambda r: 7.0 / 6.0 - r ** 2 / 6.0 - 1.0 / r, 0.02),
+    ], ids=["unloaded", "interior-maximum"])
+    def test_one_step_to_the_discretization_error(self, mesh, b_inner, rhs, exact, c):
+        prob = AnnulusProblem(
+            params=params(3, 2.0), r_inner=1.0, r_outer=2.0,
+            boundary_inner=b_inner, boundary_outer=0.0, rhs=rhs, mesh_size=mesh,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, info = solve_annulus_dirichlet_detailed(prob)
+        assert (info.iterations, info.levels_done) == (1, 1)
+        # the midpoint flux error is c h^2 on h = 1 / mesh, with c 0.0235 and
+        # 0.0166 for the two cases
+        assert np.max(np.abs(sol.u - exact(sol.r))) <= c / mesh ** 2
 
 
 class TestStructure:

@@ -1,9 +1,13 @@
-"""End-to-end checks of the command-line front end (in-process, no subprocess)."""
+"""End-to-end checks of the command-line front end: in-process, except for
+the ``python -m plap.cli`` entry point."""
 
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -323,6 +327,18 @@ class TestSweepAxes:
         assert [row["outcome"] for row in rows] == ["positive_decaying"] + ["crosses_zero"] * 4
         assert [row["boundary_case"] for row in rows] == ["true"] + ["false"] * 4
 
+    @pytest.mark.parametrize(
+        "axis,lo,hi,flags",
+        [("q", "2", "6", ["--q", "0.5"]), ("gamma", "0", "2", ["--gamma", "-5", "--q", "5"])],
+        ids=["q", "gamma"],
+    )
+    def test_the_flag_the_axis_replaces_is_not_validated(self, capsys, axis, lo, hi, flags):
+        # q = 0.5 <= p - 1 and gamma = -5 <= -p would each be rejected,
+        # but every point replaces them with its axis value
+        rows = self.sweep(capsys, axis, lo, hi, "3", *flags)
+        assert [float(row["axis_value"]) for row in rows] == [float(lo), (float(lo) + float(hi)) / 2,
+                                                              float(hi)]
+
 
 class TestShootCsv:
     def test_csv_round_trips_solver_output_exactly(self, capsys, tmp_path):
@@ -372,6 +388,30 @@ class TestReadmeExamples:
             assert code == 0
             printed = (out + err + dest.read_text()).splitlines()
             assert shown and [line for line in shown if line not in printed] == []
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize(
+        "argv,first_line",
+        [
+            (["sweep", "--axis", "u0", "--from", "1", "--to", "2", "--steps", "3",
+              "--n", "3", "--p", "2"],
+             "plap sweep: --q is required unless --axis q"),
+            (["verify", "--only", "x"],
+             "plap verify: --only expects comma-separated integers, got 'x'"),
+        ],
+        ids=["sweep-without-q", "verify-only-not-a-number"],
+    )
+    def test_usage_error_exits_one_with_the_usage_text(self, argv, first_line):
+        # python -m runs plap/cli.py as __main__, beside the plap.cli module
+        # that plap.runners imports; both copies report usage errors alike
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "plap.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"{first_line}\n\n{cli._USAGE}"
 
 
 class TestOtherSubcommands:
@@ -448,12 +488,28 @@ class TestOtherSubcommands:
         assert code == 0
         assert "outcome=crosses_zero" in err and err.rstrip().endswith("K=-2.2<0")
 
+    def test_shoot_max_step_caps_every_node_gap(self, capsys):
+        argv = ["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1"]
+        largest_gap = {}
+        for flags in ([], ["--max-step", "0.05"]):
+            code, out, _ = run(argv + flags, capsys)
+            assert code == 0
+            r = [float(row["r"]) for row in csv.DictReader(io.StringIO(out))]
+            largest_gap[bool(flags)] = max(b - a for a, b in zip(r, r[1:]))
+        assert largest_gap[True] <= 0.05 * (1.0 + 1e-12) < largest_gap[False]
+
+    def test_shoot_max_step_must_be_positive(self, capsys):
+        code, out, err = run(
+            ["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1", "--max-step", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("plap shoot: max_step must be positive\n")
+
     def test_bvp_solves_and_reports_diagnostics(self, capsys):
         code, out, err = run(
             ["bvp", "--n", "3", "--p", "2", "--r-inner", "1", "--r-outer", "2",
              "--b-inner", "1", "--b-outer", "0", "--mesh-size", "64"], capsys)
         assert code == 0
-        assert "iterations=" in err and "flux_eps=" in err
+        assert "iterations=" in err
         rows = list(csv.DictReader(io.StringIO(out)))
         mid = rows[len(rows) // 2]
         exact = 2.0 / float(mid["r"]) - 1.0
