@@ -142,32 +142,32 @@ def _flux_and_dflux(D: np.ndarray, p: float, eps: float):
 
 
 def _line_search(u, D, delta, slope, load, r_mid_pow, dr, p, eps) -> bool:
-    """Add the Armijo step t delta to u, or return False if no t passes.
-    Consumes the midpoint slopes D; D^2 + eps^2, Phi(D) and 2D are formed once."""
+    """Add the Armijo step t delta to u, or return False if no t passes; an
+    overflowing trial has dE = nan and fails.  Consumes the midpoint slopes D;
+    D^2 + eps^2, Phi(D) and 2D are formed once."""
     t = 1.0
-    with np.errstate(all="ignore"):  # an overflowing trial has dE = nan: rejected
-        m2 = D * D + eps * eps
-        phi = m2 ** (p / 2.0) / p
-        D *= 2.0
-        h, inc = np.empty_like(D), np.empty_like(D)  # t dD; Phi(D + h) - Phi(D)
-        for _ in range(_MAX_HALVINGS):
-            np.subtract(delta[1:], delta[:-1], out=h[1:-1])
-            h[0], h[-1] = delta[0] - 0.0, 0.0 - delta[-1]  # as np.diff with zero ends
-            h /= dr
-            h *= t
-            # Phi(D) expm1(p/2 log1p(h (2D + h) / m2))
-            np.add(D, h, out=inc)
-            inc *= h
-            inc /= m2
-            np.log1p(inc, out=inc)
-            inc *= p / 2.0
-            np.expm1(inc, out=inc)
-            inc *= phi
-            dE = dr * float(r_mid_pow @ inc) - t * load
-            if dE <= -_ARMIJO * t * slope:
-                u[1:-1] += np.multiply(delta, t, out=delta)
-                return True
-            t *= 0.5
+    m2 = D * D + eps * eps
+    phi = m2 ** (p / 2.0) / p
+    D *= 2.0
+    h, inc = np.empty_like(D), np.empty_like(D)  # t dD; Phi(D + h) - Phi(D)
+    for _ in range(_MAX_HALVINGS):
+        np.subtract(delta[1:], delta[:-1], out=h[1:-1])
+        h[0], h[-1] = delta[0] - 0.0, 0.0 - delta[-1]  # as np.diff with zero ends
+        h /= dr
+        h *= t
+        # Phi(D) expm1(p/2 log1p(h (2D + h) / m2))
+        np.add(D, h, out=inc)
+        inc *= h
+        inc /= m2
+        np.log1p(inc, out=inc)
+        inc *= p / 2.0
+        np.expm1(inc, out=inc)
+        inc *= phi
+        dE = dr * float(r_mid_pow @ inc) - t * load
+        if dE <= -_ARMIJO * t * slope:
+            u[1:-1] += np.multiply(delta, t, out=delta)
+            return True
+        t *= 0.5
     return False
 
 
@@ -194,7 +194,7 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
     stops far from the solution.  The reported residual is the RMS over the
     flux-or-load scale; where far-field nodes sit at their own floor it need
     not be small.  Constant data with no load has no flux, a zero residual,
-    and stops at once.
+    and stops at once.  An overflowed flux or load term never stops it.
     """
     rms = math.sqrt(len(u) - 2)
 
@@ -212,7 +212,7 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
         floor += np.abs(rhs_term, out=terms[:-1])
         floor *= 8.0 * _EPS_MACH
         np.maximum(floor, _NEWTON_TOL * scale, out=floor)
-        done = bool(np.all(np.abs(res, out=terms[:-1]) <= floor))
+        done = scale < math.inf and bool(np.all(np.abs(res, out=terms[:-1]) <= floor))
         norm = float(np.linalg.norm(res)) / rms
         return D, res, c, done, norm / scale if norm else 0.0
 
@@ -248,11 +248,12 @@ def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, Newto
     else:
         u = np.linspace(prob.boundary_inner, prob.boundary_outer, mesh + 1)
     dr = float(r[1] - r[0])
-    r_mid_pow = (0.5 * (r[:-1] + r[1:])) ** (prob.params.n_dim - 1.0)
-    rhs_term = dr * r[1:-1] ** (prob.params.n_dim - 1.0) * f[1:-1]
-    for eps in levels:
-        it, norm = _newton_level(u, r_mid_pow, rhs_term, dr, p, eps)
-        iterations += it
+    with np.errstate(all="ignore"):  # a non-finite value ends in NewtonDivergence
+        r_mid_pow = (0.5 * (r[:-1] + r[1:])) ** (prob.params.n_dim - 1.0)
+        rhs_term = dr * r[1:-1] ** (prob.params.n_dim - 1.0) * f[1:-1]
+        for eps in levels:
+            it, norm = _newton_level(u, r_mid_pow, rhs_term, dr, p, eps)
+            iterations += it
     return u, NewtonInfo(iterations=iterations, residual=norm, levels_done=len(levels))
 
 

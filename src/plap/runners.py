@@ -73,16 +73,14 @@ def _build_shoot(p: _Parser):
 
 def _run_shoot(args) -> int:
     from . import shooting
-    spec = shooting.IvpSpec(
+    traj = shooting.integrate_ivp(shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=_sign_from(args),
         r_max=args.r_max, rtol=args.rtol, atol=args.atol,
         max_step=args.max_step if args.max_step is not None else math.inf,
-    )
-    traj = shooting.integrate_ivp(spec)
-    outcome = shooting.classify_outcome(traj, spec)
-    du = traj.du(spec.params)
+    ))
+    outcome = shooting.classify_outcome(traj)
     _emit_csv(args.out, ("r", "u", "du", "w"),
-              zip(traj.r.tolist(), traj.u.tolist(), du.tolist(), traj.w.tolist()))
+              zip(traj.r.tolist(), traj.u.tolist(), traj.du().tolist(), traj.w.tolist()))
     parts = [f"outcome={outcome.label}", f"status={traj.status}", f"nodes={len(traj.r)}"]
     if outcome.r_event is not None:
         parts.append(f"r_event={outcome.r_event!r}")
@@ -222,7 +220,7 @@ def _run_pohozaev(args) -> int:
         r_max=args.r_max, rtol=args.rtol, atol=args.atol,
     )
     traj = shooting.integrate_ivp(spec)
-    rep = shooting.pohozaev_residual(traj, spec, args.r_eval, tol=args.tol)
+    rep = shooting.pohozaev_residual(traj, args.r_eval, tol=args.tol)
     obj = rep.as_dict()
     obj["coefficient"] = pohozaev_coefficient(spec.params)
     obj["q_equation"] = classify_regime(spec.params).q_equation

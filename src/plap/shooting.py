@@ -171,14 +171,16 @@ def _log_abs(x: float) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted nodes of one shooting run plus the dense interpolant.
+    """Accepted nodes of one shooting run of ``spec`` plus the dense interpolant.
 
-    A view of the integrator result in r, whose event 0 is the zero crossing
-    and event 1 the switch of a plus shot to s = log u.  ``blowup`` is that
-    second phase, with state (r, log w); it only supplies ``r_blow``, so the
-    nodes and the dense output end where it starts.
+    Readers of the trajectory take the equation from its ``spec``.  ``result``
+    is the integrator result in r, whose event 0 is the zero crossing and
+    event 1 the switch of a plus shot to s = log u.  ``blowup`` is that second
+    phase, with state (r, log w); it only supplies ``r_blow``, so the nodes and
+    the dense output end where it starts.
     """
 
+    spec: IvpSpec
     result: rk45.IntegrationResult
     blowup: rk45.IntegrationResult | None = None
 
@@ -218,16 +220,16 @@ class Trajectory:
             return float(self.blowup.ys[-1, 0])
         return None
 
-    def du(self, params: ProblemParams) -> np.ndarray:
+    def du(self) -> np.ndarray:
         """u' at the nodes, recovered from w."""
-        return _du_from_w(self.r, self.w, params)
+        return _du_from_w(self.r, self.w, self.spec.params)
 
-    def sample(self, params: ProblemParams, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sample(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, u', w) at arbitrary radii inside the integrated range."""
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         ys = self.result.sol(r_arr)
         u, w = ys[:, 0], ys[:, 1]
-        return u, _du_from_w(r_arr, w, params), w
+        return u, _du_from_w(r_arr, w, self.spec.params), w
 
 
 def _du_from_w(r, w, params: ProblemParams):
@@ -276,8 +278,8 @@ def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Traje
     )
     if res.status == "event" and res.event_index == 1:
         # Start from the last accepted node: the event node is interpolated.
-        return Trajectory(res, _blowup_phase(spec, float(res.ts[-2]), res.ys[-2]))
-    return Trajectory(res)
+        return Trajectory(spec, res, _blowup_phase(spec, float(res.ts[-2]), res.ys[-2]))
+    return Trajectory(spec, res)
 
 
 def _blowup_phase(spec: IvpSpec, r0: float, y0) -> rk45.IntegrationResult:
@@ -319,19 +321,20 @@ class OutcomeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Outcome:
+    """A shot's label and its reason.  ``r_event`` is the radius of the event
+    the label rests on, the crossing or the blow-up, else None; ``tail_slope``
+    is d log u / d log r over a POSITIVE_DECAYING shot's final decade."""
+
     kind: OutcomeKind
     reason: str
-    r_cross: float | None = None
-    r_blow: float | None = None
+    r_event: float | None = None
     tail_slope: float | None = None
 
     def __post_init__(self):
-        if self.kind is OutcomeKind.CROSSES_ZERO and not (self.r_cross and self.r_cross > 0):
-            raise ValueError("CrossesZero needs r_cross > 0")
-        if self.kind is OutcomeKind.BLOWS_UP and not (
-            self.r_blow is not None and math.isfinite(self.r_blow)
+        if self.kind in (OutcomeKind.CROSSES_ZERO, OutcomeKind.BLOWS_UP) and not (
+            self.r_event is not None and 0 < self.r_event < math.inf
         ):
-            raise ValueError("BlowsUp needs finite r_blow")
+            raise ValueError(f"{self.kind.name} needs a finite r_event > 0")
         if self.kind is OutcomeKind.POSITIVE_DECAYING and not (
             self.tail_slope is not None and self.tail_slope < 0
         ):
@@ -340,27 +343,25 @@ class Outcome:
             raise ValueError("every Outcome needs the reason for its label")
 
     @property
-    def r_event(self) -> float | None:
-        return self.r_cross if self.r_cross is not None else self.r_blow
-
-    @property
     def label(self) -> str:
         return self.kind.value
 
 
-def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
-    """Label a shot by an event it computed, under the theory's sign rules.
+def classify_outcome(traj: Trajectory) -> Outcome:
+    """Label a shot by an event it computed, under the theory's sign rules
+    for the problem it carries (``traj.spec``).
 
     A plus shot, or a minus shot with K < 0, still running at r_max continues
     from its last node to r = 1e300, so no label depends on r_max.  A minus
     shot with K >= 0 cannot cross zero; if positive at r_max it is judged on
     its final decade [r_max/10, r_max].  Every outcome carries its reason.
     """
+    spec = traj.spec
     if spec.sign is EquationSign.PLUS:
         if traj.status == "finished":
-            traj = _continue(traj, spec)
+            traj = _continue(traj)
         if traj.r_blow is not None:
-            return Outcome(OutcomeKind.BLOWS_UP, r_blow=traj.r_blow, reason=(
+            return Outcome(OutcomeKind.BLOWS_UP, r_event=traj.r_blow, reason=(
                 f"u reached {spec.blowup_threshold:.6g} at r={traj.r_blow:.6g}"
                 f"{_beyond(traj.r_blow, spec)}, integrated in log u"))
         return _unresolved(traj, "before blow-up")
@@ -370,9 +371,9 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
     sign_k = f"K={k:.3g}<0" if crossing_forced else f"K={k:.3g}>=0"
     if crossing_forced:
         if traj.status == "finished":
-            traj = _continue(traj, spec)
+            traj = _continue(traj)
         if traj.r_cross is not None:
-            return Outcome(OutcomeKind.CROSSES_ZERO, r_cross=traj.r_cross, reason=(
+            return Outcome(OutcomeKind.CROSSES_ZERO, r_event=traj.r_cross, reason=(
                 f"crossed at r={traj.r_cross:.6g}{_beyond(traj.r_cross, spec)}, {sign_k}"))
         return _unresolved(traj, f"before a crossing, although {sign_k} forces one")
     if traj.r_cross is not None:
@@ -391,7 +392,7 @@ def classify_outcome(traj: Trajectory, spec: IvpSpec) -> Outcome:
         r_dec, u_dec, w_dec = traj.r[i:], traj.u[i:], traj.w[i:]
     else:
         r_dec = np.geomspace(lo, traj.r[-1], 64)
-        u_dec, _, w_dec = traj.sample(spec.params, r_dec)
+        u_dec, _, w_dec = traj.sample(r_dec)
     r_dec, u_dec, w_dec = r_dec.tolist(), u_dec.tolist(), w_dec.tolist()
     positive = all(u > 0.0 for u in u_dec)
     if positive and all(w < 0.0 for w in w_dec):
@@ -415,9 +416,9 @@ def _fit_slope(x: list[float], y: list[float]) -> float:
     return left_sum(map(mul, xc, [yi - y_mean for yi in y])) / left_sum(map(mul, xc, xc))
 
 
-def _continue(traj: Trajectory, spec: IvpSpec) -> Trajectory:
+def _continue(traj: Trajectory) -> Trajectory:
     """The shot continued past r_max from the last node of ``traj``."""
-    return _shoot(spec, float(traj.r[-1]), traj.result.ys[-1], _R_FAR, math.inf)
+    return _shoot(traj.spec, float(traj.r[-1]), traj.result.ys[-1], _R_FAR, math.inf)
 
 
 def _beyond(r: float, spec: IvpSpec) -> str:
@@ -446,7 +447,7 @@ def _series_head(spec: IvpSpec, power: float) -> float:
     return lead * (1.0 + sgn * power * term * ng / (ng + s))
 
 
-def _weighted_integral(traj: Trajectory, spec: IvpSpec, power: float, r_end: float) -> float:
+def _weighted_integral(traj: Trajectory, power: float, r_end: float) -> float:
     """int_0^{r_end} r^{N-1+gamma} |u|^power dr: the series head, then one
     Gauss-Legendre panel per node interval, the last one cut at r_end.
 
@@ -454,7 +455,7 @@ def _weighted_integral(traj: Trajectory, spec: IvpSpec, power: float, r_end: flo
     The rule's nodes and weights, ``_GL_X`` and ``_GL_W``, are the literal
     values of numpy.polynomial.legendre.leggauss(7), bit for bit.
     """
-    pr = spec.params
+    pr = traj.spec.params
     edges = np.append(traj.r[traj.r < r_end], r_end)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -463,32 +464,31 @@ def _weighted_integral(traj: Trajectory, spec: IvpSpec, power: float, r_end: flo
     vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * np.abs(u) ** power
     # (1, 7) @ (7, 1) per panel rounds like a 7-point dot; an (m, 7) @ (7,) gemv does not.
     panels = half * (vals[:, None, :] @ _GL_W[:, None])[:, 0, 0]
-    return left_sum([_series_head(spec, power), *panels.tolist()])
+    return left_sum([_series_head(traj.spec, power), *panels.tolist()])
 
 
-def pohozaev_residual(
-    traj: Trajectory, spec: IvpSpec, r_eval: float, tol: float = 1e-6
-) -> IdentityReport:
-    """Radial Pohozaev identity at R = r_eval; needs u > 0 on [0, r_eval].
+def pohozaev_residual(traj: Trajectory, r_eval: float, tol: float = 1e-6) -> IdentityReport:
+    """Radial Pohozaev identity at R = r_eval for the minus-sign shot ``traj``,
+    in the parameters it carries; needs u > 0 on [0, r_eval].
 
     residual = LHS - RHS with scale = max(|LHS|, |RHS|, a * integral), so the
     critical case (vanishing coefficient) stays well-scaled.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"need finite tol > 0, got {tol}")
-    if spec.sign is not EquationSign.MINUS:
+    if traj.spec.sign is not EquationSign.MINUS:
         raise PlapError("Pohozaev identity is stated for the minus equation")
     if traj.r_cross is not None and r_eval >= traj.r_cross:
         raise PlapError(f"u changes sign at r={traj.r_cross:.6g} <= r_eval")
     if not (traj.r[0] <= r_eval <= traj.r[-1]):
         raise PlapError(f"r_eval={r_eval} outside integrated range [{traj.r[0]}, {traj.r[-1]}]")
 
-    pr = spec.params
+    pr = traj.spec.params
     coeff = pohozaev_coefficient(pr)
 
-    integral = _weighted_integral(traj, spec, pr.q + 1.0, r_eval)
+    integral = _weighted_integral(traj, pr.q + 1.0, r_eval)
 
-    u_arr, du_arr, _ = traj.sample(pr, r_eval)
+    u_arr, du_arr, _ = traj.sample(r_eval)
     u, du = float(u_arr[0]), float(du_arr[0])
     n, p, q, a = pr.n_dim, pr.p, pr.q, pr.amplitude
     flux_term = -(n - p) * _odd_pow(du, p - 1.0) * u * r_eval ** (n - 1.0)
@@ -536,12 +536,11 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     """Compare s^kappa u(s r) against the rescaled shot at s = 2, max rel error."""
     s = _SCALING_FACTOR
     traj = integrate_ivp(spec)
-    spec2 = rescaled_spec(spec, s)
-    traj2 = integrate_ivp(spec2)
-    for sp, tr in ((spec, traj), (spec2, traj2)):
+    traj2 = integrate_ivp(rescaled_spec(spec, s))
+    for tr in (traj, traj2):
         if tr.status not in ("finished", "event"):  # cut short of r_max and of any event
-            out = classify_outcome(tr, sp)
-            raise PlapError(f"shot from u0={sp.u0:.6g} outcome {out.label}: {out.reason}")
+            out = classify_outcome(tr)
+            raise PlapError(f"shot from u0={tr.spec.u0:.6g} outcome {out.label}: {out.reason}")
     kappa = scaling_exponent(spec.params)
     # overlap range, clear of both hand-off radii and both endpoints
     lo = 10.0 * max(traj.r[0] / s, traj2.r[0])
@@ -549,8 +548,8 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     if hi <= lo:
         raise PlapError("trajectories do not overlap after rescaling")
     r = np.geomspace(lo, hi, _SCALING_SAMPLES)
-    u_base, _, _ = traj.sample(spec.params, s * r)
-    u_resc, _, _ = traj2.sample(spec.params, r)
+    u_base, _, _ = traj.sample(s * r)
+    u_resc, _, _ = traj2.sample(r)
     # keep clear of an approaching zero crossing, where the relative error
     # denominator collapses while the absolute error stays at integrator level
     amp = float(np.max(np.abs(u_resc)))
@@ -573,4 +572,4 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
 
 def sweep_outcomes(specs) -> list[Outcome]:
     """Classify a batch of specs, in order, one shot after another."""
-    return [classify_outcome(integrate_ivp(spec), spec) for spec in specs]
+    return [classify_outcome(integrate_ivp(spec)) for spec in specs]

@@ -78,26 +78,25 @@ def _aubin_talenti_exact(r):
 
 @lru_cache(maxsize=None)
 def _at_shot(r_max: float):
-    spec = shooting.IvpSpec(
+    return shooting.integrate_ivp(shooting.IvpSpec(
         params=ProblemParams(3, 2.0, 5.0), u0=3.0 ** 0.25, r_max=r_max
-    )
-    return spec, shooting.integrate_ivp(spec)
+    ))
 
 
 @lru_cache(maxsize=None)
 def _subcritical_shot(u0: float, r_max: float = 30.0):
-    spec = shooting.IvpSpec(params=ProblemParams(3, 2.0, 3.0), u0=u0, r_max=r_max)
-    return spec, shooting.integrate_ivp(spec)
+    return shooting.integrate_ivp(
+        shooting.IvpSpec(params=ProblemParams(3, 2.0, 3.0), u0=u0, r_max=r_max))
 
 
 class _ShortShot(Exception):
     """A shot ended before a radius its criterion reads; the message is the FAIL detail."""
 
 
-def _reached(spec: shooting.IvpSpec, traj: shooting.Trajectory, r_read: float, what: str):
+def _reached(traj: shooting.Trajectory, r_read: float, what: str):
     """Raise _ShortShot, naming the shot's outcome, unless it reached r_read."""
     if traj.r[-1] < r_read:
-        outcome = shooting.classify_outcome(traj, spec)
+        outcome = shooting.classify_outcome(traj)
         raise _ShortShot(f"{what} ends at r={traj.r[-1]:.6g} before r={r_read:g}: "
                          f"outcome {outcome.label}: {outcome.reason}")
 
@@ -302,15 +301,14 @@ def _c03_pohozaev_root():
 
 
 def _c04_shooting_oracle():
-    spec, traj = _at_shot(100.0)
+    traj = _at_shot(100.0)
     if traj.status != "finished":  # the oracle comparison needs u on all of [delta0, 100]
-        outcome = shooting.classify_outcome(traj, spec)
+        outcome = shooting.classify_outcome(traj)
         return False, f"r_max=100 outcome {outcome.label}: {outcome.reason}"
     r = np.geomspace(traj.r[0], 100.0, 200)
-    u, _, _ = traj.sample(spec.params, r)
+    u, _, _ = traj.sample(r)
     rel = float(np.max(np.abs(u - _aubin_talenti_exact(r)) / _aubin_talenti_exact(r)))
-    spec_far, traj_far = _at_shot(1e4)
-    outcome = shooting.classify_outcome(traj_far, spec_far)
+    outcome = shooting.classify_outcome(_at_shot(1e4))
     if outcome.kind is not shooting.OutcomeKind.POSITIVE_DECAYING:
         return False, f"r_max=1e4 outcome {outcome.label}: {outcome.reason}"
     passed = rel <= 1e-6
@@ -324,54 +322,52 @@ def _c05_subcritical_crossing():
     details = []
     passed = True
     for u0 in (0.5, 1.0, 2.0):
-        spec, traj = _subcritical_shot(u0)
-        outcome = shooting.classify_outcome(traj, spec)
+        traj = _subcritical_shot(u0)
+        outcome = shooting.classify_outcome(traj)
         if outcome.kind is not shooting.OutcomeKind.CROSSES_ZERO:
             passed = False
             details.append(f"u0={u0}: outcome {outcome.label}: {outcome.reason}")
             continue
-        r_oracle = _oracle_radius(spec, "crosses_zero")
-        rel = abs(outcome.r_cross - r_oracle) / r_oracle
+        r_oracle = _oracle_radius(traj.spec, "crosses_zero")
+        rel = abs(outcome.r_event - r_oracle) / r_oracle
         passed &= rel <= 1e-4
         details.append(
-            f"u0={u0}: r_cross={outcome.r_cross:.8g} vs oracle {r_oracle:.8g} (rel {rel:.1e})")
+            f"u0={u0}: r_cross={outcome.r_event:.8g} vs oracle {r_oracle:.8g} (rel {rel:.1e})")
     return passed, "; ".join(details)
 
 
 def _c06_pohozaev_residual():
-    spec_at, traj_at = _at_shot(100.0)
-    _reached(spec_at, traj_at, 50.0, "critical shot")
+    traj_at = _at_shot(100.0)
+    _reached(traj_at, 50.0, "critical shot")
     worst_crit = 0.0
     for r_eval in (1.0, 5.0, 50.0):
-        rep = shooting.pohozaev_residual(traj_at, spec_at, r_eval, tol=1e-6)
+        rep = shooting.pohozaev_residual(traj_at, r_eval, tol=1e-6)
         worst_crit = max(worst_crit, rep.rel_residual())
         if not rep.passed:
             return False, f"critical case fails at r={r_eval}: rel {rep.rel_residual():.2e}"
     worst_sub = 0.0
-    spec_sub, traj_sub = _subcritical_shot(1.0)
-    _reached(spec_sub, traj_sub, 6.0, "subcritical shot")
+    traj_sub = _subcritical_shot(1.0)
+    _reached(traj_sub, 6.0, "subcritical shot")
     for r_eval in (1.0, 3.0, 6.0):
-        rep = shooting.pohozaev_residual(traj_sub, spec_sub, r_eval, tol=1e-4)
+        rep = shooting.pohozaev_residual(traj_sub, r_eval, tol=1e-4)
         worst_sub = max(worst_sub, rep.rel_residual())
     base = ProblemParams(4, 2.5, 2.5, 0.5)
     q_near = equation_critical(base) * 0.98
     pr_deg = base.replace(q=q_near)
-    spec_deg = shooting.IvpSpec(params=pr_deg, u0=1.0, r_max=10.0)
-    traj_deg = shooting.integrate_ivp(spec_deg)
-    _reached(spec_deg, traj_deg, 0.5, "near-critical shot")
-    rep_deg = shooting.pohozaev_residual(traj_deg, spec_deg, 0.5, tol=1e-4)
+    traj_deg = shooting.integrate_ivp(shooting.IvpSpec(params=pr_deg, u0=1.0, r_max=10.0))
+    _reached(traj_deg, 0.5, "near-critical shot")
+    rep_deg = shooting.pohozaev_residual(traj_deg, 0.5, tol=1e-4)
     worst_sub = max(worst_sub, rep_deg.rel_residual())
 
     # refinement: cap the step so discretization dominates, then halve the cap
     res_levels = []
     for h in (0.2, 0.1, 0.05):
-        spec_h = shooting.IvpSpec(
+        traj_h = shooting.integrate_ivp(shooting.IvpSpec(
             params=ProblemParams(3, 2.0, 3.0), u0=1.0, r_max=5.0,
             rtol=1.0, atol=1.0, max_step=h,
-        )
-        traj_h = shooting.integrate_ivp(spec_h)
-        _reached(spec_h, traj_h, 3.0, f"max_step={h} shot")
-        rep_h = shooting.pohozaev_residual(traj_h, spec_h, 3.0, tol=1.0)
+        ))
+        _reached(traj_h, 3.0, f"max_step={h} shot")
+        rep_h = shooting.pohozaev_residual(traj_h, 3.0, tol=1.0)
         res_levels.append(abs(rep_h.residual) / rep_h.scale)
     orders = [math.log2(res_levels[i] / res_levels[i + 1]) for i in range(2)]
     passed = worst_crit <= 1e-6 and worst_sub <= 1e-4 and min(orders) >= 1.0
@@ -409,15 +405,15 @@ def _c07_hadamard():
     worst_eq = max(worst_eq, abs(mid - 0.5))
 
     # (b) monotonicity of m(r) r^{-lam} along global supersolutions
-    spec_at, traj_at = _at_shot(100.0)
-    _reached(spec_at, traj_at, spec_at.r_max, "critical shot")
+    traj_at = _at_shot(100.0)
+    _reached(traj_at, traj_at.spec.r_max, "critical shot")
     mask = traj_at.r >= 0.05
     rep_at = barriers.hadamard_monotonicity_check(
         np.column_stack([traj_at.r[mask], traj_at.u[mask]]), lam=-1.0
     )
-    spec_sup = shooting.IvpSpec(params=ProblemParams(3, 2.0, 6.0), u0=1.0, r_max=100.0)
-    traj_sup = shooting.integrate_ivp(spec_sup)
-    _reached(spec_sup, traj_sup, spec_sup.r_max, "supercritical shot")
+    traj_sup = shooting.integrate_ivp(
+        shooting.IvpSpec(params=ProblemParams(3, 2.0, 6.0), u0=1.0, r_max=100.0))
+    _reached(traj_sup, traj_sup.spec.r_max, "supercritical shot")
     mask2 = traj_sup.r >= 0.05
     rep_sup = barriers.hadamard_monotonicity_check(
         np.column_stack([traj_sup.r[mask2], traj_sup.u[mask2]]), lam=-1.0
@@ -649,12 +645,11 @@ def _c10_fd_oracle():
 def _c11_blowup_power_transform():
     pr = ProblemParams(3, 2.0, 3.0)
     spec = shooting.IvpSpec(params=pr, u0=1.0, sign=shooting.EquationSign.PLUS, r_max=100.0)
-    traj = shooting.integrate_ivp(spec)
-    outcome = shooting.classify_outcome(traj, spec)
+    outcome = shooting.classify_outcome(shooting.integrate_ivp(spec))
     if outcome.kind is not shooting.OutcomeKind.BLOWS_UP:
         return False, f"plus shot outcome {outcome.label}: {outcome.reason}"
     r_blow_oracle = _oracle_radius(spec, "blows_up")
-    rel = abs(outcome.r_blow - r_blow_oracle) / r_blow_oracle
+    rel = abs(outcome.r_event - r_blow_oracle) / r_blow_oracle
 
     cx = barriers.build_counterexample(ProblemParams(3, 2.0, 4.0))
     profiles = [
@@ -675,7 +670,7 @@ def _c11_blowup_power_transform():
                     )
     passed = rel <= 1e-3 and worst_pt <= 1e-8
     return passed, (
-        f"r_blow={outcome.r_blow:.6g} vs oracle {r_blow_oracle:.6g} (rel {rel:.1e}); "
+        f"r_blow={outcome.r_event:.6g} vs oracle {r_blow_oracle:.6g} (rel {rel:.1e}); "
         f"power-transform worst rel residual {worst_pt:.2e}"
     )
 

@@ -100,6 +100,24 @@ class TestSolverDiagnostics:
             solve_annulus_dirichlet_detailed(prob)
         assert err.value.flux_eps == 1e-5
 
+    @pytest.mark.parametrize("p, r_outer, b_inner, load, eps", [
+        (2.0, 2.0, 1e160, None, 1e-10),       # D * D overflows in the flux and the norm
+        (3.0, 300.0, 1.0, 1e308, 1e-2),       # the load term dr r^2 f overflows
+    ], ids=["boundary-1e160", "load-1e308"])
+    def test_overflow_is_newton_divergence_without_warnings(self, p, r_outer, b_inner, load, eps):
+        # No numpy RuntimeWarning reaches the caller, and an infinite load
+        # term does not pass the stopping test with a NaN residual.
+        prob = AnnulusProblem(
+            params=params(3, p), r_inner=1.0, r_outer=r_outer,
+            boundary_inner=b_inner, boundary_outer=0.0, mesh_size=64,
+            rhs=None if load is None else lambda r: load,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NewtonDivergence, match=rf"level eps={eps:g}$") as err:
+                solve_annulus_dirichlet_detailed(prob)
+        assert err.value.flux_eps == eps
+
     def test_boundary_values_imposed_exactly(self):
         prob = AnnulusProblem(
             params=params(4, 2.5), r_inner=0.5, r_outer=3.0,

@@ -27,6 +27,7 @@ from plap import rk45
 from plap.shooting import (
     _GL_W,
     _GL_X,
+    _continue,
     _fit_slope,
     _log_rates,
     _series_head,
@@ -53,10 +54,10 @@ class TestOutcomes:
     @pytest.mark.parametrize("u0", [0.5, 1.0, 2.0])
     def test_subcritical_crossing_radii(self, u0):
         traj, spec = shoot(SUBCRITICAL, u0)
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         assert out.kind is OutcomeKind.CROSSES_ZERO
-        assert out.r_cross == pytest.approx(R_CROSS[u0], rel=1e-8)
-        assert out.r_event == out.r_cross
+        assert out.r_event == pytest.approx(R_CROSS[u0], rel=1e-8)
+        assert out.r_event == traj.r_cross
 
     def test_crossing_scales_inversely_with_amplitude(self):
         # For q = 3, p = 2 the rescaling u -> lam u maps r -> r / lam exactly.
@@ -65,22 +66,22 @@ class TestOutcomes:
 
     def test_critical_shot_decays(self):
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         assert out.kind is OutcomeKind.POSITIVE_DECAYING
         assert out.tail_slope == pytest.approx(-1.0, abs=5e-3)
 
     def test_critical_trajectory_matches_exact_solution(self):
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
         r = np.geomspace(1e-3, 99.0, 200)
-        u, _, _ = traj.sample(spec.params, r)
+        u, _, _ = traj.sample(r)
         exact = 3**0.25 / np.sqrt(1.0 + r**2)
         assert np.max(np.abs(u / exact - 1.0)) < 1e-6
 
     def test_forced_growth_blows_up(self):
         traj, spec = shoot(SUBCRITICAL, 1.0, r_max=10.0, sign=EquationSign.PLUS)
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         assert out.kind is OutcomeKind.BLOWS_UP
-        assert out.r_blow == pytest.approx(R_BLOW, rel=1e-8)
+        assert out.r_event == pytest.approx(R_BLOW, rel=1e-8)
 
     def test_crossing_beyond_r_max_matches_taylor_oracle(self):
         # q = 0.97 q_E < q_E crosses at r ~ 113, past r_max = 100: the shot
@@ -89,27 +90,27 @@ class TestOutcomes:
 
         params = ProblemParams(n_dim=3, p=2.0, q=4.85, gamma=0.0)
         traj, spec = shoot(params, 1.0, r_max=100.0)
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         oracle = taylor_oracle(params, -1.0, *taylor_launch(params, 1.0, -1.0, 1e4), 1e4,
                                spec.blowup_threshold)
         assert out.kind is OutcomeKind.CROSSES_ZERO
         assert oracle.event == "crosses_zero"
-        assert out.r_cross == pytest.approx(oracle.r[-1], rel=1e-6)
+        assert out.r_event == pytest.approx(oracle.r[-1], rel=1e-6)
 
     def test_blowup_radius_matches_closed_form(self):
         # u = (1 - r^2/3)^{-1/2} solves Delta u = u^5 in R^3 (the Aubin-Talenti
         # profile with r^2 -> -r^2), and reaches 1e8 at r^2 = 3 (1 - 1e-16).
         traj, spec = shoot(CRITICAL, 1.0, r_max=100.0, sign=EquationSign.PLUS)
-        out = classify_outcome(traj, spec)
-        assert out.r_blow == pytest.approx(math.sqrt(3.0 * (1.0 - 1e-16)), rel=1e-9)
+        out = classify_outcome(traj)
+        assert out.r_event == pytest.approx(math.sqrt(3.0 * (1.0 - 1e-16)), rel=1e-9)
 
     def test_short_range_growth_blows_up_beyond_r_max(self):
         # Every plus shot blows up at a finite radius, so a shot still finite
         # at r_max continues to its blow-up instead of being judged there.
         traj, spec = shoot(SUBCRITICAL, 1.0, r_max=1.0, sign=EquationSign.PLUS)
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         assert out.kind is OutcomeKind.BLOWS_UP
-        assert out.r_blow == pytest.approx(R_BLOW, rel=1e-8)
+        assert out.r_event == pytest.approx(R_BLOW, rel=1e-8)
         assert "beyond r_max" in out.reason
 
     def test_large_series_term_shrinks_the_launch(self):
@@ -126,9 +127,9 @@ class TestOutcomes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj, spec = shoot(params, 1.631, r_max=100.0, sign=EquationSign.PLUS)
-            out = classify_outcome(traj, spec)
+            out = classify_outcome(traj)
         assert out.kind is OutcomeKind.BLOWS_UP
-        assert spec.delta0 < out.r_blow < spec.r_max
+        assert spec.delta0 < out.r_event < spec.r_max
 
     def test_outcome_field_consistency(self):
         with pytest.raises(ValueError):
@@ -136,9 +137,15 @@ class TestOutcomes:
         with pytest.raises(ValueError):
             Outcome(OutcomeKind.POSITIVE_DECAYING, reason="decays", tail_slope=0.5)
         with pytest.raises(TypeError):
-            Outcome(OutcomeKind.BLOWS_UP, r_blow=1.0)  # no reason
+            Outcome(OutcomeKind.BLOWS_UP, r_event=1.0)  # no reason
         with pytest.raises(ValueError):
-            Outcome(OutcomeKind.BLOWS_UP, reason="", r_blow=1.0)
+            Outcome(OutcomeKind.BLOWS_UP, reason="", r_event=1.0)
+
+    @pytest.mark.parametrize("r_event", [None, 0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("kind", [OutcomeKind.CROSSES_ZERO, OutcomeKind.BLOWS_UP])
+    def test_event_radius_must_be_finite_and_positive(self, kind, r_event):
+        with pytest.raises(ValueError, match="needs a finite r_event > 0"):
+            Outcome(kind, reason="x", r_event=r_event)
 
     @pytest.mark.parametrize("r_max", [10.0, 100.0])
     def test_no_crossing_at_equation_critical(self, r_max):
@@ -148,7 +155,7 @@ class TestOutcomes:
         base = ProblemParams(n_dim=10, p=1.2, q=1.2, gamma=2.0)
         params = ProblemParams(n_dim=10, p=1.2, q=equation_critical(base), gamma=2.0)
         traj, spec = shoot(params, 1.0, r_max=r_max)
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         assert out.kind is not OutcomeKind.CROSSES_ZERO
         assert "Pohozaev" in out.reason and "K=" in out.reason
 
@@ -203,19 +210,19 @@ class TestLabelsIndependentOfRMax:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj, spec = shoot(params, u0, r_max=r_max, sign=sign)
-            out = classify_outcome(traj, spec)
+            out = classify_outcome(traj)
         assert out.kind is kind, out.reason
         if kind is not OutcomeKind.POSITIVE_DECAYING:
             assert spec.delta0 < out.r_event < math.inf
         if case == "crossing_beyond_r_max":
-            assert out.r_cross == pytest.approx(1256.045, rel=1e-6)
+            assert out.r_event == pytest.approx(1256.045, rel=1e-6)
         if case == "crossing_past_float_range_of_powers":
-            assert out.r_cross == pytest.approx(8.3329e78, rel=1e-4)
+            assert out.r_event == pytest.approx(8.3329e78, rel=1e-4)
         if case == "plus_u0_power_past_float_range":
-            assert out.r_blow == pytest.approx(7.827e-73, rel=1e-4)
+            assert out.r_event == pytest.approx(7.827e-73, rel=1e-4)
         if case == "plus_launch_at_the_floor":
             assert spec.delta0 == 1e-300
-            assert out.r_blow == pytest.approx(5.536e-96, rel=1e-4)
+            assert out.r_event == pytest.approx(5.536e-96, rel=1e-4)
 
 
 def direct_rates(params, r, u, w):
@@ -269,9 +276,20 @@ class TestTrajectoryInvariants:
 
     def test_trajectory_is_a_view_of_the_integrator_result(self):
         traj, spec = shoot(SUBCRITICAL, 1.0)
+        assert traj.spec is spec
         assert traj.r is traj.result.ts
         assert type(traj.r_cross) is float and traj.r_blow is None
-        assert type(classify_outcome(traj, spec).r_cross) is float
+        assert type(classify_outcome(traj).r_event) is float
+
+    def test_continued_shot_keeps_its_spec(self):
+        # K < 0 at q = 4.85 < q_E: still positive at r_max = 100, so the
+        # shot continues from its last node to its crossing at r ~ 113.
+        traj, spec = shoot(ProblemParams(n_dim=3, p=2.0, q=4.85), 1.0, r_max=100.0)
+        assert traj.status == "finished"
+        far = _continue(traj)
+        assert far.spec is spec
+        assert far.r_cross > spec.r_max
+        assert classify_outcome(traj).r_event == far.r_cross
 
     def test_series_coefficients_closed_form(self):
         # p = 2, gamma = 0: u = u0 - u0^q r^2/(2N) + ..., w = -u0^q r^N/N + ...
@@ -283,16 +301,16 @@ class TestTrajectoryInvariants:
     def test_sample_agrees_with_nodes(self):
         traj, spec = shoot(SUBCRITICAL, 1.0, r_max=5.0)
         mid = len(traj.r) // 2
-        u, du, w = traj.sample(spec.params, traj.r[mid])
+        u, du, w = traj.sample(traj.r[mid])
         assert u[0] == pytest.approx(traj.u[mid], rel=1e-12)
         assert w[0] == pytest.approx(traj.w[mid], rel=1e-12)
-        assert du[0] == pytest.approx(traj.du(spec.params)[mid], rel=1e-12)
+        assert du[0] == pytest.approx(traj.du()[mid], rel=1e-12)
 
     def test_tolerance_convergence_of_crossing(self):
         radii = []
         for rtol in (1e-6, 1e-8, 1e-10):
             traj, spec = shoot(SUBCRITICAL, 1.0, rtol=rtol, atol=rtol * 1e-2)
-            radii.append(classify_outcome(traj, spec).r_cross)
+            radii.append(classify_outcome(traj).r_event)
         d_coarse = abs(radii[0] - radii[2])
         d_fine = abs(radii[1] - radii[2])
         assert d_fine < d_coarse
@@ -320,7 +338,7 @@ def final_decade_traj(u, w, r_max=1e3):
     r = np.geomspace(r_max / 10.0, r_max, len(u))
     ys = np.column_stack([u, w])
     res = rk45.IntegrationResult(ts=r, ys=ys, fs=np.zeros_like(ys), status="finished")
-    return Trajectory(res), IvpSpec(params=CRITICAL, u0=1.0, r_max=r_max)
+    return Trajectory(IvpSpec(params=CRITICAL, u0=1.0, r_max=r_max), res)
 
 
 DECAYING = np.geomspace(1.0, 0.1, 10)  # u = 100/r on the nodes of [100, 1e3]
@@ -340,8 +358,8 @@ class TestFinalDecade:
          "sign behavior unresolved in final decade"),
     ])
     def test_verdict_on_the_nodes(self, u, w, kind, reason):
-        traj, spec = final_decade_traj(u, w)
-        out = classify_outcome(traj, spec)
+        traj = final_decade_traj(u, w)
+        out = classify_outcome(traj)
         assert out.label == kind and out.reason.startswith(reason)
         if kind == "positive_decaying":
             assert out.tail_slope == pytest.approx(-1.0, rel=1e-13)
@@ -354,14 +372,14 @@ class TestFinalDecade:
         traj = integrate_ivp(self.FLAT_TAIL)
         assert traj.status == "finished"
         assert (traj.r.size, int(np.sum(traj.r >= 100.0))) == (17, 3)
-        _, _, w = traj.sample(self.FLAT_TAIL.params, np.geomspace(100.0, traj.r[-1], 64))
+        _, _, w = traj.sample(np.geomspace(100.0, traj.r[-1], 64))
         assert int(np.sum(w >= 0.0)) == 14 and w.max() < 1e-20
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 3: at u0 = 0.718 the flat K >= 0 tail is indeterminate "
         "('u positive but not monotone in final decade'); at u0 = 1 it is positive_decaying"))
     def test_flat_tail_is_positive_decaying(self):
-        out = classify_outcome(integrate_ivp(self.FLAT_TAIL), self.FLAT_TAIL)
+        out = classify_outcome(integrate_ivp(self.FLAT_TAIL))
         assert out.kind is OutcomeKind.POSITIVE_DECAYING
 
 
@@ -376,7 +394,7 @@ class TestUnresolved:
         monkeypatch.setattr(rk45, "_MAX_STEPS", max_steps)
         spec = IvpSpec(params=ProblemParams(3, 2.0, q), u0=1.0, sign=sign, r_max=30.0)
         traj = integrate_ivp(spec)
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         assert out.kind is OutcomeKind.INDETERMINATE
         assert out.reason.startswith("integrator status max_steps at r=")
         assert out.reason.endswith(what)
@@ -411,7 +429,7 @@ class TestQuadrature:
                 pts = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
                 u = np.array([traj.result.sol(t)[0] for t in pts])
                 ref += 0.5 * (b - a) * float(_GL_W @ (pts ** (n - 1.0) * np.abs(u) ** power))
-            got = _weighted_integral(traj, spec, power, r_end)
+            got = _weighted_integral(traj, power, r_end)
             assert type(got) is float
             assert got == pytest.approx(ref, rel=64 * np.finfo(float).eps, abs=0)
 
@@ -420,13 +438,13 @@ class TestPohozaevResidual:
     def test_critical_balance(self):
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
         for r_eval in (1.0, 5.0, 50.0):
-            rep = pohozaev_residual(traj, spec, r_eval)
+            rep = pohozaev_residual(traj, r_eval)
             assert rep.passed
             assert rep.rel_residual() <= 1e-6
 
     def test_subcritical_balance_inside_positivity(self):
         traj, spec = shoot(SUBCRITICAL, 1.0)
-        rep = pohozaev_residual(traj, spec, 5.0, tol=1e-4)
+        rep = pohozaev_residual(traj, 5.0, tol=1e-4)
         assert rep.passed
         assert rep.rel_residual() <= 1e-4
 
@@ -437,10 +455,10 @@ class TestPohozaevResidual:
     def test_balance_at_n_at_most_p(self, n, p, q, gamma):
         # At N <= p, K < 0 and every shot crosses; the identity never divides by N - p.
         traj, spec = shoot(ProblemParams(n_dim=n, p=p, q=q, gamma=gamma), 1.0)
-        rep = pohozaev_residual(traj, spec, 0.5, tol=1e-6)
+        rep = pohozaev_residual(traj, 0.5, tol=1e-6)
         assert rep.passed
         assert rep.lhs < 0
-        out = classify_outcome(traj, spec)
+        out = classify_outcome(traj)
         assert out.kind is OutcomeKind.CROSSES_ZERO
         assert out.reason.endswith("<0")
 
@@ -449,7 +467,7 @@ class TestPohozaevResidual:
         # panel, one at the last node on a whole one; both report plain types.
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
         for r_eval in (float(0.5 * (traj.r[10] + traj.r[11])), float(traj.r[-1])):
-            rep = pohozaev_residual(traj, spec, r_eval)
+            rep = pohozaev_residual(traj, r_eval)
             assert type(rep.passed) is bool and rep.passed
             assert type(rep.lhs) is float
             assert type(rep.residual) is float and type(rep.scale) is float
@@ -461,16 +479,16 @@ class TestPohozaevResidual:
         traj, spec = shoot(SUBCRITICAL, 1.0)
         for r_eval in (float(traj.r[-1]), 10.0):
             with pytest.raises(PlapError, match=r"^u changes sign at r=6\.89685 <= r_eval$"):
-                pohozaev_residual(traj, spec, r_eval)
+                pohozaev_residual(traj, r_eval)
 
     def test_rejects_evaluation_outside_range(self):
         traj, spec = shoot(SUBCRITICAL, 1.0)
         with pytest.raises(PlapError, match=r"^r_eval=.* outside integrated range \["):
-            pohozaev_residual(traj, spec, 0.5 * float(traj.r[0]))
+            pohozaev_residual(traj, 0.5 * float(traj.r[0]))
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
         assert traj.r_cross is None
         with pytest.raises(PlapError, match=r"^r_eval=200\.0 outside integrated range \["):
-            pohozaev_residual(traj, spec, 200.0)
+            pohozaev_residual(traj, 200.0)
 
 
 class TestScaling:
@@ -503,7 +521,7 @@ class TestSweep:
     def test_ordering_preserved(self):
         specs = [IvpSpec(params=SUBCRITICAL, u0=u0, r_max=30.0) for u0 in (2.0, 0.5)]
         out = sweep_outcomes(specs)
-        assert out[0].r_cross < out[1].r_cross  # big u0 crosses first
+        assert out[0].r_event < out[1].r_event  # big u0 crosses first
 
 
 class TestStepperWork:
