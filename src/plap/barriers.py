@@ -250,7 +250,7 @@ def hadamard_lower_bound(inp: HadamardInput, r):
 
 
 def hadamard_monotonicity_check(samples, lam: float) -> IdentityReport:
-    """min consecutive increment of g(r) = m(r) r^{-lam}; pass iff >= -1e-8.
+    """min consecutive increment of g(r) = m(r) r^{-lam}; pass iff >= -1e-8 max|g|.
 
     Stated for lam < 0 (p < N) and for minima of *global* supersolutions;
     trajectories that stop being supersolutions (e.g. after crossing zero)
@@ -267,13 +267,14 @@ def hadamard_monotonicity_check(samples, lam: float) -> IdentityReport:
     g = m * r ** (-lam)
     increments = np.diff(g)
     worst = float(np.min(increments))
+    scale = max(1e-300, float(np.max(np.abs(g))))
     return IdentityReport(
         label="hadamard_monotonicity",
         lhs=float(g[0]),
         rhs=float(g[-1]),
         residual=worst,
-        scale=max(1.0, float(np.max(np.abs(g)))),
+        scale=scale,
         tol=_HADAMARD_TOL,
-        passed=worst >= -_HADAMARD_TOL,
+        passed=worst >= -_HADAMARD_TOL * scale,
         note=f"min increment of m(r) r^(-lam) over {len(r)} samples",
     )

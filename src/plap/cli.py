@@ -34,7 +34,7 @@ import os
 import sys
 
 from .errors import NewtonDivergence, PlapError
-from .exponents import ProblemParams, classify_regime, pohozaev_sign
+from .exponents import ProblemParams, classify_regime
 
 _USAGE = """plap <subcommand> [flags]
 
@@ -53,9 +53,6 @@ subcommands:
 --out PATH writes to a file instead of stdout.
 `plap <subcommand> --help` lists the full flag set.
 """
-
-_BOUNDARY_NOTE = "proof uses strict inequality"
-
 
 class _HelpShown(Exception):
     pass
@@ -152,8 +149,6 @@ def _run_classify(args) -> int:
         "counterexample_exists": reg.counterexample_exists,
         "equation_radial_nonexistence": reg.equation_radial_nonexistence,
     }
-    if pohozaev_sign(pr) == 0:
-        obj["boundary"] = _BOUNDARY_NOTE
     _emit_json(args.out, obj)
     return 0
 

@@ -69,11 +69,11 @@ class Regime(namedtuple("Regime", (
     The two boolean families are mutually exclusive by construction:
     ``inequality_nonexistence`` covers q <= q_S, ``counterexample_exists``
     needs q > q_S (and gamma >= 0, which the explicit construction assumes).
-    ``equation_radial_nonexistence`` encodes exactly the hypotheses under
-    which positive radial solutions of the equation are ruled out:
-    N > p, gamma >= 0 and q <= q_E inclusive; the
-    strict/non-strict boundary mismatch at q = q_E is surfaced by the CLI,
-    not resolved here.
+    ``equation_radial_nonexistence`` holds where positive radial solutions
+    of the equation are ruled out: N > p, gamma >= 0 and K < 0 by
+    ``pohozaev_sign``, the rule the shot labels follow.  At q = q_E, where
+    K reads 0, the weighted bubble is a positive solution, so the flag is
+    false there.
     """
 
     __slots__ = ()
@@ -142,7 +142,7 @@ def classify_regime(params: ProblemParams) -> Regime:
         low_dimension=False,
         inequality_nonexistence=params.q <= q_s,
         counterexample_exists=params.gamma >= 0.0 and params.q > q_s,
-        equation_radial_nonexistence=params.gamma >= 0.0 and params.q <= q_e,
+        equation_radial_nonexistence=params.gamma >= 0.0 and pohozaev_sign(params) < 0,
         lam=lam,
         q_serrin=q_s,
         q_equation=q_e,

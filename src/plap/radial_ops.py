@@ -244,8 +244,8 @@ def operator_scale(point: EvalPoint, params: ProblemParams) -> float:
 
 
 def check_p_harmonic(spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi: float) -> None:
-    """Raise PlapError unless |Delta_p V| <= 1e-8 * max(1, operator_scale)
-    at nine equally spaced radii of [r_lo, r_hi]."""
+    """Raise PlapError unless |Delta_p V| <= 1e-8 * operator_scale at nine
+    equally spaced radii of [r_lo, r_hi]."""
     for r in np.linspace(r_lo, r_hi, 9):
         pt = eval_profile(spec, float(r))
         if pt.d1 == 0.0 and pt.d2 == 0.0:
@@ -256,7 +256,7 @@ def check_p_harmonic(spec: ProfileSpec, params: ProblemParams, r_lo: float, r_hi
             raise PlapError(
                 f"profile gradient degenerates at r={r:.6g} with p={params.p} < 2"
             ) from exc
-        if abs(val) > _P_HARMONIC_TOL * max(1.0, operator_scale(pt, params)):
+        if abs(val) > _P_HARMONIC_TOL * operator_scale(pt, params):
             raise PlapError(
                 f"Delta_p V = {val:.3e} at r={r:.6g} exceeds {_P_HARMONIC_TOL:g} x scale; "
                 f"profile is not p-harmonic on [{r_lo:.6g}, {r_hi:.6g}]"

@@ -81,16 +81,14 @@ def _run_shoot(args) -> int:
     outcome = shooting.classify_outcome(traj)
     _emit_csv(args.out, ("r", "u", "du", "w"),
               zip(traj.r.tolist(), traj.u.tolist(), traj.du().tolist(), traj.w.tolist()))
-    parts = [f"outcome={outcome.label}", f"status={traj.status}", f"nodes={len(traj.r)}"]
+    parts = [f"outcome={outcome.kind.value}", f"status={traj.status}", f"nodes={len(traj.r)}"]
     if outcome.r_event is not None:
         parts.append(f"r_event={outcome.r_event!r}")
     if outcome.tail_slope is not None:
         parts.append(f"tail_slope={outcome.tail_slope!r}")
     parts.append(f"reason={outcome.reason}")
     print("  ".join(parts), file=sys.stderr)
-    if traj.step_collapsed and outcome.kind is shooting.OutcomeKind.INDETERMINATE:
-        return 2
-    return 0
+    return 2 if traj.status == "step_collapse" else 0
 
 
 def _build_sweep(p: _Parser):

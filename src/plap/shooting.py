@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 
 import numpy as np
@@ -204,10 +204,6 @@ class Trajectory:
         return "event" if self.blowup.status == "finished" else self.blowup.status
 
     @property
-    def step_collapsed(self) -> bool:
-        return self.status == "step_collapse"
-
-    @property
     def r_cross(self) -> float | None:
         res = self.result
         if res.status == "event" and res.event_index == 0:
@@ -244,8 +240,8 @@ def _du_from_w(r, w, params: ProblemParams):
 def integrate_ivp(spec: IvpSpec) -> Trajectory:
     """Shoot from delta0 to r_max; halt at a zero crossing or at blow-up.
 
-    Step-size underflow is recorded on the trajectory (step_collapsed), not
-    raised: classification reports it as indeterminate.
+    Step-size underflow is recorded on the trajectory (status
+    "step_collapse"), not raised: classification reports it as indeterminate.
     """
     return _shoot(spec, spec.delta0, series_state(spec, spec.delta0), spec.r_max, spec.max_step)
 
@@ -341,10 +337,6 @@ class Outcome:
             raise ValueError("PositiveDecaying needs tail_slope < 0")
         if not self.reason:
             raise ValueError("every Outcome needs the reason for its label")
-
-    @property
-    def label(self) -> str:
-        return self.kind.value
 
 
 def classify_outcome(traj: Trajectory) -> Outcome:
@@ -521,15 +513,8 @@ def scaling_exponent(params: ProblemParams) -> float:
 
 def rescaled_spec(spec: IvpSpec, s: float) -> IvpSpec:
     """The shooting problem whose solution should equal s^kappa u(s r)."""
-    kappa = scaling_exponent(spec.params)
-    return IvpSpec(
-        params=spec.params,
-        u0=s ** kappa * spec.u0,
-        sign=spec.sign,
-        r_max=spec.r_max / s,
-        rtol=spec.rtol,
-        atol=spec.atol,
-    )
+    return replace(spec, u0=s ** scaling_exponent(spec.params) * spec.u0,
+                   r_max=spec.r_max / s, max_step=spec.max_step / s)
 
 
 def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
@@ -540,7 +525,8 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     for tr in (traj, traj2):
         if tr.status not in ("finished", "event"):  # cut short of r_max and of any event
             out = classify_outcome(tr)
-            raise PlapError(f"shot from u0={tr.spec.u0:.6g} outcome {out.label}: {out.reason}")
+            raise PlapError(
+                f"shot from u0={tr.spec.u0:.6g} outcome {out.kind.value}: {out.reason}")
     kappa = scaling_exponent(spec.params)
     # overlap range, clear of both hand-off radii and both endpoints
     lo = 10.0 * max(traj.r[0] / s, traj2.r[0])

@@ -89,16 +89,12 @@ def _subcritical_shot(u0: float, r_max: float = 30.0):
         shooting.IvpSpec(params=ProblemParams(3, 2.0, 3.0), u0=u0, r_max=r_max))
 
 
-class _ShortShot(Exception):
-    """A shot ended before a radius its criterion reads; the message is the FAIL detail."""
-
-
 def _reached(traj: shooting.Trajectory, r_read: float, what: str):
-    """Raise _ShortShot, naming the shot's outcome, unless it reached r_read."""
+    """Raise PlapError, naming the shot's outcome, unless it reached r_read."""
     if traj.r[-1] < r_read:
         outcome = shooting.classify_outcome(traj)
-        raise _ShortShot(f"{what} ends at r={traj.r[-1]:.6g} before r={r_read:g}: "
-                         f"outcome {outcome.label}: {outcome.reason}")
+        raise PlapError(f"{what} ends at r={traj.r[-1]:.6g} before r={r_read:g}: "
+                        f"outcome {outcome.kind.value}: {outcome.reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +298,17 @@ def _c03_pohozaev_root():
 
 def _c04_shooting_oracle():
     traj = _at_shot(100.0)
-    if traj.status != "finished":  # the oracle comparison needs u on all of [delta0, 100]
-        outcome = shooting.classify_outcome(traj)
-        return False, f"r_max=100 outcome {outcome.label}: {outcome.reason}"
+    _reached(traj, 100.0, "r_max=100 shot")  # the oracle reads u on all of [delta0, 100]
     r = np.geomspace(traj.r[0], 100.0, 200)
     u, _, _ = traj.sample(r)
     rel = float(np.max(np.abs(u - _aubin_talenti_exact(r)) / _aubin_talenti_exact(r)))
     outcome = shooting.classify_outcome(_at_shot(1e4))
     if outcome.kind is not shooting.OutcomeKind.POSITIVE_DECAYING:
-        return False, f"r_max=1e4 outcome {outcome.label}: {outcome.reason}"
+        return False, f"r_max=1e4 outcome {outcome.kind.value}: {outcome.reason}"
     passed = rel <= 1e-6
     return passed, (
         f"max rel error vs 3^(1/4)(1+r^2)^(-1/2) on [{traj.r[0]:.2g},100] = {rel:.2e}; "
-        f"r_max=1e4 outcome {outcome.label} (tail slope {outcome.tail_slope:.4f})"
+        f"r_max=1e4 outcome {outcome.kind.value} (tail slope {outcome.tail_slope:.4f})"
     )
 
 
@@ -326,7 +320,7 @@ def _c05_subcritical_crossing():
         outcome = shooting.classify_outcome(traj)
         if outcome.kind is not shooting.OutcomeKind.CROSSES_ZERO:
             passed = False
-            details.append(f"u0={u0}: outcome {outcome.label}: {outcome.reason}")
+            details.append(f"u0={u0}: outcome {outcome.kind.value}: {outcome.reason}")
             continue
         r_oracle = _oracle_radius(traj.spec, "crosses_zero")
         rel = abs(outcome.r_event - r_oracle) / r_oracle
@@ -647,7 +641,7 @@ def _c11_blowup_power_transform():
     spec = shooting.IvpSpec(params=pr, u0=1.0, sign=shooting.EquationSign.PLUS, r_max=100.0)
     outcome = shooting.classify_outcome(shooting.integrate_ivp(spec))
     if outcome.kind is not shooting.OutcomeKind.BLOWS_UP:
-        return False, f"plus shot outcome {outcome.label}: {outcome.reason}"
+        return False, f"plus shot outcome {outcome.kind.value}: {outcome.reason}"
     r_blow_oracle = _oracle_radius(spec, "blows_up")
     rel = abs(outcome.r_event - r_blow_oracle) / r_blow_oracle
 
@@ -730,7 +724,7 @@ def run_one(index: int) -> CriterionResult:
     name, fn = CRITERIA[index - 1]
     try:
         passed, detail = fn()
-    except _ShortShot as exc:
+    except PlapError as exc:  # a failure that names its cause, as the CLI reports one
         passed, detail = False, str(exc)
     except Exception as exc:  # a crash is a failure, not a crash of the suite
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"

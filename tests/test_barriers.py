@@ -300,6 +300,14 @@ class TestHadamardMonotonicity:
         rep = hadamard_monotonicity_check(np.column_stack([r, m]), lam=-1.0)
         assert not rep.passed
 
+    @pytest.mark.parametrize("size", [1.0, 1e-9])
+    def test_verdict_is_scale_free(self, size):
+        # g = m r at lam = -1: constant g passes and halving g fails, at any size.
+        assert hadamard_monotonicity_check([[1.0, size], [2.0, size / 2]], lam=-1.0).passed
+        rep = hadamard_monotonicity_check([[1.0, 3.0 * size], [2.0, size]], lam=-1.0)
+        assert not rep.passed
+        assert rep.scale == 3.0 * size
+
     def test_requires_negative_lambda(self):
         samples = np.array([[1.0, 1.0], [2.0, 1.0]])
         with pytest.raises(

@@ -344,6 +344,23 @@ class TestConvergence:
         assert max(errs) <= 1e-3
         assert errs[0] >= 8.0 * errs[1]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the continuation's eps (1e-2 down to 1e-10) is absolute: below slopes of "
+        "about 1e-10 the flux is the regularized linear one, eps^(p-2) D"))
+    def test_small_boundary_data_scale_with_the_solution(self):
+        # u -> b u solves the same homogeneous problem, so max|u - phi|/b must
+        # not depend on b; it is 1.3e-7 (p = 3) and 1.3e-6 (p = 1.5) at b = 1
+        # and 1e-6, but 0.135 and 0.23 at b = 1e-12, after 5 iterations.
+        for p in (3.0, 1.5):
+            for b in (1.0, 1e-6, 1e-12):
+                prob = AnnulusProblem(
+                    params=params(3, p), r_inner=1.0, r_outer=3.0,
+                    boundary_inner=b, boundary_outer=0.0, mesh_size=512,
+                )
+                sol, _ = solve_annulus_dirichlet_detailed(prob)
+                phi, _ = p_harmonic(3, p, 1.0, 3.0, b, 0.0)
+                assert np.max(np.abs(sol.u - phi(sol.r))) / b <= 1e-5, (p, b)
+
     @pytest.mark.xfail(strict=True, raises=NewtonDivergence, reason=(
         "flat start at p = 8: the first Newton step is about eps^(2-p) long, "
         "and _MAX_HALVINGS = 40 halvings cannot shorten it enough"))

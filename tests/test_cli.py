@@ -238,10 +238,13 @@ class TestClassify:
         assert "boundary" not in obj
 
     def test_boundary_annotation_at_equation_critical(self, capsys):
+        # At q = q_E the weighted bubble is a positive solution: K reads 0, as
+        # the shot labels read it, so the flag is false and needs no note.
         code, out, _ = run(["classify", "--n", "3", "--p", "2", "--q", "5"], capsys)
         assert code == 0
         obj = json.loads(out)
-        assert "strict inequality" in obj["boundary"]
+        assert obj["equation_radial_nonexistence"] is False
+        assert "boundary" not in obj
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         _, out, _ = run(CLASSIFY_ARGS, capsys)
@@ -263,7 +266,7 @@ class TestConfigFile:
         cfg.write_text("n = 3\np = 2\nq = 4\n")
         _, out, _ = run(["classify", f"--config={cfg}", "--q", "5"], capsys)
         obj = json.loads(out)
-        assert obj["q"] == 5.0 and "boundary" in obj
+        assert obj["q"] == 5.0 and obj["equation_radial_nonexistence"] is False
 
     def test_config_accepts_a_unique_prefix(self, capsys, tmp_path):
         # argparse matches --conf to --config, as it does for every flag; the

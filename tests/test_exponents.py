@@ -137,6 +137,22 @@ class TestRegime:
         reg = classify_regime(params(q=4.0, gamma=-0.5))
         assert not reg.counterexample_exists
 
+    @pytest.mark.parametrize("q, flag", [
+        (5.0, False),  # q_E: K reads 0, and the weighted bubble is a positive solution
+        (5.0 * (1.0 - 1e-13), False),  # K within the 1e-12 rounding rule reads 0
+        (4.9, True),
+    ])
+    def test_equation_flag_follows_the_sign_of_k(self, q, flag):
+        pr = params(q=q)
+        assert classify_regime(pr).equation_radial_nonexistence is flag
+        assert flag is (pohozaev_sign(pr) < 0)
+
+    def test_equation_flag_is_false_for_n_at_most_p(self):
+        # K < 0 at every q there, but the flag needs N > p: no change.
+        for n, p in ((3, 3.0), (2, 3.0)):
+            reg = classify_regime(params(n=n, p=p, q=4.0))
+            assert reg.equation_radial_nonexistence is False
+
     def test_thresholds_raise_below_dimension(self):
         pr = params(n=2, p=2.5, q=4.0)
         for fn, what in ((serrin_critical, "q_serrin"), (equation_critical, "q_equation")):

@@ -20,7 +20,7 @@ from plap import (
     p_laplacian_radial,
     power_transform_residual,
 )
-from plap.radial_ops import fd_step_default
+from plap.radial_ops import check_p_harmonic, fd_step_default
 
 
 def params(n=3, p=2.0, q=3.0, gamma=0.0):
@@ -130,6 +130,14 @@ class TestPLaplacianRadial:
         # u = r^2: Delta u = 2N.
         pt = eval_profile(PowerBarrier(c2=1.0, c1=0.0, lam=2.0), 1.5)
         assert p_laplacian_radial(pt, params(n=5)) == 10.0
+
+    @pytest.mark.parametrize("c2", [1.0, 1e-9])
+    def test_p_harmonicity_check_is_scale_free(self, c2):
+        # At N = 3, p = 2: Delta c2/r = 0, and Delta c2 r^2 = 6 c2 equals the
+        # operator scale, so the verdicts must not depend on the size of c2.
+        check_p_harmonic(PowerBarrier(c2=c2, c1=0.0, lam=-1.0), params(), 1.0, 2.0)
+        with pytest.raises(PlapError, match=r"not p-harmonic on \[1, 2\]$"):
+            check_p_harmonic(PowerBarrier(c2=c2, c1=0.0, lam=2.0), params(), 1.0, 2.0)
 
 
 class TestFdOracle:

@@ -360,7 +360,7 @@ class TestFinalDecade:
     def test_verdict_on_the_nodes(self, u, w, kind, reason):
         traj = final_decade_traj(u, w)
         out = classify_outcome(traj)
-        assert out.label == kind and out.reason.startswith(reason)
+        assert out.kind.value == kind and out.reason.startswith(reason)
         if kind == "positive_decaying":
             assert out.tail_slope == pytest.approx(-1.0, rel=1e-13)
 
@@ -503,6 +503,13 @@ class TestScaling:
         assert resc.u0 == pytest.approx(lam ** scaling_exponent(SUBCRITICAL) * spec.u0)
         assert resc.r_max == pytest.approx(spec.r_max / lam)
 
+    def test_rescaled_spec_keeps_the_step_cap_in_rescaled_units(self):
+        spec = IvpSpec(params=SUBCRITICAL, u0=1.0, r_max=40.0, max_step=0.1)
+        resc = rescaled_spec(spec, 2.0)
+        assert resc.max_step == 0.05
+        assert (resc.params, resc.sign, resc.rtol, resc.atol) == (
+            spec.params, spec.sign, spec.rtol, spec.atol)
+
     @pytest.mark.parametrize(
         "params,u0",
         [
@@ -544,7 +551,7 @@ class TestStepperWork:
         monkeypatch.setattr(rk45, "integrate", counted)
         specs = [IvpSpec(params=ProblemParams(3, 2.0, float(q)), u0=1.0, r_max=1e3)
                  for q in np.linspace(2.0, 6.0, 64)]
-        labels = [out.label for out in sweep_outcomes(specs)]
+        labels = [out.kind.value for out in sweep_outcomes(specs)]
         assert (labels.count("crosses_zero"), labels.count("positive_decaying")) == (48, 16)
         assert tuple(map(sum, zip(*work))) == (12884, 78161)
 
