@@ -344,7 +344,8 @@ def power_transform_residual(
 
     Both sides are evaluated from the same (value, d1, d2) triple, so the
     residual isolates the transform algebra from any sampling error in the
-    triple itself.
+    triple itself.  It is judged against the size of the terms before they
+    cancel, which is homogeneous of degree alpha(p-1) in u.
     """
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
@@ -352,19 +353,15 @@ def power_transform_residual(
     if pt.value <= 0:
         raise PlapError(f"u({r}) = {pt.value} <= 0")
     p = params.p
-    lhs = p_laplacian_radial(power_point(pt, alpha), params)
-    bracket = p_laplacian_radial(pt, params) + (alpha - 1.0) * (p - 1.0) / pt.value * abs(
-        pt.d1
-    ) ** p
-    rhs = alpha ** (p - 1.0) * pt.value ** ((alpha - 1.0) * (p - 1.0)) * bracket
+    lifted = power_point(pt, alpha)
+    lhs = p_laplacian_radial(lifted, params)
+    grad_term = (alpha - 1.0) * (p - 1.0) / pt.value * abs(pt.d1) ** p
+    prefactor = alpha ** (p - 1.0) * pt.value ** ((alpha - 1.0) * (p - 1.0))
+    rhs = prefactor * (p_laplacian_radial(pt, params) + grad_term)
     residual = lhs - rhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
+    scale = max(operator_scale(lifted, params),
+                prefactor * max(operator_scale(pt, params), grad_term), 1e-300)
     return IdentityReport(
-        label="power_transform",
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        scale=scale,
-        tol=_POWER_TRANSFORM_TOL,
-        passed=abs(residual) <= _POWER_TRANSFORM_TOL * scale,
+        label="power_transform", lhs=lhs, rhs=rhs, residual=residual, scale=scale,
+        tol=_POWER_TRANSFORM_TOL, passed=abs(residual) <= _POWER_TRANSFORM_TOL * scale,
     )

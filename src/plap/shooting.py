@@ -19,10 +19,10 @@ underflow it to 0.
 
 Every label rests on an event the integrator computes:
 
-- plus sign: u increases, and once r u'/u >= 1 the shot continues in
-  s = log u with state (r, log w), so the blow-up radius is the r reached at
-  s = log(blowup_threshold), in a step count that grows like q, where steps
-  in r collapse as u^q steepens;
+- plus sign: u increases to a pole at a finite R, near which u ~ A (R-r)^{-beta};
+  the shot stops at u = blowup_threshold, or where the remainder beta u/u'
+  to the pole falls to eps r, and ``_pole`` closes the rest in that profile,
+  so the step count does not grow with q;
 - minus sign, K < 0 (q < q_E, or N <= p): every positive radial solution
   crosses zero, so a shot still positive at r_max continues past it to its
   crossing;
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 from operator import mul
 
@@ -152,6 +153,38 @@ def series_state(spec: IvpSpec, r: float) -> tuple[float, float]:
     return u, w
 
 
+def _launch_fault(spec: IvpSpec) -> str | None:
+    """Why the launch state is outside the float range, else None: w(delta0)
+    overflows, or the series term ku r^s reaches u0 at the first radius where
+    the shot holds the solution's w, where w and w' = (N+gamma) w/r are
+    normal floats: delta0, or later where w(delta0) underflows."""
+    pr, f64 = spec.params, sys.float_info
+    s, log_ku, log_kw = series_logs(pr, spec.u0)
+    ng, log_d, log_tiny = pr.n_dim + pr.gamma, math.log(spec.delta0), math.log(f64.min)
+    log_w = log_kw + ng * log_d
+    log_dw = log_w + math.log(ng) - log_d  # w' grows like r^{N-1+gamma}
+    log_r = log_d if log_dw >= log_tiny else (
+        log_d + (log_tiny - log_dw) / (ng - 1.0) if ng > 1.0 else math.inf)
+    log_term = log_ku + s * max(log_r, (log_tiny - log_kw) / ng) - math.log(spec.u0)
+    fault = log_w > math.log(f64.max) or log_term >= 0.0
+    return f"w(delta0)=exp({log_w:.6g}), series term exp({log_term:.6g}) u0" if fault else None
+
+
+# The blow-up closure.  Near the pole R, u = A x^{-beta} (1 + b x + ...) with x = R - r and
+# beta = p/(q-p+1); the (N-1)/r term and r^gamma ~ R^gamma (1 - gamma x/R) fix c = b R/beta =
+# (N-1 + m gamma) / (2(p-1)(m+beta)), m = (beta+1)(p-1).  From a node at x, the closure
+# r + beta u/u' (1 - (u/u_thr)^{1/beta}) misses the radius of u_thr by c (x - x_thr)^2/R, and by
+# about x (x/R)^{p(1+beta)} < x^2/R through the solution's other modes: stopping where
+# beta u/u' <= eps r with eps = sqrt(rtol/max(1, |c|)) keeps both below rtol R.
+def _pole(spec: IvpSpec) -> tuple[float, float]:
+    """(beta, eps) of the blow-up closure derived above."""
+    pr = spec.params
+    beta = pr.p / (pr.q - pr.p + 1.0)
+    m = (beta + 1.0) * (pr.p - 1.0)
+    c = abs(pr.n_dim - 1.0 + m * pr.gamma) / (2.0 * (pr.p - 1.0) * (m + beta))
+    return beta, math.sqrt(spec.rtol / max(1.0, c))
+
+
 def _log_rates(params: ProblemParams):
     """The equation in logs, on floats or arrays: the map (log r, log|u|, log|w|)
     -> (log|u'|, log|w'|) = ((log|w| - (N-1) log r)/(p-1), log a + (N-1+gamma) log r + q log|u|)."""
@@ -175,14 +208,13 @@ class Trajectory:
 
     Readers of the trajectory take the equation from its ``spec``.  ``result``
     is the integrator result in r, whose event 0 is the zero crossing and
-    event 1 the switch of a plus shot to s = log u.  ``blowup`` is that second
-    phase, with state (r, log w); it only supplies ``r_blow``, so the nodes and
-    the dense output end where it starts.
+    event 1 the blow-up stop of a plus shot (``_pole``).  A launch outside
+    the float range (``_launch_fault``) is not integrated: ``result`` is the
+    launch node alone, with w = nan and status "launch_out_of_range".
     """
 
     spec: IvpSpec
     result: rk45.IntegrationResult
-    blowup: rk45.IntegrationResult | None = None
 
     @property
     def r(self) -> np.ndarray:
@@ -198,23 +230,21 @@ class Trajectory:
 
     @property
     def status(self) -> str:
-        """The integrator status; a blow-up phase that reached the threshold ends in "event"."""
-        if self.blowup is None:
-            return self.result.status
-        return "event" if self.blowup.status == "finished" else self.blowup.status
+        return self.result.status
 
     @property
     def r_cross(self) -> float | None:
-        res = self.result
-        if res.status == "event" and res.event_index == 0:
-            return float(res.ts[-1])
-        return None
+        return float(self.r[-1]) if self.result.event_index == 0 else None
 
     @property
     def r_blow(self) -> float | None:
-        if self.blowup is not None and self.blowup.status == "finished":
-            return float(self.blowup.ys[-1, 0])
-        return None
+        """The radius of u = blowup_threshold, closed from the blow-up stop (``_pole``)."""
+        if self.result.event_index != 1:
+            return None
+        (beta, _), r, (u, w) = _pole(self.spec), float(self.r[-1]), self.result.ys[-1].tolist()
+        log_du = _log_rates(self.spec.params)(math.log(r), 0.0, math.log(w))[0]
+        x = beta * math.exp(math.log(u) - log_du)
+        return r + x * (1.0 - (u / self.spec.blowup_threshold) ** (1.0 / beta))
 
     def du(self) -> np.ndarray:
         """u' at the nodes, recovered from w."""
@@ -241,14 +271,19 @@ def integrate_ivp(spec: IvpSpec) -> Trajectory:
     """Shoot from delta0 to r_max; halt at a zero crossing or at blow-up.
 
     Step-size underflow is recorded on the trajectory (status
-    "step_collapse"), not raised: classification reports it as indeterminate.
+    "step_collapse"), not raised: classification reports it as indeterminate,
+    as it does a launch outside the float range.
     """
+    if _launch_fault(spec):
+        ys = np.array([[spec.u0, math.nan]])
+        return Trajectory(spec, rk45.IntegrationResult(np.array([spec.delta0]), ys, ys,
+                                                       "launch_out_of_range"))
     return _shoot(spec, spec.delta0, series_state(spec, spec.delta0), spec.r_max, spec.max_step)
 
 
 def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Trajectory:
-    """Integrate (u, w) in r from (r0, y0) to r_end; a plus shot switches to
-    s = log u where r u'/u reaches 1 and runs on to the blow-up threshold."""
+    """Integrate (u, w) in r from (r0, y0) to r_end; a plus shot stops at
+    u = blowup_threshold or where the remainder x = beta u/u' falls to eps r."""
     sgn = float(spec.sign.value)
     rates = _log_rates(spec.params)
 
@@ -260,48 +295,23 @@ def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Traje
         except OverflowError:  # an inf stage, which rk45 rejects
             return math.inf, math.inf
 
-    def switch(r, y):
-        """log(r u'/u), whose root is that of r u'/u - 1."""
-        log_r = math.log(r)
-        return log_r + rates(log_r, 0.0, _log_abs(y[1]))[0] - math.log(y[0])
-
     events = [rk45.EventSpec(fn=lambda t, y: y[0], direction=-1)]
     if spec.sign is EquationSign.PLUS:
-        events.append(rk45.EventSpec(fn=switch, direction=1))
+        beta, eps = _pole(spec)
+        log_thr, log_beta_eps = math.log(spec.blowup_threshold), math.log(beta / eps)
+
+        def blowup(r, y):
+            """min(log(u_thr/u), log(x/(eps r))) with x = beta u/u'."""
+            log_r, log_u = math.log(r), math.log(y[0])
+            log_du = rates(log_r, 0.0, _log_abs(y[1]))[0]
+            return min(log_thr - log_u, log_beta_eps + log_u - log_du - log_r)
+
+        events.append(rk45.EventSpec(fn=blowup, direction=-1))
     res = rk45.integrate(
         rhs, r0, r_end, y0,
         rtol=spec.rtol, atol=spec.atol, first_step=0.1 * r0, max_step=max_step, events=events,
     )
-    if res.status == "event" and res.event_index == 1:
-        # Start from the last accepted node: the event node is interpolated.
-        return Trajectory(spec, res, _blowup_phase(spec, float(res.ts[-2]), res.ys[-2]))
     return Trajectory(spec, res)
-
-
-def _blowup_phase(spec: IvpSpec, r0: float, y0) -> rk45.IntegrationResult:
-    """Integrate a plus shot in s = log u from (r0, y0) to s = log(blowup_threshold).
-
-    State (r, log w): log(dr/ds) = s - log u' and
-    log(d(log w)/ds) = log w' - log w + log(dr/ds), from the rates in logs,
-    because u^q and w overflow near blow-up for large q.  The threshold is
-    reached at a finite s, where r is the blow-up radius.
-    """
-    rates = _log_rates(spec.params)
-
-    def rhs(s, y):
-        r, log_w = y
-        try:
-            log_du, log_dw = rates(math.log(r), s, log_w)
-            log_dr = s - log_du
-            return math.exp(log_dr), math.exp(log_dw - log_w + log_dr)
-        except (OverflowError, ValueError):  # past the float range, or a stage past r = 0
-            return math.inf, math.inf
-
-    s0, s1 = math.log(y0[0]), math.log(spec.blowup_threshold)
-    return rk45.integrate(
-        rhs, s0, s1, [r0, math.log(y0[1])],
-        rtol=spec.rtol, atol=spec.atol, first_step=1e-3 * (s1 - s0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +359,16 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     its final decade [r_max/10, r_max].  Every outcome carries its reason.
     """
     spec = traj.spec
+    if traj.status == "launch_out_of_range":
+        return Outcome(OutcomeKind.INDETERMINATE, reason=(
+            f"launch at delta0={spec.delta0:.6g} outside the float range: {_launch_fault(spec)}"))
     if spec.sign is EquationSign.PLUS:
         if traj.status == "finished":
             traj = _continue(traj)
-        if traj.r_blow is not None:
-            return Outcome(OutcomeKind.BLOWS_UP, r_event=traj.r_blow, reason=(
-                f"u reached {spec.blowup_threshold:.6g} at r={traj.r_blow:.6g}"
-                f"{_beyond(traj.r_blow, spec)}, integrated in log u"))
+        if (r_blow := traj.r_blow) is not None:
+            return Outcome(OutcomeKind.BLOWS_UP, r_event=r_blow, reason=(
+                f"u reaches {spec.blowup_threshold:.6g} at r={r_blow:.6g}"
+                f"{_beyond(r_blow, spec)}, closed from r={traj.r[-1]:.6g}"))
         return _unresolved(traj, "before blow-up")
 
     k = pohozaev_coefficient(spec.params)
@@ -392,13 +405,8 @@ def classify_outcome(traj: Trajectory) -> Outcome:
         return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope, reason=(
             f"positive and decreasing on [{lo:.6g}, {spec.r_max:.6g}], {sign_k} "
             "rules out a crossing"))
-    if positive:
-        return Outcome(
-            OutcomeKind.INDETERMINATE, reason="u positive but not monotone in final decade"
-        )
-    return Outcome(
-        OutcomeKind.INDETERMINATE, reason="sign behavior unresolved in final decade"
-    )
+    return Outcome(OutcomeKind.INDETERMINATE, reason="u positive but not monotone in final decade"
+                   if positive else "sign behavior unresolved in final decade")
 
 
 def _fit_slope(x: list[float], y: list[float]) -> float:
@@ -418,9 +426,8 @@ def _beyond(r: float, spec: IvpSpec) -> str:
 
 
 def _unresolved(traj: Trajectory, what: str) -> Outcome:
-    r_end = traj.r[-1] if traj.blowup is None else traj.blowup.ys[-1, 0]
     return Outcome(OutcomeKind.INDETERMINATE, reason=(
-        f"integrator status {traj.status} at r={r_end:.6g} {what}"))
+        f"integrator status {traj.status} at r={traj.r[-1]:.6g} {what}"))
 
 
 # ---------------------------------------------------------------------------

@@ -469,6 +469,36 @@ class TestComparison:
         assert rep.passed
         assert rep.residual > 0.05  # clear margin, not a borderline pass
 
+    def test_verdict_is_scale_free(self):
+        # Boundary data and phi scaled by S, f by S^(p-1): at p = 2 the solve is
+        # linear, so the margin and its scale move by S exactly.
+        pr = params(3, 2.0)
+        reports = []
+        for size in (1.0, 1e-12):
+            prob = AnnulusProblem(
+                params=pr, r_inner=1.0, r_outer=2.0, boundary_inner=1.25 * size,
+                boundary_outer=0.1 * size, rhs=lambda r, f=size: f, mesh_size=128,
+            )
+            reports.append(comparison_check(prob, PowerBarrier.fundamental(
+                pr, c2=2.0 * size, c1=-size)))  # S (2/r - 1)
+        big, small = reports
+        assert big.passed and small.passed
+        assert small.scale == pytest.approx(1e-12 * big.scale, rel=1e-9)
+        assert small.residual == pytest.approx(1e-12 * big.residual, rel=1e-6)
+
+    @pytest.mark.parametrize("size", [1.0, 1e-12])
+    def test_domination_is_judged_at_the_data_scale(self, size):
+        # Inner data 0.5 S below phi's boundary value: with a slack floored at
+        # 1e-12 absolute, S = 1e-12 passed the domination test and then its
+        # margin of -5e-13 passed the 1e-8 comparison tolerance.
+        pr = params(3, 2.0)
+        prob = AnnulusProblem(
+            params=pr, r_inner=1.0, r_outer=2.0,
+            boundary_inner=0.5 * size, boundary_outer=0.0, mesh_size=64,
+        )
+        with pytest.raises(PlapError, match=r"^boundary data .* does not dominate"):
+            comparison_check(prob, PowerBarrier.fundamental(pr, c2=2.0 * size, c1=-size))
+
     def test_rejects_non_dominating_boundary(self):
         pr = params(3, 2.0)
         phi = PowerBarrier.fundamental(pr, c2=2.0, c1=-1.0)

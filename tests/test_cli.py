@@ -119,6 +119,27 @@ class TestExitCodes:
         log_mu = (1500.0 - 5.97 + 1.0) / 5.97 * math.log(2.0)
         assert r_blow["2"] * math.exp(log_mu) == pytest.approx(r_blow["1"], rel=1e-7)
 
+    def test_launch_outside_float_range_exits_zero(self, capsys):
+        # w(delta0) = exp(-2109) underflows, and w' is a normal float only past
+        # the blow-up: the shot is not launched, and its one CSV row is the
+        # launch radius with u0.
+        code, out, err = run(["shoot", "--n", "4", "--p", "5.924603387043973",
+                              "--q", "1404.4275907914193", "--gamma", "1.9043013684303007",
+                              "--u0", "0.23634888595485518", "--sign", "plus"], capsys)
+        assert code == 0, err
+        assert err.startswith("outcome=indeterminate  status=launch_out_of_range  nodes=1  ")
+        assert ("reason=launch at delta0=1e-06 outside the float range: "
+                "w(delta0)=exp(-2109.16)") in err
+        assert out.splitlines() == ["r,u,du,w", "1e-06,0.23634888595485518,nan,nan"]
+        # w(delta0) = exp(1772) at u0 = 3 and exp(2608) at u0 = 5 overflow;
+        # the sweep still prints every row.
+        code, out, err = run(["sweep", "--axis", "u0", "--from", "1", "--to", "5", "--steps", "3",
+                              "--n", "2", "--p", "7.596", "--gamma", "0.06534", "--q", "2237"],
+                             capsys)
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [row[1] for row in rows] == ["crosses_zero", "indeterminate", "indeterminate"]
+
     @pytest.mark.parametrize(
         "argv",
         [

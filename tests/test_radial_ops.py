@@ -203,6 +203,18 @@ class TestPowerTransform:
                 assert rep.passed
                 assert abs(rep.residual) <= 1e-12 * rep.scale
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.5])
+    def test_scale_is_homogeneous(self, alpha):
+        # u -> c u scales Delta_p(u^alpha) and the terms before they cancel by
+        # c^(alpha(p-1)); at c = 1e-6 both sides are 1e-12 times those at c = 1,
+        # so a scale floored at 1.0 would have judged them against nothing.
+        pr = params(q=4.0)
+        big = power_transform_residual(Counterexample(c=1.0, alpha=0.7), alpha, 3.0, pr)
+        small = power_transform_residual(Counterexample(c=1e-6, alpha=0.7), alpha, 3.0, pr)
+        assert big.passed and small.passed
+        assert small.scale == pytest.approx(1e-6 ** alpha * big.scale, rel=1e-12)
+        assert small.scale >= max(abs(small.lhs), abs(small.rhs))
+
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ValueError):
             power_transform_residual(Counterexample(c=1.0, alpha=1.0), 0.5, 2.0, params())

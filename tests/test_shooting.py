@@ -23,7 +23,7 @@ from plap import (
     scaling_exponent,
     sweep_outcomes,
 )
-from plap import rk45
+from plap import rk45, shooting
 from plap.shooting import (
     _GL_W,
     _GL_X,
@@ -383,10 +383,112 @@ class TestFinalDecade:
         assert out.kind is OutcomeKind.POSITIVE_DECAYING
 
 
+class TestBlowupClosure:
+    # Plus shots at u0 = 1 against the radii that an integration in s = log u
+    # up to u = 1e8 gave: 366, 972, 3115, 11405 and 55938 steps at the five q.
+    @pytest.mark.parametrize("params, r_blow", [
+        (ProblemParams(3, 2.971, 3.0), 4.831963389542089),
+        (ProblemParams(3, 2.971, 124.7), 0.1612454246011142),
+        (ProblemParams(3, 2.971, 510.0), 0.0626935390023202),
+        (ProblemParams(3, 2.971, 2000.0), 0.02526090336775126),
+        (ProblemParams(3, 2.971, 1e4), 0.00867864871259036),
+        (ProblemParams(10, 1.2, 20.0, 2.0), 2.081237479003161),  # eps carries c = 86
+    ])
+    def test_cost_does_not_grow_with_q(self, monkeypatch, params, r_blow):
+        steps = []
+        integrate = rk45.integrate
+
+        def counted(*args, **kwargs):
+            res = integrate(*args, **kwargs)
+            steps.append(res.n_steps)
+            return res
+
+        monkeypatch.setattr(rk45, "integrate", counted)
+        out = classify_outcome(integrate_ivp(IvpSpec(params=params, u0=1.0,
+                                                     sign=EquationSign.PLUS)))
+        assert out.kind is OutcomeKind.BLOWS_UP
+        assert out.r_event == pytest.approx(r_blow, rel=1e-9)
+        assert sum(steps) <= 1500
+
+    @pytest.mark.parametrize("params, c", [
+        (CRITICAL, 0.5),  # u = (1 - r^2/3)^{-1/2}: beta u/u' = x (1 + x/(2R) + ...)
+        (ProblemParams(1, 2.0, 5.0, 3.0), 1.125),  # only r^gamma bends the profile
+        (ProblemParams(2, 3.0, 6.0, -1.5), -0.25),
+    ])
+    def test_closure_misses_by_c_eps_squared(self, monkeypatch, params, c):
+        # Stopped at x = eps r, the closure misses the radius of u = 1e8 by
+        # c eps^2 R (to leading order), the error that _pole's eps bounds by rtol R.
+        pole = shooting._pole
+        radii = {}
+        for eps in (1e-6, 3e-3):
+            monkeypatch.setattr(shooting, "_pole", lambda spec, e=eps: (pole(spec)[0], e))
+            spec = IvpSpec(params=params, u0=1.0, sign=EquationSign.PLUS, rtol=1e-13, atol=1e-15)
+            radii[eps] = classify_outcome(integrate_ivp(spec)).r_event
+        miss = (radii[3e-3] - radii[1e-6]) / radii[1e-6]
+        assert miss == pytest.approx(c * 3e-3 ** 2, rel=0.02)
+
+    def test_eps_is_derived_from_the_spec(self):
+        # eps = sqrt(rtol / max(1, c)): sqrt(rtol) where c <= 1, smaller where
+        # the (N-1)/r term bends the profile more (c = 86.4 at N = 10, p = 1.2).
+        assert shooting._pole(IvpSpec(params=CRITICAL, u0=1.0)) == (0.5, 1e-5)
+        beta, eps = shooting._pole(IvpSpec(params=ProblemParams(10, 1.2, 20.0, 2.0), u0=1.0))
+        assert beta == pytest.approx(1.2 / 19.8, rel=1e-15)
+        assert eps == pytest.approx(math.sqrt(1e-10 / 86.4), rel=1e-3)
+
+
+# Launches outside the float range: w(delta0) overflows, or it underflows and
+# the series term lost before w and w' are normal floats reaches u0.
+LAUNCH_FAULTS = {
+    "w_overflows": (ProblemParams(2, 7.596, 2237.0, 0.06534), 3.0, EquationSign.MINUS,
+                    "w(delta0)=exp(1772.2)"),
+    # w' = exp(-2094) at the launch is a normal float only from r = 6e116 on
+    "w_and_dw_underflow": (
+        ProblemParams(4, 5.924603387043973, 1404.4275907914193, 1.9043013684303007),
+        0.23634888595485518, EquationSign.PLUS, "series term exp(16.2994) u0"),
+    "series_term_lost": (ProblemParams(4, 1.687, 31.43, -1.443), 15.75, EquationSign.PLUS,
+                         "w(delta0)=exp(-899.545), series term exp(12.735) u0"),
+}
+
+
+class TestLaunchOutOfRange:
+    @pytest.mark.parametrize("case", sorted(LAUNCH_FAULTS))
+    def test_is_indeterminate(self, case):
+        params, u0, sign, fault = LAUNCH_FAULTS[case]
+        spec = IvpSpec(params=params, u0=u0, sign=sign)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_ivp(spec)
+            out = classify_outcome(traj)
+        assert traj.status == "launch_out_of_range"
+        assert traj.r.tolist() == [spec.delta0] and traj.u.tolist() == [u0]
+        assert out.kind is OutcomeKind.INDETERMINATE
+        assert out.reason.startswith(f"launch at delta0={spec.delta0:.6g} outside the float range: ")
+        assert fault in out.reason
+
+    def test_one_point_does_not_cost_its_line(self):
+        params = LAUNCH_FAULTS["w_overflows"][0]
+        outs = sweep_outcomes([IvpSpec(params=params, u0=u0) for u0 in (1.0, 3.0, 5.0)])
+        assert [out.kind.value for out in outs] == ["crosses_zero", "indeterminate", "indeterminate"]
+        assert outs[0].r_event == pytest.approx(8.80036, rel=1e-6)
+
+    @pytest.mark.parametrize("params, u0, sign", [
+        # w(delta0) = -0.0, and the series term lost up to the first normal w
+        # is 1.5e-5 u0: the shot runs and crosses.
+        R_MAX_CASES["minus_small_series_exponent"][:3],
+        # w(delta0) = exp(-905) and w' = exp(-890) underflow, but both are
+        # normal floats from r = 1e28 on, far before the blow-up at 7.3e46.
+        (ProblemParams(2, 6.375538976868411, 767.6921892956606, 1.3134524640956668),
+         0.32709163338828173, EquationSign.PLUS),
+    ])
+    def test_underflow_the_shot_rebuilds_is_launched(self, params, u0, sign):
+        traj = integrate_ivp(IvpSpec(params=params, u0=u0, sign=sign))
+        assert abs(series_state(traj.spec, traj.spec.delta0)[1]) < np.finfo(float).tiny
+        assert traj.status in ("finished", "event") and traj.r.size > 1
+
+
 class TestUnresolved:
     @pytest.mark.parametrize("q, sign, max_steps, what", [
-        (3.0, EquationSign.PLUS, 40, "before blow-up"),            # stops in the r phase
-        (3.0, EquationSign.PLUS, 150, "before blow-up"),           # stops in the log u phase
+        (3.0, EquationSign.PLUS, 40, "before blow-up"),
         (3.0, EquationSign.MINUS, 40, "before a crossing, although K=-0.5<0 forces one"),
         (5.0, EquationSign.MINUS, 40, "with K=0>=0"),
     ])
@@ -398,10 +500,7 @@ class TestUnresolved:
         assert out.kind is OutcomeKind.INDETERMINATE
         assert out.reason.startswith("integrator status max_steps at r=")
         assert out.reason.endswith(what)
-        in_log_u = traj.blowup is not None
-        assert in_log_u == (max_steps == 150)
-        r_end = traj.blowup.ys[-1, 0] if in_log_u else traj.r[-1]
-        assert f"at r={r_end:.6g} " in out.reason
+        assert f"at r={traj.r[-1]:.6g} " in out.reason
 
 
 class TestQuadrature:
