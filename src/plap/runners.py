@@ -37,7 +37,9 @@ def _add_shot_flags(p: _Parser):
                    help="equation sign: minus for -Delta_p u = ..., plus for Delta_p u = ...")
     p.add_argument("--r-max", type=float, default=100.0, help="integration endpoint")
     p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--atol", type=float, default=1e-12,
+                   help="absolute tolerance of u and w, minus sign only: a plus shot "
+                        "integrates (log u, log w) with atol = rtol")
 
 
 def _sign_from(args):

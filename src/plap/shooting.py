@@ -1,28 +1,32 @@
 """Radial shooting for -(r^{N-1}|u'|^{p-2}u')' = a r^{N-1+gamma} u^q and its
 sign variant, with outcome classification and the radial Pohozaev identity.
 
-The integration variable pair is (u, w) with w = r^{N-1}|u'|^{p-2}u', so
+The state is (u, w) with w = r^{N-1}|u'|^{p-2}u', so
 u' = sign(w) (|w| / r^{N-1})^{1/(p-1)} and w' = -+ a r^{N-1+gamma} |u|^{q-1} u
-(minus for EquationMinus), well-defined where u' = 0 for every p > 1.  Both
-rates are formed once, in logs (``_log_rates``), so no power of r, u or w is
-formed at any radius; a rate past the float range is an inf stage, which the
-integrator rejects.  Initial data at the hand-off radius delta0 comes from
-the origin series, whose log ku and log kw come from ``series_logs``:
+(minus for EquationMinus), well-defined where u' = 0 for every p > 1.  A plus
+shot keeps u > 0 and w > 0, and its state is (log u, log w), with rates
+u'/u and w'/w.  Both rates are formed once, in logs (``_log_rates``), so no
+power of r, u or w is formed at any radius; a rate past the float range is
+an inf stage, which the integrator rejects.  Initial data at the hand-off
+radius delta0 comes from the origin series, whose log ku and log kw come
+from ``series_logs``:
 
     u(r) = u0 -+ ku r^s + O(r^{2s}),   s = (p+gamma)/(p-1),
     w(r) = -+ kw r^{N+gamma},   kw = a u0^q/(N+gamma),   ku = (p-1)/(p+gamma) kw^{1/(p-1)},
 
-so the hand-off error is O(delta0^{2s}) relative.  delta0 is derived, not
+so the hand-off error is O(delta0^{2s}) relative; a plus launch is formed
+in logs, so it never leaves the float range.  delta0 is derived, not
 set: ``launch_radius`` gives 1e-6 min(1, r_max), shrunk where needed until
 ku delta0^s <= 1e-6 u0, but not below 1e-300, where a tiny s would
 underflow it to 0.
 
 Every label rests on an event the integrator computes:
 
-- plus sign: u increases to a pole at a finite R, near which u ~ A (R-r)^{-beta};
-  the shot stops at u = blowup_threshold, or where the remainder beta u/u'
-  to the pole falls to eps r, and ``_pole`` closes the rest in that profile,
-  so the step count does not grow with q;
+- plus sign: u and w stay positive and grow to a pole at a finite R, near
+  which u ~ A (R-r)^{-beta}; the shot integrates (log u, log w), stops where
+  the estimated error of closing the rest in the pole's profile (``_pole``)
+  falls to rtol, and reports R, so neither a level of u nor the float range
+  decides the radius and the step count does not grow with q;
 - minus sign, K < 0 (q < q_E, or N <= p): every positive radial solution
   crosses zero, so a shot still positive at r_max continues past it to its
   crossing;
@@ -88,7 +92,10 @@ class IvpSpec:
     """Shooting problem: u(0) = u0 > 0, u'(0) = 0, integrate to r_max.
 
     The hand-off radius ``delta0`` follows from params, u0 and r_max
-    (``launch_radius``); it is not a setting.
+    (``launch_radius``); it is not a setting.  ``atol`` bounds the absolute
+    error of u and w in a minus shot only: a plus shot integrates (log u,
+    log w) with atol = rtol, so its error is relative in u and w and its
+    results do not depend on the units of u.
     """
 
     params: ProblemParams
@@ -115,11 +122,6 @@ class IvpSpec:
     def delta0(self) -> float:
         """The hand-off radius, launch_radius(params, u0, r_max)."""
         return launch_radius(self.params, self.u0, self.r_max)
-
-    @property
-    def blowup_threshold(self) -> float:
-        """u above which a shot counts as blown up."""
-        return 1e8 * self.u0
 
 
 def series_logs(params: ProblemParams, u0: float) -> tuple[float, float, float]:
@@ -153,36 +155,71 @@ def series_state(spec: IvpSpec, r: float) -> tuple[float, float]:
     return u, w
 
 
+def _launch_state(spec: IvpSpec) -> tuple[float, float]:
+    """The shot's state at delta0 from the origin series: (u, w) for a minus
+    shot, (log u, log w) for a plus shot, formed in logs."""
+    if spec.sign is EquationSign.MINUS:
+        return series_state(spec, spec.delta0)
+    pr = spec.params
+    s, log_ku, log_kw = series_logs(pr, spec.u0)
+    log_d, log_u0 = math.log(spec.delta0), math.log(spec.u0)
+    return (log_u0 + math.log1p(math.exp(log_ku + s * log_d - log_u0)),
+            log_kw + (pr.n_dim + pr.gamma) * log_d)
+
+
 def _launch_fault(spec: IvpSpec) -> str | None:
-    """Why the launch state is outside the float range, else None: w(delta0)
-    overflows, or the series term ku r^s reaches u0 at the first radius where
-    the shot holds the solution's w, where w and w' = (N+gamma) w/r are
-    normal floats: delta0, or later where w(delta0) underflows."""
+    """Why the launch state is outside the float range, else None: the series
+    term ku r^s reaches u0 at the first radius where the shot holds the
+    solution's w, or a minus shot's w(delta0) overflows.  A plus shot holds
+    log w, so that radius is delta0; a minus shot holds w, first where w and
+    w' = (N+gamma) w/r are normal floats: delta0, or later where w(delta0)
+    underflows."""
     pr, f64 = spec.params, sys.float_info
     s, log_ku, log_kw = series_logs(pr, spec.u0)
     ng, log_d, log_tiny = pr.n_dim + pr.gamma, math.log(spec.delta0), math.log(f64.min)
     log_w = log_kw + ng * log_d
-    log_dw = log_w + math.log(ng) - log_d  # w' grows like r^{N-1+gamma}
-    log_r = log_d if log_dw >= log_tiny else (
-        log_d + (log_tiny - log_dw) / (ng - 1.0) if ng > 1.0 else math.inf)
-    log_term = log_ku + s * max(log_r, (log_tiny - log_kw) / ng) - math.log(spec.u0)
-    fault = log_w > math.log(f64.max) or log_term >= 0.0
+    log_r, w_overflows = log_d, False
+    if spec.sign is EquationSign.MINUS:
+        log_dw = log_w + math.log(ng) - log_d  # w' grows like r^{N-1+gamma}
+        log_r = max(log_d if log_dw >= log_tiny else (
+            log_d + (log_tiny - log_dw) / (ng - 1.0) if ng > 1.0 else math.inf),
+            (log_tiny - log_kw) / ng)
+        w_overflows = log_w > math.log(f64.max)
+    log_term = log_ku + s * log_r - math.log(spec.u0)
+    fault = w_overflows or log_term >= 0.0
     return f"w(delta0)=exp({log_w:.6g}), series term exp({log_term:.6g}) u0" if fault else None
 
 
-# The blow-up closure.  Near the pole R, u = A x^{-beta} (1 + b x + ...) with x = R - r and
-# beta = p/(q-p+1); the (N-1)/r term and r^gamma ~ R^gamma (1 - gamma x/R) fix c = b R/beta =
-# (N-1 + m gamma) / (2(p-1)(m+beta)), m = (beta+1)(p-1).  From a node at x, the closure
-# r + beta u/u' (1 - (u/u_thr)^{1/beta}) misses the radius of u_thr by c (x - x_thr)^2/R, and by
-# about x (x/R)^{p(1+beta)} < x^2/R through the solution's other modes: stopping where
-# beta u/u' <= eps r with eps = sqrt(rtol/max(1, |c|)) keeps both below rtol R.
+# The pole.  Near R, u = A x^{-beta} (1 + b x + ...) with x = R - r and beta = p/(q-p+1); the
+# (N-1)/r term and r^gamma ~ R^gamma (1 - gamma x/R) fix c = b R/beta = (N-1 + m gamma) /
+# (2(p-1)(m+beta)), m = (beta+1)(p-1).  The remainder x^ = beta u/u' is then x (1 + c x/R + ...),
+# so R = r + x^ - c x^2/(r + x^) up to two terms the profile neglects:
+# - its next order, O(x^3/R^2) relative to R, whose coefficient holds c^2 (from inverting x^(x))
+#   and the profile's own second-order term, of unit size: max(1, c^2) (x^/r)^3;
+# - its free mode, the constant E of the leading balance (p-1)/p u'^p = a R^gamma u^{q+1}/(q+1)
+#   + E.  E is set near the launch, where u ~ u0, so relative to the first term it is about
+#   (u0/u)^{q+1}, and it moves x^ and x by that fraction: (x^/r) (u0/u)^{q+1}.
+# A plus shot stops where the larger of the two falls to rtol.
 def _pole(spec: IvpSpec) -> tuple[float, float]:
-    """(beta, eps) of the blow-up closure derived above."""
+    """(beta, c) of the pole profile derived above."""
     pr = spec.params
     beta = pr.p / (pr.q - pr.p + 1.0)
     m = (beta + 1.0) * (pr.p - 1.0)
-    c = abs(pr.n_dim - 1.0 + m * pr.gamma) / (2.0 * (pr.p - 1.0) * (m + beta))
-    return beta, math.sqrt(spec.rtol / max(1.0, c))
+    return beta, (pr.n_dim - 1.0 + m * pr.gamma) / (2.0 * (pr.p - 1.0) * (m + beta))
+
+
+def _closure(spec: IvpSpec):
+    """The map (log r, log u, log w) -> (log(x^/r), log of the closure's error
+    estimate) at a node of the plus shot ``spec`` (``_pole``)."""
+    (beta, c), rates = _pole(spec), _log_rates(spec.params)
+    log_beta, log_curve = math.log(beta), math.log(max(1.0, c * c))
+    q1, log_u0 = spec.params.q + 1.0, math.log(spec.u0)
+
+    def closure(log_r, log_u, log_w):
+        log_xr = log_beta + log_u - rates(log_r, 0.0, log_w)[0] - log_r
+        return log_xr, max(log_curve + 3.0 * log_xr, log_xr + q1 * (log_u0 - log_u))
+
+    return closure
 
 
 def _log_rates(params: ProblemParams):
@@ -202,15 +239,24 @@ def _log_abs(x: float) -> float:
     return math.log(abs(x)) if x else -math.inf
 
 
+def _exp(x):
+    """exp on arrays, inf past the float range without a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(x)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Accepted nodes of one shooting run of ``spec`` plus the dense interpolant.
 
     Readers of the trajectory take the equation from its ``spec``.  ``result``
-    is the integrator result in r, whose event 0 is the zero crossing and
-    event 1 the blow-up stop of a plus shot (``_pole``).  A launch outside
-    the float range (``_launch_fault``) is not integrated: ``result`` is the
-    launch node alone, with w = nan and status "launch_out_of_range".
+    is the integrator result in r, on the shot's own state: (u, w) for a
+    minus shot, whose event is the zero crossing, and (log u, log w) for a
+    plus shot, whose event is the blow-up stop (``_pole``).  ``u``, ``w``,
+    ``du`` and ``sample`` give u, w and u' either way, inf where a plus
+    shot's values pass the float range.  A launch outside the float range
+    (``_launch_fault``) is not integrated: ``result`` is the launch node
+    alone, with w = nan and status "launch_out_of_range".
     """
 
     spec: IvpSpec
@@ -222,11 +268,11 @@ class Trajectory:
 
     @property
     def u(self) -> np.ndarray:
-        return self.result.ys[:, 0]
+        return self._values(self.result.ys)[0]
 
     @property
     def w(self) -> np.ndarray:
-        return self.result.ys[:, 1]
+        return self._values(self.result.ys)[1]
 
     @property
     def status(self) -> str:
@@ -234,37 +280,52 @@ class Trajectory:
 
     @property
     def r_cross(self) -> float | None:
-        return float(self.r[-1]) if self.result.event_index == 0 else None
+        if self.status == "event" and self.spec.sign is EquationSign.MINUS:
+            return float(self.r[-1])
+        return None
 
     @property
     def r_blow(self) -> float | None:
-        """The radius of u = blowup_threshold, closed from the blow-up stop (``_pole``)."""
-        if self.result.event_index != 1:
+        """The pole R, closed from the blow-up stop (``_pole``)."""
+        if self.status != "event" or self.spec.sign is EquationSign.MINUS:
             return None
-        (beta, _), r, (u, w) = _pole(self.spec), float(self.r[-1]), self.result.ys[-1].tolist()
-        log_du = _log_rates(self.spec.params)(math.log(r), 0.0, math.log(w))[0]
-        x = beta * math.exp(math.log(u) - log_du)
-        return r + x * (1.0 - (u / self.spec.blowup_threshold) ** (1.0 / beta))
+        r, log_xr, _ = self._stop()
+        x = r * math.exp(log_xr)
+        return r + x - _pole(self.spec)[1] * x * x / (r + x)
+
+    def _stop(self) -> tuple[float, float, float]:
+        """(r, log(x^/r), log of the closure's error estimate) at the last node
+        of a plus shot (``_closure``)."""
+        r, (log_u, log_w) = float(self.r[-1]), self.result.ys[-1].tolist()
+        return (r, *_closure(self.spec)(math.log(r), log_u, log_w))
 
     def du(self) -> np.ndarray:
         """u' at the nodes, recovered from w."""
-        return _du_from_w(self.r, self.w, self.spec.params)
+        return self._du(self.r, self.result.ys)
 
     def sample(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, u', w) at arbitrary radii inside the integrated range."""
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         ys = self.result.sol(r_arr)
-        u, w = ys[:, 0], ys[:, 1]
-        return u, _du_from_w(r_arr, w, self.spec.params), w
+        u, w = self._values(ys)
+        return u, self._du(r_arr, ys), w
 
+    def _values(self, ys):
+        """(u, w) from states of the shot."""
+        if self.spec.sign is EquationSign.MINUS:
+            return ys[:, 0], ys[:, 1]
+        return _exp(ys[:, 0]), _exp(ys[:, 1])
 
-def _du_from_w(r, w, params: ProblemParams):
-    """u' = sign(w) |u'|, with log|u'| from the rates in logs (log|u| enters only w')."""
-    w = np.asarray(w, dtype=float)
-    log_r = np.log(np.asarray(r, dtype=float))
-    with np.errstate(divide="ignore"):  # w = 0: log|w| = -inf, so u' = 0
-        log_du, _ = _log_rates(params)(log_r, 0.0, np.log(np.abs(w)))
-    return np.sign(w) * np.exp(log_du)
+    def _du(self, r, ys):
+        """u' = sign(w) |u'|, with log|u'| from the rates in logs (log|u| enters only w')."""
+        if self.spec.sign is EquationSign.MINUS:
+            w = ys[:, 1]
+            with np.errstate(divide="ignore"):  # w = 0: log|w| = -inf, so u' = 0
+                sign, log_w = np.sign(w), np.log(np.abs(w))
+        else:
+            sign, log_w = 1.0, ys[:, 1]
+        log_du, _ = _log_rates(self.spec.params)(np.log(np.asarray(r, dtype=float)), 0.0, log_w)
+        return sign * _exp(log_du)
 
 
 def integrate_ivp(spec: IvpSpec) -> Trajectory:
@@ -275,41 +336,45 @@ def integrate_ivp(spec: IvpSpec) -> Trajectory:
     as it does a launch outside the float range.
     """
     if _launch_fault(spec):
-        ys = np.array([[spec.u0, math.nan]])
+        u0 = spec.u0 if spec.sign is EquationSign.MINUS else math.log(spec.u0)
+        ys = np.array([[u0, math.nan]])
         return Trajectory(spec, rk45.IntegrationResult(np.array([spec.delta0]), ys, ys,
                                                        "launch_out_of_range"))
-    return _shoot(spec, spec.delta0, series_state(spec, spec.delta0), spec.r_max, spec.max_step)
+    return _shoot(spec, spec.delta0, _launch_state(spec), spec.r_max, spec.max_step)
 
 
 def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Trajectory:
-    """Integrate (u, w) in r from (r0, y0) to r_end; a plus shot stops at
-    u = blowup_threshold or where the remainder x = beta u/u' falls to eps r."""
-    sgn = float(spec.sign.value)
+    """Integrate the shot's state in r from (r0, y0) to r_end: (u, w) to a
+    zero crossing (minus), or (log u, log w) to the blow-up stop (plus)."""
     rates = _log_rates(spec.params)
+    if spec.sign is EquationSign.MINUS:
+        def rhs(r, y):
+            u, w = y
+            log_du, log_dw = rates(math.log(r), _log_abs(u), _log_abs(w))
+            try:
+                return math.copysign(math.exp(log_du), w), -math.copysign(math.exp(log_dw), u)
+            except OverflowError:  # an inf stage, which rk45 rejects
+                return math.inf, math.inf
 
-    def rhs(r, y):
-        u, w = y
-        log_du, log_dw = rates(math.log(r), _log_abs(u), _log_abs(w))
-        try:
-            return math.copysign(math.exp(log_du), w), sgn * math.copysign(math.exp(log_dw), u)
-        except OverflowError:  # an inf stage, which rk45 rejects
-            return math.inf, math.inf
+        event, atol = rk45.EventSpec(fn=lambda r, y: y[0], direction=-1), spec.atol
+    else:
+        closure, log_rtol = _closure(spec), math.log(spec.rtol)
 
-    events = [rk45.EventSpec(fn=lambda t, y: y[0], direction=-1)]
-    if spec.sign is EquationSign.PLUS:
-        beta, eps = _pole(spec)
-        log_thr, log_beta_eps = math.log(spec.blowup_threshold), math.log(beta / eps)
+        def rhs(r, y):
+            log_u, log_w = y
+            log_du, log_dw = rates(math.log(r), log_u, log_w)
+            try:
+                return math.exp(log_du - log_u), math.exp(log_dw - log_w)
+            except OverflowError:
+                return math.inf, math.inf
 
         def blowup(r, y):
-            """min(log(u_thr/u), log(x/(eps r))) with x = beta u/u'."""
-            log_r, log_u = math.log(r), math.log(y[0])
-            log_du = rates(log_r, 0.0, _log_abs(y[1]))[0]
-            return min(log_thr - log_u, log_beta_eps + log_u - log_du - log_r)
+            return closure(math.log(r), *y)[1] - log_rtol
 
-        events.append(rk45.EventSpec(fn=blowup, direction=-1))
+        event, atol = rk45.EventSpec(fn=blowup, direction=-1), spec.rtol
     res = rk45.integrate(
         rhs, r0, r_end, y0,
-        rtol=spec.rtol, atol=spec.atol, first_step=0.1 * r0, max_step=max_step, events=events,
+        rtol=spec.rtol, atol=atol, first_step=0.1 * r0, max_step=max_step, events=[event],
     )
     return Trajectory(spec, res)
 
@@ -366,9 +431,10 @@ def classify_outcome(traj: Trajectory) -> Outcome:
         if traj.status == "finished":
             traj = _continue(traj)
         if (r_blow := traj.r_blow) is not None:
+            r, log_xr, log_err = traj._stop()
             return Outcome(OutcomeKind.BLOWS_UP, r_event=r_blow, reason=(
-                f"u reaches {spec.blowup_threshold:.6g} at r={r_blow:.6g}"
-                f"{_beyond(r_blow, spec)}, closed from r={traj.r[-1]:.6g}"))
+                f"pole at r={r_blow:.6g}{_beyond(r_blow, spec)}, closed from r={r:.6g} "
+                f"(x/r={math.exp(log_xr):.2g}, closure error ~{math.exp(log_err):.1g})"))
         return _unresolved(traj, "before blow-up")
 
     k = pohozaev_coefficient(spec.params)

@@ -103,12 +103,17 @@ def _reached(traj: shooting.Trajectory, r_read: float, what: str):
 
 _TAYLOR_ORDER = 24
 _TAYLOR_TOL = 1e-16  # last-coefficient size relative to the state, per component
+# The pole is read once it is this close, relative to r: there the profile's O(x) term
+# (``shooting._pole``'s c) moves the Domb-Sykes read at order k by about
+# beta (beta-1) c d^2/(k^2 R), far below rounding.
+_POLE_READ = 1e-6
 
 
 @dataclass(frozen=True)
 class TaylorRun:
     """Nodes of one oracle run.  ``event`` is "crosses_zero" (u = 0) or
-    "blows_up" (u = threshold) when the last node is that event, else "r_max"."""
+    "blows_up" (the pole, where u = inf) when the last node is that event,
+    else "r_max"."""
 
     r: list[float]
     u: list[float]
@@ -143,15 +148,15 @@ def _horner(c: list[float], t: float) -> float:
     return acc
 
 
-def _polynomial_root(c: list[float], level: float, h: float) -> float:
-    """The t in [0, h] where the polynomial c reaches ``level``, given that it
-    lies on opposite sides of it at 0 and h: Newton, kept in the bracket by bisection."""
+def _polynomial_root(c: list[float], h: float) -> float:
+    """The root t in [0, h] of the polynomial c, given that it has opposite
+    signs at 0 and h: Newton, kept in the bracket by bisection."""
     dc = [k * ck for k, ck in enumerate(c)][1:]
-    lo, hi = (0.0, h) if c[0] < level else (h, 0.0)  # g(lo) < 0 < g(hi)
-    g0, gh = c[0] - level, _horner(c, h) - level
+    lo, hi = (0.0, h) if c[0] < 0.0 else (h, 0.0)  # g(lo) < 0 < g(hi)
+    g0, gh = c[0], _horner(c, h)
     t = h * g0 / (g0 - gh)
     for _ in range(100):
-        g = _horner(c, t) - level
+        g = _horner(c, t)
         if g == 0.0:
             return t
         if g < 0.0:
@@ -167,22 +172,39 @@ def _polynomial_root(c: list[float], level: float, h: float) -> float:
     return t
 
 
+def _pole_distance(uc: list[float], beta: float, r: float) -> float | None:
+    """The distance d to the pole read from the Taylor coefficients of u at r,
+    or None while the read is not yet settled.  Near a pole u ~ A (d - t)^{-beta},
+    so c_k / c_{k+1} = d (k+1)/(k+beta) (Domb-Sykes); the read at k = 23 counts
+    once c_22, c_23 and c_24 are positive, agrees with k = 22 to 1%, and
+    d <= _POLE_READ r."""
+    c22, c23, c24 = uc[22:25]
+    if not (c22 > 0.0 and c23 > 0.0 and c24 > 0.0):
+        return None
+    d22, d23 = c22 / c23 * (22.0 + beta) / 23.0, c23 / c24 * (23.0 + beta) / 24.0
+    return d23 if abs(d22 - d23) <= 0.01 * d23 and d23 <= _POLE_READ * r else None
+
+
 def taylor_oracle(params: ProblemParams, sgn: float, r: float, u: float, w: float,
-                  r_max: float, threshold: float) -> TaylorRun:
+                  r_max: float) -> TaylorRun:
     """Order-24 Taylor integration of r w' + (N-1) w = sgn a r^{1+gamma} u^q,
-    w = |u'|^{p-2} u', from (r, u, w) to the first of u = 0 (sgn < 0),
-    u = threshold (sgn > 0) or r_max.
+    w = |u'|^{p-2} u', from (r, u, w) to the first of the zero of u (sgn < 0),
+    the pole of u (sgn > 0) or r_max.
 
     Works on omega = sgn w > 0, so r omega' + (N-1) omega = a r^{1+gamma} u^q
     and u' = sgn omega^{1/(p-1)}.  The Taylor coefficients at each node come
     from the power recurrence (for u^q and omega^{1/(p-1)}) and the binomial
     series of (r+h)^{1+gamma}; the step is where the last two coefficients of
     either component fall to _TAYLOR_TOL times its value (Jorba and Zou,
-    Experimental Math. 14, 2005), and an event is the root of the step polynomial.
+    Experimental Math. 14, 2005).  A zero is the root of the step
+    polynomial; the pole, at R = r + d with u ~ A (R - r)^{-beta} and
+    beta = p/(q-p+1), is read from the coefficients themselves
+    (``_pole_distance``).  Raises PlapError if the coefficients or the state
+    leave the float range or the step collapses.
     """
     n, q, a = params.n_dim, params.q, params.amplitude
     m, e = 1.0 / (params.p - 1.0), 1.0 + params.gamma
-    level = threshold if sgn > 0 else 0.0
+    beta = params.p / (q - params.p + 1.0)
     rs, us = [r], [u]
     omega = sgn * w
     while r < r_max:
@@ -198,6 +220,10 @@ def taylor_oracle(params: ProblemParams, sgn: float, r: float, u: float, w: floa
                 source += rp[j] * pq[k - j]
             oc.append((a * source - (k + n - 1.0) * oc[k]) / ((k + 1.0) * r))
             uc.append(sgn * pm[k] / (k + 1.0))
+        if not all(map(math.isfinite, uc + oc)):
+            raise PlapError(f"Taylor oracle left the float range at r={r!r}")
+        if sgn > 0 and (d := _pole_distance(uc, beta, r)) is not None:
+            return TaylorRun(rs + [r + d], us + [math.inf], "blows_up")
         h = r_max - r
         for c in (uc, oc):
             for k in (_TAYLOR_ORDER - 1, _TAYLOR_ORDER):
@@ -206,11 +232,10 @@ def taylor_oracle(params: ProblemParams, sgn: float, r: float, u: float, w: floa
         if not r + h > r:
             raise PlapError(f"Taylor oracle step collapsed at r={r!r}")
         u_h = _horner(uc, h)
-        if sgn * (u_h - level) >= 0.0:
-            t = _polynomial_root(uc, level, h)
-            rs.append(r + t)
-            us.append(level)
-            return TaylorRun(rs, us, "blows_up" if sgn > 0 else "crosses_zero")
+        if sgn < 0 and u_h <= 0.0:
+            rs.append(r + _polynomial_root(uc, h))
+            us.append(0.0)
+            return TaylorRun(rs, us, "crosses_zero")
         r = r_max if h == r_max - r else r + h
         u, omega = u_h, _horner(oc, h)
         rs.append(r)
@@ -223,7 +248,7 @@ def _oracle_radius(spec: shooting.IvpSpec, event: str) -> float:
     the origin series at spec.u0 and integrated up to spec.r_max."""
     sgn = float(spec.sign.value)
     start = taylor_launch(spec.params, spec.u0, sgn, spec.r_max)
-    run = taylor_oracle(spec.params, sgn, *start, spec.r_max, spec.blowup_threshold)
+    run = taylor_oracle(spec.params, sgn, *start, spec.r_max)
     if run.event != event:
         raise PlapError(f"Taylor oracle ended in {run.event} at r={run.r[-1]:.6g}, not {event}")
     return run.r[-1]
@@ -645,6 +670,25 @@ def _c11_blowup_power_transform():
     r_blow_oracle = _oracle_radius(spec, "blows_up")
     rel = abs(outcome.r_event - r_blow_oracle) / r_blow_oracle
 
+    # The plus twin of the weighted bubble, U = (1 - r^s)^{-(N-p)/(p+gamma)} with
+    # s = (p+gamma)/(p-1), solves Delta_p U = K r^gamma U^{q_E}: its pole is r = 1, and
+    # u(r) = u0 U(mu r) with mu = u0^{p/(N-p)} has its pole at 1/mu.  Draws 0 and 2 have
+    # p < 2 and gamma < 0, draw 1 p > 2 and gamma < 0.
+    rng = _stream(6)
+    worst_bubble = 0.0
+    for k in range(5):
+        n = rng.randrange(3, 9)
+        p = rng.uniform(1.1, 2.0) if k % 2 == 0 else rng.uniform(2.0, n - 0.5)
+        gamma = p * rng.uniform(-0.6, 0.0 if k < 3 else 1.0)
+        u0 = rng.uniform(0.5, 3.0)
+        base = ProblemParams(n, p, p, gamma, (n + gamma) * ((n - p) / (p - 1.0)) ** (p - 1.0))
+        bubble = shooting.IvpSpec(params=base.replace(q=equation_critical(base)), u0=u0,
+                                  sign=shooting.EquationSign.PLUS)
+        out = shooting.classify_outcome(shooting.integrate_ivp(bubble))
+        if out.kind is not shooting.OutcomeKind.BLOWS_UP:
+            return False, f"plus bubble {bubble.params} outcome {out.kind.value}: {out.reason}"
+        worst_bubble = max(worst_bubble, abs(out.r_event * u0 ** (p / (n - p)) - 1.0))
+
     cx = barriers.build_counterexample(ProblemParams(3, 2.0, 4.0))
     profiles = [
         (cx, ProblemParams(3, 2.0, 4.0), (0.1, 30.0)),
@@ -662,9 +706,10 @@ def _c11_blowup_power_transform():
                         f"power transform residual {rep.rel_residual():.2e} at "
                         f"r={r:.4g}, alpha={alpha}, profile {type(prof).__name__}"
                     )
-    passed = rel <= 1e-3 and worst_pt <= 1e-8
+    passed = rel <= 1e-8 and worst_bubble <= 1e-8 and worst_pt <= 1e-8
     return passed, (
         f"r_blow={outcome.r_event:.6g} vs oracle {r_blow_oracle:.6g} (rel {rel:.1e}); "
+        f"5 plus bubbles max |r_blow mu - 1| = {worst_bubble:.1e}; "
         f"power-transform worst rel residual {worst_pt:.2e}"
     )
 

@@ -121,18 +121,32 @@ class TestExitCodes:
 
     def test_launch_outside_float_range_exits_zero(self, capsys):
         # w(delta0) = exp(-2109) underflows, and w' is a normal float only past
-        # the blow-up: the shot is not launched, and its one CSV row is the
-        # launch radius with u0.
-        code, out, err = run(["shoot", "--n", "4", "--p", "5.924603387043973",
-                              "--q", "1404.4275907914193", "--gamma", "1.9043013684303007",
-                              "--u0", "0.23634888595485518", "--sign", "plus"], capsys)
+        # the blow-up; the plus shot holds log w, so it is launched and blows
+        # up where the scaling law puts it.
+        shot = ["shoot", "--n", "4", "--p", "5.924603387043973", "--q", "1404.4275907914193",
+                "--gamma", "1.9043013684303007", "--sign", "plus"]
+        r_blow = {}
+        for u0 in ("0.23634888595485518", "1"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, _, err = run(shot + ["--u0", u0], capsys)
+            assert code == 0, err
+            assert err.startswith("outcome=blows_up  ")
+            r_blow[u0] = float(err.split("r_event=")[1].split()[0])
+        log_mu = (1404.4275907914193 - 5.924603387043973 + 1.0) / (
+            5.924603387043973 + 1.9043013684303007) * math.log(0.23634888595485518)
+        assert r_blow["0.23634888595485518"] * math.exp(log_mu) == pytest.approx(
+            r_blow["1"], rel=1e-6)
+        # A minus shot holds w itself: w(delta0) = exp(1772) at u0 = 3 overflows,
+        # so the shot is not launched, and its one CSV row is delta0 with u0.
+        code, out, err = run(["shoot", "--n", "2", "--p", "7.596", "--gamma", "0.06534",
+                              "--q", "2237", "--u0", "3"], capsys)
         assert code == 0, err
         assert err.startswith("outcome=indeterminate  status=launch_out_of_range  nodes=1  ")
-        assert ("reason=launch at delta0=1e-06 outside the float range: "
-                "w(delta0)=exp(-2109.16)") in err
-        assert out.splitlines() == ["r,u,du,w", "1e-06,0.23634888595485518,nan,nan"]
-        # w(delta0) = exp(1772) at u0 = 3 and exp(2608) at u0 = 5 overflow;
-        # the sweep still prints every row.
+        assert "outside the float range: w(delta0)=exp(1772.2)" in err
+        assert out.splitlines() == ["r,u,du,w", "1.0708288264707167e-144,3.0,nan,nan"]
+        # The same overflow at u0 = 3, and exp(2608) at u0 = 5: the sweep
+        # still prints every row.
         code, out, err = run(["sweep", "--axis", "u0", "--from", "1", "--to", "5", "--steps", "3",
                               "--n", "2", "--p", "7.596", "--gamma", "0.06534", "--q", "2237"],
                              capsys)

@@ -42,7 +42,7 @@ CRITICAL = ProblemParams(n_dim=3, p=2.0, q=5.0, gamma=0.0)
 # Regression radii for the (N, p, q) = (3, 2, 3) family; the acceptance suite
 # re-derives these against an independent high-order integration.
 R_CROSS = {0.5: 13.793697234347743, 1.0: 6.896848611785547, 2.0: 3.4484243051504864}
-R_BLOW = 2.5748367276900237
+R_BLOW = 2.5748367419372165  # the pole, as the Taylor oracle reads it
 
 
 def shoot(params, u0, r_max=30.0, **kw):
@@ -91,18 +91,17 @@ class TestOutcomes:
         params = ProblemParams(n_dim=3, p=2.0, q=4.85, gamma=0.0)
         traj, spec = shoot(params, 1.0, r_max=100.0)
         out = classify_outcome(traj)
-        oracle = taylor_oracle(params, -1.0, *taylor_launch(params, 1.0, -1.0, 1e4), 1e4,
-                               spec.blowup_threshold)
+        oracle = taylor_oracle(params, -1.0, *taylor_launch(params, 1.0, -1.0, 1e4), 1e4)
         assert out.kind is OutcomeKind.CROSSES_ZERO
         assert oracle.event == "crosses_zero"
         assert out.r_event == pytest.approx(oracle.r[-1], rel=1e-6)
 
     def test_blowup_radius_matches_closed_form(self):
         # u = (1 - r^2/3)^{-1/2} solves Delta u = u^5 in R^3 (the Aubin-Talenti
-        # profile with r^2 -> -r^2), and reaches 1e8 at r^2 = 3 (1 - 1e-16).
+        # profile with r^2 -> -r^2), and has its pole at r^2 = 3.
         traj, spec = shoot(CRITICAL, 1.0, r_max=100.0, sign=EquationSign.PLUS)
         out = classify_outcome(traj)
-        assert out.r_event == pytest.approx(math.sqrt(3.0 * (1.0 - 1e-16)), rel=1e-9)
+        assert out.r_event == pytest.approx(math.sqrt(3.0), rel=1e-9)
 
     def test_short_range_growth_blows_up_beyond_r_max(self):
         # Every plus shot blows up at a finite radius, so a shot still finite
@@ -383,16 +382,31 @@ class TestFinalDecade:
         assert out.kind is OutcomeKind.POSITIVE_DECAYING
 
 
+def plus_bubble(n, p, gamma):
+    """The params of U = (1 - r^s)^{-(N-p)/(p+gamma)}, s = (p+gamma)/(p-1), which
+    solves Delta_p U = K r^gamma U^{q_E} with its pole at r = 1 and
+    K = (N+gamma)((N-p)/(p-1))^{p-1}; u0 U(mu r) has its pole at 1/mu, mu = u0^{p/(N-p)}."""
+    k = (n + gamma) * ((n - p) / (p - 1.0)) ** (p - 1.0)
+    return ProblemParams(n, p, equation_critical(ProblemParams(n, p, p, gamma)), gamma, k)
+
+
+PLUS_BUBBLES = [(3, 2.0, 0.0), (3, 1.5, 0.0), (4, 3.0, 1.0), (5, 1.8, -1.0), (8, 1.2, 0.0),
+                (10, 1.2, 2.0), (3, 2.9, 0.0), (6, 5.5, 0.5), (4, 1.3, -1.2), (7, 2.0, 3.0)]
+
+
 class TestBlowupClosure:
-    # Plus shots at u0 = 1 against the radii that an integration in s = log u
-    # up to u = 1e8 gave: 366, 972, 3115, 11405 and 55938 steps at the five q.
+    # Plus shots at u0 = 1 against the same code at rtol = 1e-13.  An integration
+    # in s = log u up to u = 1e8 took 366, 972, 3115, 11405 and 55938 steps at
+    # the five q; the last two rows are the pole's, not the 1e8 level's, radii.
     @pytest.mark.parametrize("params, r_blow", [
-        (ProblemParams(3, 2.971, 3.0), 4.831963389542089),
-        (ProblemParams(3, 2.971, 124.7), 0.1612454246011142),
-        (ProblemParams(3, 2.971, 510.0), 0.0626935390023202),
-        (ProblemParams(3, 2.971, 2000.0), 0.02526090336775126),
-        (ProblemParams(3, 2.971, 1e4), 0.00867864871259036),
-        (ProblemParams(10, 1.2, 20.0, 2.0), 2.081237479003161),  # eps carries c = 86
+        (ProblemParams(3, 2.971, 3.0), 4.838761571237067),
+        (ProblemParams(3, 2.971, 124.7), 0.16124542463970637),
+        (ProblemParams(3, 2.971, 510.0), 0.06269353908002374),
+        (ProblemParams(3, 2.971, 2000.0), 0.025260903277248215),
+        (ProblemParams(3, 2.971, 1e4), 0.008678647668431854),
+        (ProblemParams(10, 1.2, 20.0, 2.0), 2.081237478966106),  # c = 86, p(1+beta) = 1.27
+        (ProblemParams(4, 3.0, 2.5, 1.0), 6.571649595870283),  # beta = 6
+        (ProblemParams(5, 1.8, 1.5, -1.0), 12.750574747130099),
     ])
     def test_cost_does_not_grow_with_q(self, monkeypatch, params, r_blow):
         steps = []
@@ -407,7 +421,7 @@ class TestBlowupClosure:
         out = classify_outcome(integrate_ivp(IvpSpec(params=params, u0=1.0,
                                                      sign=EquationSign.PLUS)))
         assert out.kind is OutcomeKind.BLOWS_UP
-        assert out.r_event == pytest.approx(r_blow, rel=1e-9)
+        assert out.r_event == pytest.approx(r_blow, rel=5e-10)
         assert sum(steps) <= 1500
 
     @pytest.mark.parametrize("params, c", [
@@ -416,37 +430,87 @@ class TestBlowupClosure:
         (ProblemParams(2, 3.0, 6.0, -1.5), -0.25),
     ])
     def test_closure_misses_by_c_eps_squared(self, monkeypatch, params, c):
-        # Stopped at x = eps r, the closure misses the radius of u = 1e8 by
-        # c eps^2 R (to leading order), the error that _pole's eps bounds by rtol R.
+        # Closed without its c term from a stop at x = eps r, the pole moves by
+        # c eps^2 r (to leading order): c is derived with its sign.
+        spec = IvpSpec(params=params, u0=1.0, sign=EquationSign.PLUS)
+        assert shooting._pole(spec)[1] == pytest.approx(c, rel=1e-14)
+        r_event = classify_outcome(integrate_ivp(spec)).r_event
         pole = shooting._pole
-        radii = {}
-        for eps in (1e-6, 3e-3):
-            monkeypatch.setattr(shooting, "_pole", lambda spec, e=eps: (pole(spec)[0], e))
-            spec = IvpSpec(params=params, u0=1.0, sign=EquationSign.PLUS, rtol=1e-13, atol=1e-15)
-            radii[eps] = classify_outcome(integrate_ivp(spec)).r_event
-        miss = (radii[3e-3] - radii[1e-6]) / radii[1e-6]
-        assert miss == pytest.approx(c * 3e-3 ** 2, rel=0.02)
+        monkeypatch.setattr(shooting, "_pole", lambda spec: (pole(spec)[0], 0.0))
+        traj = integrate_ivp(spec)
+        eps = (traj.r_blow - traj.r[-1]) / traj.r[-1]
+        assert traj.r_blow - r_event == pytest.approx(c * eps ** 2 * traj.r[-1], rel=0.02)
 
-    def test_eps_is_derived_from_the_spec(self):
-        # eps = sqrt(rtol / max(1, c)): sqrt(rtol) where c <= 1, smaller where
-        # the (N-1)/r term bends the profile more (c = 86.4 at N = 10, p = 1.2).
-        assert shooting._pole(IvpSpec(params=CRITICAL, u0=1.0)) == (0.5, 1e-5)
-        beta, eps = shooting._pole(IvpSpec(params=ProblemParams(10, 1.2, 20.0, 2.0), u0=1.0))
-        assert beta == pytest.approx(1.2 / 19.8, rel=1e-15)
-        assert eps == pytest.approx(math.sqrt(1e-10 / 86.4), rel=1e-3)
+    @pytest.mark.parametrize("params", [
+        CRITICAL,  # c = 0.5
+        ProblemParams(1, 2.0, 5.0, 3.0),  # c = 1.125
+        ProblemParams(2, 3.0, 6.0, -1.5),  # c = -0.25
+        ProblemParams(10, 1.2, 20.0, 2.0),  # c = 86, and the free mode sets the stop
+    ])
+    def test_tighter_stop_keeps_the_radius(self, monkeypatch, params):
+        # The stop bounds the closure's error by rtol: a stop 8 times tighter
+        # moves the reported pole by less than rtol.
+        spec = IvpSpec(params=params, u0=1.0, sign=EquationSign.PLUS)
+        traj = integrate_ivp(spec)
+        r_event = classify_outcome(traj).r_event
+        closure = shooting._closure
+
+        def tighter(spec):
+            def estimate(*logs):
+                log_xr, log_err = closure(spec)(*logs)
+                return log_xr, log_err + math.log(8.0)
+            return estimate
+
+        monkeypatch.setattr(shooting, "_closure", tighter)
+        tight = integrate_ivp(spec)
+        assert traj.r[-1] < tight.r[-1] < r_event
+        assert abs(classify_outcome(tight).r_event - r_event) <= 1e-9 * r_event
+
+    @pytest.mark.parametrize("n, p, gamma", PLUS_BUBBLES)
+    def test_pole_of_the_plus_bubble(self, n, p, gamma):
+        for u0 in (1.0, 3.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = classify_outcome(integrate_ivp(IvpSpec(
+                    params=plus_bubble(n, p, gamma), u0=u0, sign=EquationSign.PLUS)))
+            assert out.kind is OutcomeKind.BLOWS_UP
+            assert abs(out.r_event * u0 ** (p / (n - p)) - 1.0) <= 1e-8
+
+    def test_values_past_the_float_range_are_inf(self):
+        # beta = 570: u, w and u' pass the float range well before the stop,
+        # which reads the log state alone.
+        params = ProblemParams(3, 2.072164112874803, 1.0758002753686793, 1.5794952749235265)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate_ivp(IvpSpec(params=params, u0=1.0306804667624052,
+                                         sign=EquationSign.PLUS, r_max=1e3))
+            u, du, w = traj.sample(traj.r[-1])
+            out = classify_outcome(traj)
+            assert np.isinf(traj.u[-1]) and np.isinf(traj.du()[-1]) and np.isinf(traj.w[-1])
+        assert np.isinf(u[0]) and np.isinf(du[0]) and np.isinf(w[0])
+        assert traj.r.size <= 4000
+        assert out.kind is OutcomeKind.BLOWS_UP
+        assert out.r_event == pytest.approx(51.7502144, rel=1e-8)
 
 
-# Launches outside the float range: w(delta0) overflows, or it underflows and
-# the series term lost before w and w' are normal floats reaches u0.
+# Minus launches outside the float range: w(delta0) overflows, or it underflows
+# and the series term lost before w and w' are normal floats reaches u0.
 LAUNCH_FAULTS = {
     "w_overflows": (ProblemParams(2, 7.596, 2237.0, 0.06534), 3.0, EquationSign.MINUS,
                     "w(delta0)=exp(1772.2)"),
     # w' = exp(-2094) at the launch is a normal float only from r = 6e116 on
     "w_and_dw_underflow": (
         ProblemParams(4, 5.924603387043973, 1404.4275907914193, 1.9043013684303007),
-        0.23634888595485518, EquationSign.PLUS, "series term exp(16.2994) u0"),
-    "series_term_lost": (ProblemParams(4, 1.687, 31.43, -1.443), 15.75, EquationSign.PLUS,
+        0.23634888595485518, EquationSign.MINUS, "series term exp(16.2994) u0"),
+    "series_term_lost": (ProblemParams(4, 1.687, 31.43, -1.443), 15.75, EquationSign.MINUS,
                          "w(delta0)=exp(-899.545), series term exp(12.735) u0"),
+}
+
+# The same launches with the plus sign, and w(delta0) = exp(2608) at u0 = 5: a
+# plus shot holds log w, so each is launched and blows up where the scaling
+# law u(r; u0) = u0 U(mu r), mu = u0^{(q-p+1)/(p+gamma)}, puts it.
+PLUS_LAUNCHES = {case: LAUNCH_FAULTS[case][:2] for case in LAUNCH_FAULTS} | {
+    "w_overflows_u0_5": (ProblemParams(2, 7.596, 2237.0, 0.06534), 5.0),
 }
 
 
@@ -464,6 +528,20 @@ class TestLaunchOutOfRange:
         assert out.kind is OutcomeKind.INDETERMINATE
         assert out.reason.startswith(f"launch at delta0={spec.delta0:.6g} outside the float range: ")
         assert fault in out.reason
+
+    @pytest.mark.parametrize("case", sorted(PLUS_LAUNCHES))
+    def test_plus_launch_follows_the_scaling_law(self, case):
+        params, u0 = PLUS_LAUNCHES[case]
+        radii = {}
+        for height in (1.0, u0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = classify_outcome(integrate_ivp(IvpSpec(params=params, u0=height,
+                                                             sign=EquationSign.PLUS)))
+            assert out.kind is OutcomeKind.BLOWS_UP, out.reason
+            radii[height] = out.r_event
+        log_mu = (params.q - params.p + 1.0) / (params.p + params.gamma) * math.log(u0)
+        assert radii[u0] * math.exp(log_mu) == pytest.approx(radii[1.0], rel=1e-6)
 
     def test_one_point_does_not_cost_its_line(self):
         params = LAUNCH_FAULTS["w_overflows"][0]
@@ -683,4 +761,3 @@ class TestSpecValidation:
     def test_defaults_populated(self):
         spec = IvpSpec(params=SUBCRITICAL, u0=2.0)
         assert spec.delta0 == pytest.approx(1e-6)
-        assert spec.blowup_threshold == pytest.approx(2e8)
