@@ -1,11 +1,11 @@
-"""Adaptive Dormand-Prince 5(4) with cubic-Hermite dense output and events.
+"""Adaptive Dormand-Prince 5(4) with cubic-Hermite dense output and a terminal event.
 
 The pair is FSAL: stage 7 of an accepted step is stage 1 of the next, so an
 accepted step costs six f evaluations.  Error control is the usual RMS of the
 embedded difference against atol + rtol * max(|y0|, |y1|) per component, with
 step factor 0.9 * err^(-1/5) clipped to [0.2, 5].
 
-The state is a tuple of floats from y0 to the last node: f and the events
+The state is a tuple of floats from y0 to the last node: f and the event
 receive one, and f may return any sequence of d numbers.  The stages run on
 Python floats, which for the two-component states of radial shooting cost
 less than numpy's per-call overhead.  Every sum of floats is a left fold
@@ -15,14 +15,16 @@ nodes live in three flat float buffers (t, then y and f with d values per
 node), 40 bytes a node for d = 2; the result's node arrays view them
 without a copy, and numpy builds only the dense output ``sol``.
 
-Events are scalar functions g(t, y); a sign change over an accepted step is
-refined by bisection on the dense interpolant to ~1e-10 relative in t, and
-the earliest root ends the integration as its last node.  The integrator
-never raises on difficult problems: it reports status "step_collapse" when h
-underflows (1e-14 * max(|t|, first_step): near t = 0 the step first tried,
-not 1, sets the scale, so a launch at a tiny t0 can step) and "max_steps"
-when the step budget (2e6 accepted steps) runs out, and leaves
-classification to the caller.
+The event is one scalar function g(t, y).  Where g falls through zero over
+an accepted step, from > 0 to <= 0, the root is refined by bisection on the
+dense interpolant to ~1e-10 relative in t and ends the integration as its
+last node; a step that lands exactly on g = 0 has crossed, and a rise
+through zero does not fire.  The integrator never raises on difficult
+problems: it reports status "step_collapse" when h underflows (1e-14 *
+max(|t|, first_step): near t = 0 the step first tried, not 1, sets the
+scale, so a launch at a tiny t0 can step) and "max_steps" when the step
+budget (2e6 accepted steps) runs out, and leaves classification to the
+caller.
 """
 
 from __future__ import annotations
@@ -60,26 +62,12 @@ _SAFETY = 0.9
 _MAX_STEPS = 2_000_000  # accepted steps before status "max_steps"
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """Root of g(t, y) terminates the integration.
-
-    direction > 0 fires only on increasing crossings, < 0 only on decreasing,
-    0 on both.  A step that lands exactly on g = 0 crosses in the direction
-    it came from.
-    """
-
-    fn: Callable[[float, tuple[float, ...]], float]
-    direction: int = 0
-
-
 @dataclass
 class IntegrationResult:
     ts: np.ndarray                      # accepted nodes, strictly increasing, shape (n+1,)
     ys: np.ndarray                      # states at nodes, shape (n+1, d)
     fs: np.ndarray                      # f at nodes (FSAL byproduct), shape (n+1, d)
     status: str                         # finished | event | step_collapse | max_steps
-    event_index: int | None = None      # the event that fired; its root is ts[-1]
     n_steps: int = 0
     n_rejected: int = 0
     n_fev: int = 0
@@ -137,9 +125,10 @@ def integrate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_step: float = math.inf,
-    events: Sequence[EventSpec] = (),
+    event: Callable[[float, tuple[float, ...]], float] | None = None,
 ) -> IntegrationResult:
-    """Integrate y' = f(t, y) forward from t0 to t1 (t1 > t0), trying first_step first."""
+    """Integrate y' = f(t, y) forward from t0 to t1 (t1 > t0), trying first_step
+    first, and end early where ``event`` falls through zero (status "event")."""
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     t, y = t0, tuple(map(float, y0))
@@ -148,10 +137,9 @@ def integrate(
     h = min(first_step, max_step, t1 - t0)
 
     ts, ys, fs = array("d", (t,)), array("d", y), array("d", fy)
-    g_prev = [ev.fn(t, y) for ev in events]
+    g_old = None if event is None else event(t, y)
     n_steps = n_rejected = 0
     status = "finished"
-    event_index = None
 
     while t < t1:
         if h < _COLLAPSE_FLOOR * max(abs(t), first_step):
@@ -188,29 +176,18 @@ def integrate(
         # Accepted.
         t_new = t + h
         n_steps += 1
-        triggered = []
-        for ie, ev in enumerate(events):
-            g_new = ev.fn(t_new, y_new)
-            g_old = g_prev[ie]
-            if (ev.direction >= 0 and g_old < 0.0 <= g_new) or (
-                ev.direction <= 0 and g_old > 0.0 >= g_new
-            ):
-                te, ye = _refine_event(
-                    ev.fn, t, t_new, y, y_new, fy, f_new, g_old
-                )
-                triggered.append((te, ie, ye))
-            g_prev[ie] = g_new
-
-        if triggered:
-            te, ie, ye = min(triggered, key=lambda item: item[0])
-            status = "event"
-            event_index = ie
-            if te > t:  # a root on the last node is not appended twice
-                ts.append(te)
-                ys.extend(ye)
-                fs.extend(map(float, f(te, ye)))
-                n_fev += 1
-            break
+        if event is not None:
+            g_new = event(t_new, y_new)
+            if g_old > 0.0 >= g_new:
+                te, ye = _refine_event(event, t, t_new, y, y_new, fy, f_new)
+                status = "event"
+                if te > t:  # a root on the last node is not appended twice
+                    ts.append(te)
+                    ys.extend(ye)
+                    fs.extend(map(float, f(te, ye)))
+                    n_fev += 1
+                break
+            g_old = g_new
 
         ts.append(t_new)
         ys.extend(y_new)
@@ -226,20 +203,19 @@ def integrate(
         ys=np.frombuffer(ys).reshape(-1, d),
         fs=np.frombuffer(fs).reshape(-1, d),
         status=status,
-        event_index=event_index,
         n_steps=n_steps,
         n_rejected=n_rejected,
         n_fev=n_fev,
     )
 
 
-def _refine_event(g, t0, t1, y0, y1, f0, f1, g0):
-    """Bisect g(t, herm(t)) = 0 inside one accepted step; g0 = g(t0) != 0."""
+def _refine_event(g, t0, t1, y0, y1, f0, f1):
+    """Bisect g(t, herm(t)) = 0 inside one accepted step, where g(t0) > 0 >= g(t1)."""
 
     def herm(t):
         return tuple([_hermite(t0, t1, *node, t) for node in zip(y0, y1, f0, f1)])
 
-    a, b, ga = t0, t1, g0
+    a, b = t0, t1
     width_tol = _EVENT_REL_TOL * max(abs(t0), abs(t1), 1e-30)
     for _ in range(_EVENT_MAX_ITER):
         if (b - a) <= width_tol:
@@ -249,9 +225,9 @@ def _refine_event(g, t0, t1, y0, y1, f0, f1, g0):
         if gm == 0.0:
             a = b = mid
             break
-        if (ga < 0) == (gm < 0):
-            a, ga = mid, gm
-        else:
+        if gm < 0.0:
             b = mid
+        else:
+            a = mid
     te = 0.5 * (a + b)
     return te, herm(te)

@@ -31,11 +31,15 @@ from .exponents import (
 )
 
 
+_R_MAX_HELP = ("end of the final decade [r_max/10, r_max] of a minus shot with K >= 0; "
+               "a shot with an event (plus, or minus with K < 0) runs to it, past r_max if need be")
+
+
 def _add_shot_flags(p: _Parser):
     p.add_argument("--u0", type=float, required=True, help="shooting height u(0) > 0")
     p.add_argument("--sign", choices=("minus", "plus"), default="minus",
                    help="equation sign: minus for -Delta_p u = ..., plus for Delta_p u = ...")
-    p.add_argument("--r-max", type=float, default=100.0, help="integration endpoint")
+    p.add_argument("--r-max", type=float, default=100.0, help=_R_MAX_HELP)
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12,
                    help="absolute tolerance of u and w, minus sign only: a plus shot "
@@ -69,7 +73,8 @@ def _emit_csv(out: str | None, header, rows):
 def _build_shoot(p: _Parser):
     _add_param_flags(p)
     _add_shot_flags(p)
-    p.add_argument("--max-step", type=float, default=None, help="cap on the step size")
+    p.add_argument("--max-step", type=float, default=None,
+                   help="cap on the step size, held up to the event")
     _add_out_flag(p)
 
 
@@ -106,7 +111,7 @@ def _build_sweep(p: _Parser):
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--u0", type=float, default=1.0)
     p.add_argument("--sign", choices=("minus", "plus"), default="minus")
-    p.add_argument("--r-max", type=float, default=1000.0)
+    p.add_argument("--r-max", type=float, default=1000.0, help=_R_MAX_HELP)
     _add_out_flag(p)
 
 

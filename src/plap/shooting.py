@@ -20,7 +20,8 @@ set: ``launch_radius`` gives 1e-6 min(1, r_max), shrunk where needed until
 ku delta0^s <= 1e-6 u0, but not below 1e-300, where a tiny s would
 underflow it to 0.
 
-Every label rests on an event the integrator computes:
+Every label rests on an event the integrator computes, and a shot is one
+integration that ends at it:
 
 - plus sign: u and w stay positive and grow to a pole at a finite R, near
   which u ~ A (R-r)^{-beta}; the shot integrates (log u, log w), stops where
@@ -28,12 +29,15 @@ Every label rests on an event the integrator computes:
   falls to rtol, and reports R, so neither a level of u nor the float range
   decides the radius and the step count does not grow with q;
 - minus sign, K < 0 (q < q_E, or N <= p): every positive radial solution
-  crosses zero, so a shot still positive at r_max continues past it to its
-  crossing;
+  crosses zero, so the shot runs to its crossing, beyond r_max if it lies
+  there;
 - minus sign, K >= 0 (q >= q_E): the Pohozaev identity below rules out a
   first zero (at one, its right side is (1-p)|u'|^p R^N < 0 <= a K int),
   so a computed crossing is indeterminate and a positive shot is judged on
-  its final decade.
+  its final decade, [r_max/10, r_max].
+
+A shot with an event runs up to r = 1e300, so r_max enters it only through
+delta0, and for r_max >= 1 its event radius is the same at every r_max.
 
 The Pohozaev identity carries the amplitude (it reduces to the a = 1 display
 after the rescaling v = a^{1/(q-p+1)} u):
@@ -77,7 +81,7 @@ _GL_W = np.array([
 _SCALING_SAMPLES = 40
 _SCALING_FACTOR = 2.0   # scaling_covariance_report compares u_s(r) = s^kappa u(s r) at this s
 _SCALING_TOL = 1e-6
-_R_FAR = 1e300          # continued shots stop here: every certified event lies before it
+_R_FAR = 1e300          # shots with an event stop here: every certified event lies before it
 
 
 class EquationSign(enum.Enum):
@@ -89,13 +93,15 @@ class EquationSign(enum.Enum):
 
 @dataclass(frozen=True)
 class IvpSpec:
-    """Shooting problem: u(0) = u0 > 0, u'(0) = 0, integrate to r_max.
+    """Shooting problem: u(0) = u0 > 0, u'(0) = 0.
 
-    The hand-off radius ``delta0`` follows from params, u0 and r_max
-    (``launch_radius``); it is not a setting.  ``atol`` bounds the absolute
-    error of u and w in a minus shot only: a plus shot integrates (log u,
-    log w) with atol = rtol, so its error is relative in u and w and its
-    results do not depend on the units of u.
+    A shot whose label rests on an event (plus sign, or minus with K < 0)
+    integrates to that event; a minus shot with K >= 0 integrates to r_max,
+    the end of its final decade.  The hand-off radius ``delta0`` follows
+    from params, u0 and r_max (``launch_radius``); it is not a setting.
+    ``atol`` bounds the absolute error of u and w in a minus shot only: a
+    plus shot integrates (log u, log w) with atol = rtol, so its error is
+    relative in u and w and its results do not depend on the units of u.
     """
 
     params: ProblemParams
@@ -104,7 +110,7 @@ class IvpSpec:
     r_max: float = 100.0
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = math.inf             # refinement-study knob
+    max_step: float = math.inf             # refinement-study knob: caps every step
 
     def __post_init__(self):
         if not (self.u0 > 0 and math.isfinite(self.u0)):
@@ -329,23 +335,22 @@ class Trajectory:
 
 
 def integrate_ivp(spec: IvpSpec) -> Trajectory:
-    """Shoot from delta0 to r_max; halt at a zero crossing or at blow-up.
+    """Shoot from delta0 in one integration: (u, w) to a zero crossing (minus),
+    or (log u, log w) to the blow-up stop (plus).
 
-    Step-size underflow is recorded on the trajectory (status
-    "step_collapse"), not raised: classification reports it as indeterminate,
-    as it does a launch outside the float range.
+    A plus shot, or a minus shot with K < 0, has an event the theory puts at
+    a finite radius and runs up to r = 1e300 to reach it; a minus shot with
+    K >= 0 ends at r_max or at an earlier crossing.  Step-size underflow is
+    recorded on the trajectory (status "step_collapse"), not raised:
+    classification reports it as indeterminate, as it does a launch outside
+    the float range.
     """
+    r0 = spec.delta0
     if _launch_fault(spec):
         u0 = spec.u0 if spec.sign is EquationSign.MINUS else math.log(spec.u0)
         ys = np.array([[u0, math.nan]])
-        return Trajectory(spec, rk45.IntegrationResult(np.array([spec.delta0]), ys, ys,
+        return Trajectory(spec, rk45.IntegrationResult(np.array([r0]), ys, ys,
                                                        "launch_out_of_range"))
-    return _shoot(spec, spec.delta0, _launch_state(spec), spec.r_max, spec.max_step)
-
-
-def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Trajectory:
-    """Integrate the shot's state in r from (r0, y0) to r_end: (u, w) to a
-    zero crossing (minus), or (log u, log w) to the blow-up stop (plus)."""
     rates = _log_rates(spec.params)
     if spec.sign is EquationSign.MINUS:
         def rhs(r, y):
@@ -356,7 +361,8 @@ def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Traje
             except OverflowError:  # an inf stage, which rk45 rejects
                 return math.inf, math.inf
 
-        event, atol = rk45.EventSpec(fn=lambda r, y: y[0], direction=-1), spec.atol
+        event, atol = (lambda r, y: y[0]), spec.atol
+        r_end = _R_FAR if pohozaev_sign(spec.params) < 0 else spec.r_max
     else:
         closure, log_rtol = _closure(spec), math.log(spec.rtol)
 
@@ -371,10 +377,10 @@ def _shoot(spec: IvpSpec, r0: float, y0, r_end: float, max_step: float) -> Traje
         def blowup(r, y):
             return closure(math.log(r), *y)[1] - log_rtol
 
-        event, atol = rk45.EventSpec(fn=blowup, direction=-1), spec.rtol
+        event, atol, r_end = blowup, spec.rtol, _R_FAR
     res = rk45.integrate(
-        rhs, r0, r_end, y0,
-        rtol=spec.rtol, atol=atol, first_step=0.1 * r0, max_step=max_step, events=[event],
+        rhs, r0, r_end, _launch_state(spec),
+        rtol=spec.rtol, atol=atol, first_step=0.1 * r0, max_step=spec.max_step, event=event,
     )
     return Trajectory(spec, res)
 
@@ -418,18 +424,16 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     """Label a shot by an event it computed, under the theory's sign rules
     for the problem it carries (``traj.spec``).
 
-    A plus shot, or a minus shot with K < 0, still running at r_max continues
-    from its last node to r = 1e300, so no label depends on r_max.  A minus
-    shot with K >= 0 cannot cross zero; if positive at r_max it is judged on
-    its final decade [r_max/10, r_max].  Every outcome carries its reason.
+    A plus shot, or a minus shot with K < 0, ran to its event
+    (``integrate_ivp``), so no label depends on r_max.  A minus shot with
+    K >= 0 cannot cross zero; if positive at r_max it is judged on its final
+    decade [r_max/10, r_max].  Every outcome carries its reason.
     """
     spec = traj.spec
     if traj.status == "launch_out_of_range":
         return Outcome(OutcomeKind.INDETERMINATE, reason=(
             f"launch at delta0={spec.delta0:.6g} outside the float range: {_launch_fault(spec)}"))
     if spec.sign is EquationSign.PLUS:
-        if traj.status == "finished":
-            traj = _continue(traj)
         if (r_blow := traj.r_blow) is not None:
             r, log_xr, log_err = traj._stop()
             return Outcome(OutcomeKind.BLOWS_UP, r_event=r_blow, reason=(
@@ -441,8 +445,6 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     crossing_forced = pohozaev_sign(spec.params) < 0
     sign_k = f"K={k:.3g}<0" if crossing_forced else f"K={k:.3g}>=0"
     if crossing_forced:
-        if traj.status == "finished":
-            traj = _continue(traj)
         if traj.r_cross is not None:
             return Outcome(OutcomeKind.CROSSES_ZERO, r_event=traj.r_cross, reason=(
                 f"crossed at r={traj.r_cross:.6g}{_beyond(traj.r_cross, spec)}, {sign_k}"))
@@ -480,11 +482,6 @@ def _fit_slope(x: list[float], y: list[float]) -> float:
     x_mean, y_mean = left_sum(x) / len(x), left_sum(y) / len(y)
     xc = [xi - x_mean for xi in x]
     return left_sum(map(mul, xc, [yi - y_mean for yi in y])) / left_sum(map(mul, xc, xc))
-
-
-def _continue(traj: Trajectory) -> Trajectory:
-    """The shot continued past r_max from the last node of ``traj``."""
-    return _shoot(traj.spec, float(traj.r[-1]), traj.result.ys[-1], _R_FAR, math.inf)
 
 
 def _beyond(r: float, spec: IvpSpec) -> str:

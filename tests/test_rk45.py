@@ -1,4 +1,4 @@
-"""Embedded 5(4) integrator: accuracy, dense output, events, failure modes."""
+"""Embedded 5(4) integrator: accuracy, dense output, the event, failure modes."""
 
 import ast
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from plap import rk45
-from plap.rk45 import EventSpec, _hermite, integrate, left_sum
+from plap.rk45 import _hermite, integrate, left_sum
 
 
 class TestAccuracy:
@@ -107,47 +107,40 @@ class TestDenseOutput:
 
 class TestEvents:
     def test_terminal_root_location(self):
-        # y = e^t crosses 5 at t = log 5.
-        ev = EventSpec(fn=lambda t, y: y[0] - 5.0)
-        res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], events=[ev], first_step=1e-3)
+        # 5 - y with y = e^t falls through zero at t = log 5.
+        def ev(t, y):
+            return 5.0 - y[0]
+
+        res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], event=ev, first_step=1e-3)
         assert res.status == "event"
-        assert res.event_index == 0
         # Root accuracy is set by the dense interpolant, not the step tolerance.
         assert res.ts[-1] == pytest.approx(math.log(5.0), rel=1e-7)
         fine = integrate(
-            lambda t, y: y, 0.0, 3.0, [1.0], events=[ev], max_step=0.02, first_step=1e-3
+            lambda t, y: y, 0.0, 3.0, [1.0], event=ev, max_step=0.02, first_step=1e-3
         )
         assert fine.ts[-1] == pytest.approx(math.log(5.0), rel=1e-10)
 
-    def test_direction_filter(self):
-        # sin t crosses zero at pi (decreasing) and 2 pi (increasing).
+    def test_a_rise_through_zero_does_not_fire(self):
+        # -sin t rises through zero at pi and falls through it at 2 pi.
         def f(t, y):
             return np.array([math.cos(t)])
 
-        up_only = EventSpec(fn=lambda t, y: y[0], direction=1)
-        res = integrate(f, 0.1, 8.0, [math.sin(0.1)], events=[up_only], first_step=1e-3)
+        res = integrate(f, 0.1, 8.0, [math.sin(0.1)], event=lambda t, y: -y[0],
+                        first_step=1e-3)
         assert res.status == "event"
         assert res.ts[-1] == pytest.approx(2 * math.pi, rel=1e-8)
 
-    @pytest.mark.parametrize("direction,status", [(1, "finished"), (-1, "event")])
-    def test_step_landing_on_a_zero_keeps_its_direction(self, direction, status):
-        # g = 1 - t only decreases; the step of 0.25 lands on t = 1 exactly.
-        ev = EventSpec(fn=lambda t, y: 1.0 - t, direction=direction)
-        res = integrate(lambda t, y: [1.0], 0.0, 2.0, [0.0], events=[ev],
+    @pytest.mark.parametrize("sign,status", [(1, "finished"), (-1, "event")])
+    def test_step_landing_on_a_zero_keeps_its_direction(self, sign, status):
+        # g = sign (t - 1); the step of 0.25 lands on t = 1 exactly, where only
+        # the falling g, 1 - t, has crossed.
+        res = integrate(lambda t, y: [1.0], 0.0, 2.0, [0.0], event=lambda t, y: sign * (t - 1.0),
                         first_step=0.25, max_step=0.25)
         assert res.status == status
         if status == "event":
             assert res.ts[-1] == pytest.approx(1.0, rel=1e-9)
         else:
             assert res.ts[-1] == 2.0
-
-    def test_two_events_earliest_terminal_wins(self):
-        late = EventSpec(fn=lambda t, y: t - 2.5)
-        early = EventSpec(fn=lambda t, y: t - 1.25)
-        res = integrate(lambda t, y: y, 0.0, 3.0, [1.0], events=[late, early], first_step=1e-3)
-        assert res.status == "event"
-        assert res.event_index == 1
-        assert res.ts[-1] == pytest.approx(1.25, rel=1e-9)
 
 
 class TestFailureModes:
@@ -222,8 +215,8 @@ class TestBookkeeping:
         assert res.ts[0] == 0.0 and res.ts[-1] == pytest.approx(1.0)
         assert np.all(np.diff(res.ts) > 0)
         # A terminal event ends the nodes at the root, still strictly increasing.
-        ev = EventSpec(fn=lambda t, y: y[0] - 2.0)
-        hit = integrate(lambda t, y: y, 0.0, 1.0, [1.0], events=[ev], first_step=1e-3)
+        hit = integrate(lambda t, y: y, 0.0, 1.0, [1.0], event=lambda t, y: 2.0 - y[0],
+                        first_step=1e-3)
         assert hit.status == "event"
         assert hit.ts.shape[0] == hit.ys.shape[0] == hit.fs.shape[0]
         assert hit.ts[-1] == pytest.approx(math.log(2.0), rel=1e-7)
@@ -242,8 +235,7 @@ class TestStateContract:
             seen.append(y)
             return y[0] + 0.5
 
-        res = integrate(f, 0.0, 3.0, np.array([1.0, 0.0]), first_step=1e-3,
-                        events=[EventSpec(fn=g, direction=-1)])
+        res = integrate(f, 0.0, 3.0, np.array([1.0, 0.0]), first_step=1e-3, event=g)
         assert res.status == "event"
         assert len(seen) > res.n_fev
         for y in seen:

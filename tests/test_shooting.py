@@ -27,7 +27,6 @@ from plap import rk45, shooting
 from plap.shooting import (
     _GL_W,
     _GL_X,
-    _continue,
     _fit_slope,
     _log_rates,
     _series_head,
@@ -223,6 +222,16 @@ class TestLabelsIndependentOfRMax:
             assert spec.delta0 == 1e-300
             assert out.r_event == pytest.approx(5.536e-96, rel=1e-4)
 
+    @pytest.mark.parametrize("case", sorted(case for case, (*_, kind) in R_MAX_CASES.items()
+                                            if kind is not OutcomeKind.POSITIVE_DECAYING))
+    def test_event_radius(self, case):
+        # A shot with an event is one integration to it: r_max enters only
+        # through delta0 = 1e-6 min(1, r_max), so the radius is the same float.
+        params, u0, sign, _ = R_MAX_CASES[case]
+        radii = {classify_outcome(shoot(params, u0, r_max=r_max, sign=sign)[0]).r_event
+                 for r_max in (1e2, 1e3, 1e4, 1e5)}
+        assert len(radii) == 1, radii
+
 
 def direct_rates(params, r, u, w):
     """(u', w') of the plus sign from direct powers: the reference for the logs."""
@@ -279,16 +288,6 @@ class TestTrajectoryInvariants:
         assert traj.r is traj.result.ts
         assert type(traj.r_cross) is float and traj.r_blow is None
         assert type(classify_outcome(traj).r_event) is float
-
-    def test_continued_shot_keeps_its_spec(self):
-        # K < 0 at q = 4.85 < q_E: still positive at r_max = 100, so the
-        # shot continues from its last node to its crossing at r ~ 113.
-        traj, spec = shoot(ProblemParams(n_dim=3, p=2.0, q=4.85), 1.0, r_max=100.0)
-        assert traj.status == "finished"
-        far = _continue(traj)
-        assert far.spec is spec
-        assert far.r_cross > spec.r_max
-        assert classify_outcome(traj).r_event == far.r_cross
 
     def test_series_coefficients_closed_form(self):
         # p = 2, gamma = 0: u = u0 - u0^q r^2/(2N) + ..., w = -u0^q r^N/N + ...
@@ -730,7 +729,8 @@ class TestStepperWork:
                  for q in np.linspace(2.0, 6.0, 64)]
         labels = [out.kind.value for out in sweep_outcomes(specs)]
         assert (labels.count("crosses_zero"), labels.count("positive_decaying")) == (48, 16)
-        assert tuple(map(sum, zip(*work))) == (12884, 78161)
+        assert len(work) == 64  # one integration per point, to its event or to r_max
+        assert tuple(map(sum, zip(*work))) == (12884, 78154)
 
 
 class TestSpecValidation:
