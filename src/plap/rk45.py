@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
@@ -73,27 +74,26 @@ class IntegrationResult:
     n_fev: int = 0
 
     def sol(self, t):
-        """Dense evaluation at scalar or array t inside [ts[0], ts[-1]].
+        """Dense evaluation at scalar or array t inside [ts[0], ts[-1]], with
+        one ``_hermite`` per point and component on floats, as event
+        refinement evaluates it.  A t outside raises ValueError naming the
+        end it passes.
 
         Returns shape (m, d) for an array of m points and (d,) for a scalar.
         """
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        t_lo, t_hi = self.ts[0], self.ts[-1]
-        if np.any(t_arr < t_lo - 1e-12 * max(1.0, abs(t_lo))) or np.any(
-            t_arr > t_hi + 1e-12 * max(1.0, abs(t_hi))
-        ):
-            raise ValueError(
-                f"dense output queried outside [{self.ts[0]}, {self.ts[-1]}]"
-            )
-        if self.ts.size == 1:
-            # A step collapse at launch leaves one node, whose f may be inf.
-            out = np.repeat(self.ys, t_arr.size, axis=0)
-        else:
-            i = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, self.ts.size - 2)
-            out = _hermite(
-                self.ts[i, None], self.ts[i + 1, None], self.ys[i], self.ys[i + 1],
-                self.fs[i], self.fs[i + 1], t_arr[:, None],
-            )
+        ts, rows = self.ts.tolist(), []
+        for x in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+            if not ts[0] <= x <= ts[-1]:
+                raise ValueError(f"ends at {ts[-1]:.6g} before {x:g}" if x > ts[-1]
+                                 else f"starts at {ts[0]:.6g} after {x:g}")
+            if len(ts) == 1:
+                # A step collapse at launch leaves one node, whose f may be inf.
+                rows.append(self.ys[0].tolist())
+                continue
+            i = min(bisect_right(ts, x), len(ts) - 1) - 1
+            (y0, y1), (f0, f1) = self.ys[i:i + 2].tolist(), self.fs[i:i + 2].tolist()
+            rows.append([_hermite(ts[i], ts[i + 1], *node, x) for node in zip(y0, y1, f0, f1)])
+        out = np.array(rows).reshape(-1, self.ys.shape[1])
         return out[0] if np.ndim(t) == 0 else out
 
 
@@ -106,7 +106,7 @@ def left_sum(values) -> float:
 
 
 def _hermite(t0, t1, y0, y1, f0, f1, t):
-    """Cubic Hermite interpolant of one step; broadcasts over leading axes."""
+    """Cubic Hermite interpolant of one step at t, on floats."""
     h = t1 - t0
     th = (t - t0) / h
     h00 = 2 * th**3 - 3 * th**2 + 1

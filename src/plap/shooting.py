@@ -305,16 +305,28 @@ class Trajectory:
         r, (log_u, log_w) = float(self.r[-1]), self.result.ys[-1].tolist()
         return (r, *_closure(self.spec)(math.log(r), log_u, log_w))
 
-    def du(self) -> np.ndarray:
-        """u' at the nodes, recovered from w."""
-        return self._du(self.r, self.result.ys)
-
-    def sample(self, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, u', w) at arbitrary radii inside the integrated range."""
+    def du(self, r=None) -> np.ndarray:
+        """u' recovered from w: at the nodes, or at radii r, read as ``sample`` reads them."""
+        if r is None:
+            return self._du(self.r, self.result.ys)
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        ys = self.result.sol(r_arr)
-        u, w = self._values(ys)
-        return u, self._du(r_arr, ys), w
+        return self._du(r_arr, self._read(r_arr))
+
+    def sample(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """(u, w) at radii r, from the dense interpolant.  Every verdict reads
+        its shot here, at radii its problem fixes, so none depends on where
+        the integrator stepped."""
+        return self._values(self._read(r))
+
+    def _read(self, r):
+        """States at radii r.  One outside the integrated range raises PlapError
+        naming the shot's outcome, so a shot cut short fails with its cause;
+        ``classify_outcome`` reads a finished shot, which reaches r_max."""
+        try:
+            return self.result.sol(np.atleast_1d(r))
+        except ValueError as err:
+            out = classify_outcome(self)
+            raise PlapError(f"shot {err}: outcome {out.kind.value}: {out.reason}") from None
 
     def _values(self, ys):
         """(u, w) from states of the shot."""
@@ -400,7 +412,8 @@ class OutcomeKind(enum.Enum):
 class Outcome:
     """A shot's label and its reason.  ``r_event`` is the radius of the event
     the label rests on, the crossing or the blow-up, else None; ``tail_slope``
-    is d log u / d log r over a POSITIVE_DECAYING shot's final decade."""
+    is d log u / d log r of a POSITIVE_DECAYING shot, the least-squares fit
+    on 64 log-spaced samples of its final decade [r_max/10, r_max]."""
 
     kind: OutcomeKind
     reason: str
@@ -427,7 +440,9 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     A plus shot, or a minus shot with K < 0, ran to its event
     (``integrate_ivp``), so no label depends on r_max.  A minus shot with
     K >= 0 cannot cross zero; if positive at r_max it is judged on its final
-    decade [r_max/10, r_max].  Every outcome carries its reason.
+    decade [r_max/10, r_max], read at 64 log-spaced radii (``Trajectory.sample``),
+    so neither its label nor its tail slope depends on where the integrator
+    stepped.  Every outcome carries its reason.
     """
     spec = traj.spec
     if traj.status == "launch_out_of_range":
@@ -456,22 +471,18 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     if traj.status != "finished":
         return _unresolved(traj, f"with {sign_k}")
 
-    # Final decade [r_max/10, r_max]: transients near the origin must not
-    # pollute the slope fit.  u' has the sign of w, so u > 0 and w < 0 is
-    # "positive and decreasing".
-    lo = spec.r_max / 10.0
-    i = int(traj.r.searchsorted(lo))
-    if traj.r.size - i >= 8:
-        r_dec, u_dec, w_dec = traj.r[i:], traj.u[i:], traj.w[i:]
-    else:
-        r_dec = np.geomspace(lo, traj.r[-1], 64)
-        u_dec, _, w_dec = traj.sample(r_dec)
-    r_dec, u_dec, w_dec = r_dec.tolist(), u_dec.tolist(), w_dec.tolist()
+    # Final decade [r_max/10, r_max], clear of the transients near the origin,
+    # on 64 log-spaced samples: the radii read do not depend on where the
+    # integrator stepped, and the last is r_max exactly.  u' has the sign of
+    # w, so u > 0 and w < 0 is "positive and decreasing".
+    r_dec = [spec.r_max * 10.0 ** (k / 63.0 - 1.0) for k in range(64)]
+    u_dec, w_dec = traj.sample(r_dec)
+    u_dec, w_dec = u_dec.tolist(), w_dec.tolist()
     positive = all(u > 0.0 for u in u_dec)
     if positive and all(w < 0.0 for w in w_dec):
         slope = _fit_slope(list(map(math.log, r_dec)), list(map(math.log, u_dec)))
         return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope, reason=(
-            f"positive and decreasing on [{lo:.6g}, {spec.r_max:.6g}], {sign_k} "
+            f"positive and decreasing on [{r_dec[0]:.6g}, {spec.r_max:.6g}], {sign_k} "
             "rules out a crossing"))
     return Outcome(OutcomeKind.INDETERMINATE, reason="u positive but not monotone in final decade"
                    if positive else "sign behavior unresolved in final decade")
@@ -542,16 +553,13 @@ def pohozaev_residual(traj: Trajectory, r_eval: float, tol: float = 1e-6) -> Ide
         raise PlapError("Pohozaev identity is stated for the minus equation")
     if traj.r_cross is not None and r_eval >= traj.r_cross:
         raise PlapError(f"u changes sign at r={traj.r_cross:.6g} <= r_eval")
-    if not (traj.r[0] <= r_eval <= traj.r[-1]):
-        raise PlapError(f"r_eval={r_eval} outside integrated range [{traj.r[0]}, {traj.r[-1]}]")
+    # The reads raise first on a shot short of r_eval, naming its outcome.
+    u, du = float(traj.sample(r_eval)[0][0]), float(traj.du(r_eval)[0])
 
     pr = traj.spec.params
     coeff = pohozaev_coefficient(pr)
-
     integral = _weighted_integral(traj, pr.q + 1.0, r_eval)
 
-    u_arr, du_arr, _ = traj.sample(r_eval)
-    u, du = float(u_arr[0]), float(du_arr[0])
     n, p, q, a = pr.n_dim, pr.p, pr.q, pr.amplitude
     flux_term = -(n - p) * _odd_pow(du, p - 1.0) * u * r_eval ** (n - 1.0)
     grad_term = (1.0 - p) * abs(du) ** p * r_eval ** float(n)
@@ -604,8 +612,8 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     if hi <= lo:
         raise PlapError("trajectories do not overlap after rescaling")
     r = np.geomspace(lo, hi, _SCALING_SAMPLES)
-    u_base, _, _ = traj.sample(s * r)
-    u_resc, _, _ = traj2.sample(r)
+    u_base, _ = traj.sample(s * r)
+    u_resc, _ = traj2.sample(r)
     # keep clear of an approaching zero crossing, where the relative error
     # denominator collapses while the absolute error stays at integrator level
     amp = float(np.max(np.abs(u_resc)))

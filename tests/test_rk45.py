@@ -65,8 +65,8 @@ class TestDenseOutput:
         assert out[0] == pytest.approx(math.sqrt(math.e), rel=1e-8)
 
     def test_matches_per_point_hermite(self):
-        # Reference: one scalar _hermite call per point.  Broadcasting may
-        # round th**3 differently, so allow a few ulp of the O(1) values.
+        # Reference: one scalar _hermite call per point, which is how sol
+        # evaluates, so the two agree bit for bit.
         res = integrate(
             lambda t, y: np.array([y[1], -y[0]]), 0.0, 3.0, [1.0, 0.0], first_step=1e-3
         )
@@ -76,8 +76,7 @@ class TestDenseOutput:
             i = min(int(np.searchsorted(res.ts, t, side="right")) - 1, res.ts.size - 2)
             ref.append(_hermite(res.ts[i], res.ts[i + 1], res.ys[i], res.ys[i + 1],
                                 res.fs[i], res.fs[i + 1], t))
-        eps = np.finfo(float).eps
-        np.testing.assert_allclose(res.sol(ts), np.array(ref), rtol=8 * eps, atol=8 * eps)
+        assert np.array_equal(res.sol(ts), np.array(ref))
 
     def test_nodes_reproduced_exactly(self):
         # The negative span checks both ends of the query window when t < 0.
