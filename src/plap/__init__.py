@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "bvp": (
         "AnnulusProblem", "GridProfile", "NewtonInfo", "comparison_check",
-        "solve_annulus_dirichlet", "solve_annulus_dirichlet_detailed",
+        "solve_annulus_dirichlet_detailed",
     ),
     "errors": ("NewtonDivergence", "PlapError", "SingularGradient"),
     "exponents": (

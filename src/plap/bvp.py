@@ -258,8 +258,9 @@ def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, Newto
 
 
 def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile, NewtonInfo]:
-    """Solve and report the continuation/Newton diagnostics; ValueError if the
-    load is negative or not finite at a mesh node."""
+    """The discrete solution on the uniform mesh (nodes = mesh_size + 1) and its
+    continuation/Newton diagnostics; ValueError if the load is negative or not
+    finite at a mesh node."""
     r = prob.mesh_nodes()
     f = prob.rhs_values(r)
     if not np.all((f >= 0) & (f < math.inf)):
@@ -267,12 +268,6 @@ def solve_annulus_dirichlet_detailed(prob: AnnulusProblem) -> tuple[GridProfile,
     levels = _EPS_LEVELS[-1:] if prob.params.p == 2.0 else _EPS_LEVELS
     u, info = _continuation(prob, r, f, levels)
     return GridProfile(r=r, u=u), info
-
-
-def solve_annulus_dirichlet(prob: AnnulusProblem) -> GridProfile:
-    """Discrete solution on the uniform mesh (nodes = mesh_size + 1)."""
-    profile, _ = solve_annulus_dirichlet_detailed(prob)
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +290,7 @@ def comparison_check(prob: AnnulusProblem, phi) -> IdentityReport:
             f"boundary data ({prob.boundary_inner}, {prob.boundary_outer}) does not "
             f"dominate phi's boundary values ({phi_in}, {phi_out})"
         )
-    sol = solve_annulus_dirichlet(prob)
+    sol, _ = solve_annulus_dirichlet_detailed(prob)
     phi_mesh = np.array([eval_profile(phi, float(ri)).value for ri in sol.r])
     diff = sol.u - phi_mesh
     i_min = int(np.argmin(diff))

@@ -125,25 +125,15 @@ def pohozaev_sign(params: ProblemParams) -> int:
 
 def classify_regime(params: ProblemParams) -> Regime:
     """Populate all regime flags from the closed threshold conditions."""
-    lam = lambda_exponent(params)
-    if params.n_dim <= params.p:
-        return Regime(
-            low_dimension=True,
-            inequality_nonexistence=False,
-            counterexample_exists=False,
-            equation_radial_nonexistence=False,
-            lam=lam,
-            q_serrin=None,
-            q_equation=None,
-        )
-    q_s = serrin_critical(params)
-    q_e = equation_critical(params)
+    above = params.n_dim > params.p
+    q_s = serrin_critical(params) if above else None
+    q_e = equation_critical(params) if above else None
     return Regime(
-        low_dimension=False,
-        inequality_nonexistence=params.q <= q_s,
-        counterexample_exists=params.gamma >= 0.0 and params.q > q_s,
-        equation_radial_nonexistence=params.gamma >= 0.0 and pohozaev_sign(params) < 0,
-        lam=lam,
+        low_dimension=not above,
+        inequality_nonexistence=above and params.q <= q_s,
+        counterexample_exists=above and params.gamma >= 0.0 and params.q > q_s,
+        equation_radial_nonexistence=above and params.gamma >= 0.0 and pohozaev_sign(params) < 0,
+        lam=lambda_exponent(params),
         q_serrin=q_s,
         q_equation=q_e,
     )

@@ -16,7 +16,7 @@ from ``series_logs``:
 
 so the hand-off error is O(delta0^{2s}) relative; a plus launch is formed
 in logs, so it never leaves the float range.  delta0 is derived, not
-set: ``launch_radius`` gives 1e-6 min(1, r_max), shrunk where needed until
+set: ``IvpSpec.delta0`` gives 1e-6 min(1, r_max), shrunk where needed until
 ku delta0^s <= 1e-6 u0, but not below 1e-300, where a tiny s would
 underflow it to 0.
 
@@ -98,7 +98,7 @@ class IvpSpec:
     A shot whose label rests on an event (plus sign, or minus with K < 0)
     integrates to that event; a minus shot with K >= 0 integrates to r_max,
     the end of its final decade.  The hand-off radius ``delta0`` follows
-    from params, u0 and r_max (``launch_radius``); it is not a setting.
+    from params, u0 and r_max; it is not a setting.
     ``atol`` bounds the absolute error of u and w in a minus shot only: a
     plus shot integrates (log u, log w) with atol = rtol, so its error is
     relative in u and w and its results do not depend on the units of u.
@@ -126,8 +126,15 @@ class IvpSpec:
 
     @property
     def delta0(self) -> float:
-        """The hand-off radius, launch_radius(params, u0, r_max)."""
-        return launch_radius(self.params, self.u0, self.r_max)
+        """The hand-off radius: 1e-6 min(1, r_max), shrunk where needed to
+        (1e-6 u0 / ku)^{1/s}, so the series term ku r^s stays within 1e-6 of u0,
+        but not below 1e-300, where a tiny s would underflow it to 0."""
+        s, log_ku, _ = series_logs(self.params, self.u0)
+        default = 1e-6 * min(1.0, self.r_max)
+        log_shrunk = (math.log(1e-6 * self.u0) - log_ku) / s
+        if log_shrunk >= math.log(default):
+            return default
+        return max(math.exp(log_shrunk), 1e-300)
 
 
 def series_logs(params: ProblemParams, u0: float) -> tuple[float, float, float]:
@@ -136,18 +143,6 @@ def series_logs(params: ProblemParams, u0: float) -> tuple[float, float, float]:
     log_kw = math.log(pr.amplitude) + pr.q * math.log(u0) - math.log(pr.n_dim + pr.gamma)
     log_ku = math.log((pr.p - 1.0) / (pr.p + pr.gamma)) + log_kw / (pr.p - 1.0)
     return (pr.p + pr.gamma) / (pr.p - 1.0), log_ku, log_kw
-
-
-def launch_radius(params: ProblemParams, u0: float, r_max: float) -> float:
-    """The hand-off radius: 1e-6 min(1, r_max), shrunk where needed to
-    (1e-6 u0 / ku)^{1/s}, so the series term ku r^s stays within 1e-6 of u0,
-    but not below 1e-300, where a tiny s would underflow it to 0."""
-    s, log_ku, _ = series_logs(params, u0)
-    default = 1e-6 * min(1.0, r_max)
-    log_shrunk = (math.log(1e-6 * u0) - log_ku) / s
-    if log_shrunk >= math.log(default):
-        return default
-    return max(math.exp(log_shrunk), 1e-300)
 
 
 def series_state(spec: IvpSpec, r: float) -> tuple[float, float]:
@@ -285,16 +280,14 @@ class Trajectory:
         return self.result.status
 
     @property
-    def r_cross(self) -> float | None:
-        if self.status == "event" and self.spec.sign is EquationSign.MINUS:
-            return float(self.r[-1])
-        return None
-
-    @property
-    def r_blow(self) -> float | None:
-        """The pole R, closed from the blow-up stop (``_pole``)."""
-        if self.status != "event" or self.spec.sign is EquationSign.MINUS:
+    def r_event(self) -> float | None:
+        """The radius of the event the shot ended at, else None: a minus shot's
+        zero crossing, or a plus shot's pole R, closed from the blow-up stop
+        (``_pole``)."""
+        if self.status != "event":
             return None
+        if self.spec.sign is EquationSign.MINUS:
+            return float(self.r[-1])
         r, log_xr, _ = self._stop()
         x = r * math.exp(log_xr)
         return r + x - _pole(self.spec)[1] * x * x / (r + x)
@@ -444,15 +437,15 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     so neither its label nor its tail slope depends on where the integrator
     stepped.  Every outcome carries its reason.
     """
-    spec = traj.spec
+    spec, r_event = traj.spec, traj.r_event
     if traj.status == "launch_out_of_range":
         return Outcome(OutcomeKind.INDETERMINATE, reason=(
             f"launch at delta0={spec.delta0:.6g} outside the float range: {_launch_fault(spec)}"))
     if spec.sign is EquationSign.PLUS:
-        if (r_blow := traj.r_blow) is not None:
+        if r_event is not None:
             r, log_xr, log_err = traj._stop()
-            return Outcome(OutcomeKind.BLOWS_UP, r_event=r_blow, reason=(
-                f"pole at r={r_blow:.6g}{_beyond(r_blow, spec)}, closed from r={r:.6g} "
+            return Outcome(OutcomeKind.BLOWS_UP, r_event=r_event, reason=(
+                f"pole at r={r_event:.6g}{_beyond(r_event, spec)}, closed from r={r:.6g} "
                 f"(x/r={math.exp(log_xr):.2g}, closure error ~{math.exp(log_err):.1g})"))
         return _unresolved(traj, "before blow-up")
 
@@ -460,13 +453,13 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     crossing_forced = pohozaev_sign(spec.params) < 0
     sign_k = f"K={k:.3g}<0" if crossing_forced else f"K={k:.3g}>=0"
     if crossing_forced:
-        if traj.r_cross is not None:
-            return Outcome(OutcomeKind.CROSSES_ZERO, r_event=traj.r_cross, reason=(
-                f"crossed at r={traj.r_cross:.6g}{_beyond(traj.r_cross, spec)}, {sign_k}"))
+        if r_event is not None:
+            return Outcome(OutcomeKind.CROSSES_ZERO, r_event=r_event, reason=(
+                f"crossed at r={r_event:.6g}{_beyond(r_event, spec)}, {sign_k}"))
         return _unresolved(traj, f"before a crossing, although {sign_k} forces one")
-    if traj.r_cross is not None:
+    if r_event is not None:
         return Outcome(OutcomeKind.INDETERMINATE, reason=(
-            f"crossed at r={traj.r_cross:.6g}, but {sign_k}: the Pohozaev identity "
+            f"crossed at r={r_event:.6g}, but {sign_k}: the Pohozaev identity "
             "rules out a first zero"))
     if traj.status != "finished":
         return _unresolved(traj, f"with {sign_k}")
@@ -508,10 +501,10 @@ def _unresolved(traj: Trajectory, what: str) -> Outcome:
 # Quadrature along the dense trajectory
 # ---------------------------------------------------------------------------
 
-def _series_head(spec: IvpSpec, power: float) -> float:
-    """int_0^delta0 r^{N-1+gamma} |u|^power dr from the two-term origin series."""
+def _series_head(spec: IvpSpec) -> float:
+    """int_0^delta0 r^{N-1+gamma} |u|^{q+1} dr from the two-term origin series."""
     pr = spec.params
-    sgn = float(spec.sign.value)
+    sgn, power = float(spec.sign.value), pr.q + 1.0
     s, log_ku, _ = series_logs(pr, spec.u0)
     ng = pr.n_dim + pr.gamma
     log_d = math.log(spec.delta0)
@@ -520,8 +513,8 @@ def _series_head(spec: IvpSpec, power: float) -> float:
     return lead * (1.0 + sgn * power * term * ng / (ng + s))
 
 
-def _weighted_integral(traj: Trajectory, power: float, r_end: float) -> float:
-    """int_0^{r_end} r^{N-1+gamma} |u|^power dr: the series head, then one
+def _weighted_integral(traj: Trajectory, r_end: float) -> float:
+    """int_0^{r_end} r^{N-1+gamma} |u|^{q+1} dr: the series head, then one
     Gauss-Legendre panel per node interval, the last one cut at r_end.
 
     All panels come from one ``sol`` call and are added in order to the head.
@@ -534,10 +527,10 @@ def _weighted_integral(traj: Trajectory, power: float, r_end: float) -> float:
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = mid[:, None] + half[:, None] * _GL_X
     u = traj.result.sol(pts.ravel())[:, 0].reshape(pts.shape)
-    vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * np.abs(u) ** power
+    vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * np.abs(u) ** (pr.q + 1.0)
     # (1, 7) @ (7, 1) per panel rounds like a 7-point dot; an (m, 7) @ (7,) gemv does not.
     panels = half * (vals[:, None, :] @ _GL_W[:, None])[:, 0, 0]
-    return left_sum([_series_head(traj.spec, power), *panels.tolist()])
+    return left_sum([_series_head(traj.spec), *panels.tolist()])
 
 
 def pohozaev_residual(traj: Trajectory, r_eval: float, tol: float = 1e-6) -> IdentityReport:
@@ -551,14 +544,14 @@ def pohozaev_residual(traj: Trajectory, r_eval: float, tol: float = 1e-6) -> Ide
         raise ValueError(f"need finite tol > 0, got {tol}")
     if traj.spec.sign is not EquationSign.MINUS:
         raise PlapError("Pohozaev identity is stated for the minus equation")
-    if traj.r_cross is not None and r_eval >= traj.r_cross:
-        raise PlapError(f"u changes sign at r={traj.r_cross:.6g} <= r_eval")
+    if (r_cross := traj.r_event) is not None and r_eval >= r_cross:
+        raise PlapError(f"u changes sign at r={r_cross:.6g} <= r_eval")
     # The reads raise first on a shot short of r_eval, naming its outcome.
     u, du = float(traj.sample(r_eval)[0][0]), float(traj.du(r_eval)[0])
 
     pr = traj.spec.params
     coeff = pohozaev_coefficient(pr)
-    integral = _weighted_integral(traj, pr.q + 1.0, r_eval)
+    integral = _weighted_integral(traj, r_eval)
 
     n, p, q, a = pr.n_dim, pr.p, pr.q, pr.amplitude
     flux_term = -(n - p) * _odd_pow(du, p - 1.0) * u * r_eval ** (n - 1.0)

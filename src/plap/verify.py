@@ -10,7 +10,7 @@ different formulation from the shooting code's Dormand-Prince pair on
 (u, r^{N-1}|u'|^{p-2}u') in logs.  Its own check against scipy's DOP853 is in
 the test suite; nothing here imports scipy.
 
-Criteria 2, 3, 7, 8, 10 and 12 draw seeded cases from ``_stream``, the
+Criteria 2, 3, 7, 8, 10, 11 and 12 draw seeded cases from ``_stream``, the
 standard library's ``random.Random``, so the board loads no ``numpy.random``
 and its cases do not move with the installed numpy.  Python keeps
 ``random()`` the same for an int seed across releases, and the test suite
@@ -84,9 +84,9 @@ def _at_shot(r_max: float):
 
 
 @lru_cache(maxsize=None)
-def _subcritical_shot(u0: float, r_max: float = 30.0):
+def _subcritical_shot(u0: float):
     return shooting.integrate_ivp(
-        shooting.IvpSpec(params=ProblemParams(3, 2.0, 3.0), u0=u0, r_max=r_max))
+        shooting.IvpSpec(params=ProblemParams(3, 2.0, 3.0), u0=u0, r_max=30.0))
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +112,14 @@ class TaylorRun:
     event: str
 
 
-def taylor_launch(params: ProblemParams, u0: float, sgn: float, r_max: float):
-    """(r, u, w) at r = 1e-6 min(1, r_max) from the leading-order origin series
+def taylor_launch(params: ProblemParams, u0: float, sgn: float, r: float):
+    """(r, u, w) at radius r from the leading-order origin series
     w = sgn c r^{1+gamma}, u = u0 + sgn c^{1/(p-1)} r^s / s, c = a u0^q / (N+gamma),
     s = (p+gamma)/(p-1)."""
     pr = params
     m = 1.0 / (pr.p - 1.0)
     s = (pr.p + pr.gamma) * m
     c = pr.amplitude * u0 ** pr.q / (pr.n_dim + pr.gamma)
-    r = 1e-6 * min(1.0, r_max)
     return r, u0 + sgn * c ** m * r ** s / s, sgn * c * r ** (1.0 + pr.gamma)
 
 
@@ -237,9 +236,10 @@ def taylor_oracle(params: ProblemParams, sgn: float, r: float, u: float, w: floa
 
 def _oracle_radius(spec: shooting.IvpSpec, event: str) -> float:
     """The oracle's radius of ``event`` for the shot ``spec``: launched from
-    the origin series at spec.u0 and integrated up to spec.r_max."""
+    the origin series at the shot's hand-off radius spec.delta0 and integrated
+    up to spec.r_max."""
     sgn = float(spec.sign.value)
-    start = taylor_launch(spec.params, spec.u0, sgn, spec.r_max)
+    start = taylor_launch(spec.params, spec.u0, sgn, spec.delta0)
     run = taylor_oracle(spec.params, sgn, *start, spec.r_max)
     if run.event != event:
         raise PlapError(f"Taylor oracle ended in {run.event} at r={run.r[-1]:.6g}, not {event}")
@@ -439,7 +439,7 @@ def _c07_hadamard():
             params=pr, r_inner=r1, r_outer=r2, boundary_inner=b1, boundary_outer=b2,
             rhs=lambda rr, A=amp: A * (1.0 + math.sin(3.0 * rr) ** 2), mesh_size=256,
         )
-        sol = bvp.solve_annulus_dirichlet(prob)
+        sol, _ = bvp.solve_annulus_dirichlet_detailed(prob)
         inp_r = barriers.HadamardInput(
             r1, r2, float(sol.u[0]), float(sol.u[-1]), lam=lambda_exponent(pr)
         )
@@ -503,7 +503,7 @@ def _c08_comparison():
     ]
     errs = []
     for prob, exact, _name in closed:
-        sol = bvp.solve_annulus_dirichlet(prob)
+        sol, _ = bvp.solve_annulus_dirichlet_detailed(prob)
         errs.append(float(np.max(np.abs(sol.u - exact(sol.r)))))
     passed = worst >= -1e-8 and max(errs) <= 1e-6
     return passed, (

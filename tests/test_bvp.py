@@ -16,7 +16,6 @@ from plap import (
     PowerBarrier,
     ProblemParams,
     comparison_check,
-    solve_annulus_dirichlet,
     solve_annulus_dirichlet_detailed,
 )
 import plap.bvp
@@ -28,7 +27,7 @@ def params(n=3, p=2.0):
 
 
 def max_err(prob, exact):
-    prof = solve_annulus_dirichlet(prob)
+    prof, _ = solve_annulus_dirichlet_detailed(prob)
     return float(np.max(np.abs(prof.u - exact(prof.r))))
 
 
@@ -124,7 +123,7 @@ class TestSolverDiagnostics:
             boundary_inner=2.0, boundary_outer=0.25,
             rhs=lambda r: 1.0 + r, mesh_size=32,
         )
-        prof = solve_annulus_dirichlet(prob)
+        prof, _ = solve_annulus_dirichlet_detailed(prob)
         assert prof.u[0] == 2.0 and prof.u[-1] == 0.25
 
 
@@ -430,7 +429,7 @@ class TestStructure:
             params=params(4, 1.6), r_inner=1.0, r_outer=3.0,
             boundary_inner=2.0, boundary_outer=0.5, mesh_size=64,
         )
-        prof = solve_annulus_dirichlet(prob)
+        prof, _ = solve_annulus_dirichlet_detailed(prob)
         assert np.all(prof.u <= 2.0 + 1e-12) and np.all(prof.u >= 0.5 - 1e-12)
         assert np.all(np.diff(prof.u) < 0)  # monotone between boundary data
 
@@ -439,8 +438,8 @@ class TestStructure:
             params=params(3, 2.5), r_inner=1.0, r_outer=2.0,
             boundary_inner=1.0, boundary_outer=0.0, mesh_size=64,
         )
-        plain = solve_annulus_dirichlet(AnnulusProblem(**base))
-        loaded = solve_annulus_dirichlet(AnnulusProblem(**base, rhs=lambda r: 2.0))
+        plain, _ = solve_annulus_dirichlet_detailed(AnnulusProblem(**base))
+        loaded, _ = solve_annulus_dirichlet_detailed(AnnulusProblem(**base, rhs=lambda r: 2.0))
         assert np.all(loaded.u >= plain.u - 1e-10)
 
 
@@ -579,4 +578,4 @@ class TestValidation:
             return
         prob = AnnulusProblem(**base)  # the load is checked when it is sampled
         with pytest.raises(ValueError, match="rhs must be finite and >= 0"):
-            solve_annulus_dirichlet(prob)
+            solve_annulus_dirichlet_detailed(prob)

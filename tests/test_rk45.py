@@ -142,6 +142,23 @@ class TestEvents:
             assert res.ts[-1] == 2.0
 
 
+    def test_midpoint_on_the_root_ends_the_bisection(self):
+        # g = 1 - t is exactly 0 at the first midpoint of the step [0, 2], so
+        # the event lands on t = 1.0 itself, as the second node.
+        calls = []
+
+        def g(t, y):
+            calls.append(t)
+            return 1.0 - t
+
+        res = integrate(lambda t, y: [1.0], 0.0, 4.0, [0.0], event=g, first_step=2.0,
+                        max_step=2.0)
+        assert res.status == "event"
+        assert res.ts.tolist() == [0.0, 1.0]
+        assert res.ys[-1, 0] == pytest.approx(1.0, rel=1e-15)
+        assert calls == [0.0, 2.0, 1.0]
+
+
 class TestFailureModes:
     def test_step_collapse_at_singularity(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1; steps collapse approaching it.

@@ -56,7 +56,7 @@ class TestOutcomes:
         out = classify_outcome(traj)
         assert out.kind is OutcomeKind.CROSSES_ZERO
         assert out.r_event == pytest.approx(R_CROSS[u0], rel=1e-8)
-        assert out.r_event == traj.r_cross
+        assert out.r_event == traj.r_event
 
     def test_crossing_scales_inversely_with_amplitude(self):
         # For q = 3, p = 2 the rescaling u -> lam u maps r -> r / lam exactly.
@@ -90,7 +90,7 @@ class TestOutcomes:
         params = ProblemParams(n_dim=3, p=2.0, q=4.85, gamma=0.0)
         traj, spec = shoot(params, 1.0, r_max=100.0)
         out = classify_outcome(traj)
-        oracle = taylor_oracle(params, -1.0, *taylor_launch(params, 1.0, -1.0, 1e4), 1e4)
+        oracle = taylor_oracle(params, -1.0, *taylor_launch(params, 1.0, -1.0, spec.delta0), 1e4)
         assert out.kind is OutcomeKind.CROSSES_ZERO
         assert oracle.event == "crosses_zero"
         assert out.r_event == pytest.approx(oracle.r[-1], rel=1e-6)
@@ -193,7 +193,7 @@ R_MAX_CASES = {
     "minus_launch_at_the_floor": (
         ProblemParams(n_dim=8, p=7.2207, q=20.5385, gamma=-7.0939), 0.9131,
         EquationSign.MINUS, OutcomeKind.POSITIVE_DECAYING),
-    # the same launch, plus sign: blows up at r ~ 5.536e-96 = r_blow(u0=1) / mu
+    # the same launch, plus sign: blows up at r ~ 5.536e-96, the pole at u0 = 1 over mu
     "plus_launch_at_the_floor": (
         ProblemParams(n_dim=8, p=7.2207, q=20.5385, gamma=-7.0939), 0.9131,
         EquationSign.PLUS, OutcomeKind.BLOWS_UP),
@@ -267,6 +267,25 @@ class TestLogRates:
         assert checked > 200
 
 
+class TestRatesPastTheFloatRange:
+    def test_shot_rhs_returns_an_inf_stage(self, monkeypatch):
+        # A stage rate past the float range is returned as inf, which rk45
+        # rejects, instead of raising OverflowError out of the shot.
+        rhs = []
+        integrate = rk45.integrate
+
+        def capture(f, *args, **kwargs):
+            rhs.append(f)
+            return integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(rk45, "integrate", capture)
+        for sign in (EquationSign.MINUS, EquationSign.PLUS):
+            integrate_ivp(IvpSpec(params=SUBCRITICAL, u0=1.0, sign=sign))
+        minus, plus = rhs
+        assert minus(1e-300, (1.0, -1e300)) == (math.inf, math.inf)
+        assert plus(1e-300, (0.0, 700.0)) == (math.inf, math.inf)
+
+
 class TestTrajectoryInvariants:
     def test_monotone_flux_sign(self):
         # -Delta_p u = source > 0 forces u' < 0; the forced-growth sign flips it.
@@ -286,8 +305,17 @@ class TestTrajectoryInvariants:
         traj, spec = shoot(SUBCRITICAL, 1.0)
         assert traj.spec is spec
         assert traj.r is traj.result.ts
-        assert type(traj.r_cross) is float and traj.r_blow is None
-        assert type(classify_outcome(traj).r_event) is float
+        assert type(traj.r_event) is float and traj.r_event == traj.r[-1]
+        assert classify_outcome(traj).r_event == traj.r_event
+        # A K >= 0 shot that finished has no event.
+        decay, _ = shoot(CRITICAL, 3**0.25, r_max=100.0)
+        assert decay.status == "finished" and decay.r_event is None
+        # A K >= 0 shot that crossed keeps its crossing, but its label does not rest on it.
+        base = ProblemParams(n_dim=10, p=1.2, q=1.2, gamma=2.0)
+        crossed, _ = shoot(base.replace(q=equation_critical(base)), 1.0, r_max=10.0)
+        assert type(crossed.r_event) is float and crossed.r_event < 10.0
+        out = classify_outcome(crossed)
+        assert out.kind is OutcomeKind.INDETERMINATE and out.r_event is None
 
     def test_series_coefficients_closed_form(self):
         # p = 2, gamma = 0: u = u0 - u0^q r^2/(2N) + ..., w = -u0^q r^N/N + ...
@@ -456,8 +484,8 @@ class TestBlowupClosure:
         pole = shooting._pole
         monkeypatch.setattr(shooting, "_pole", lambda spec: (pole(spec)[0], 0.0))
         traj = integrate_ivp(spec)
-        eps = (traj.r_blow - traj.r[-1]) / traj.r[-1]
-        assert traj.r_blow - r_event == pytest.approx(c * eps ** 2 * traj.r[-1], rel=0.02)
+        eps = (traj.r_event - traj.r[-1]) / traj.r[-1]
+        assert traj.r_event - r_event == pytest.approx(c * eps ** 2 * traj.r[-1], rel=0.02)
 
     @pytest.mark.parametrize("params", [
         CRITICAL,  # c = 0.5
@@ -616,7 +644,7 @@ class TestQuadrature:
         power, n = spec.params.q + 1.0, spec.params.n_dim
         k = len(traj.r) // 2
         for r_end in (traj.r[k], 0.5 * (traj.r[k] + traj.r[k + 1])):
-            ref = _series_head(spec, power)
+            ref = _series_head(spec)
             for a, b in zip(traj.r[:-1], traj.r[1:]):
                 if a >= r_end:
                     break
@@ -624,7 +652,7 @@ class TestQuadrature:
                 pts = 0.5 * (a + b) + 0.5 * (b - a) * _GL_X
                 u = np.array([traj.result.sol(t)[0] for t in pts])
                 ref += 0.5 * (b - a) * float(_GL_W @ (pts ** (n - 1.0) * np.abs(u) ** power))
-            got = _weighted_integral(traj, power, r_end)
+            got = _weighted_integral(traj, r_end)
             assert type(got) is float
             assert got == pytest.approx(ref, rel=64 * np.finfo(float).eps, abs=0)
 
@@ -668,6 +696,11 @@ class TestPohozaevResidual:
             assert type(rep.residual) is float and type(rep.scale) is float
             assert rep.rel_residual() <= 1e-6
 
+    def test_rejects_a_plus_shot(self):
+        traj = integrate_ivp(IvpSpec(params=SUBCRITICAL, u0=1.0, sign=EquationSign.PLUS))
+        with pytest.raises(PlapError, match="^Pohozaev identity is stated for the minus equation$"):
+            pohozaev_residual(traj, 1.0)
+
     def test_rejects_evaluation_at_crossing(self):
         # The terminal crossing is the last node; positivity fails exactly
         # there.  Past it, the sign change is still the cause, not the range end.
@@ -683,7 +716,7 @@ class TestPohozaevResidual:
                 r"^shot starts at 1e-06 after 5e-07: outcome crosses_zero: crossed at ")):
             pohozaev_residual(traj, 0.5 * float(traj.r[0]))
         traj, spec = shoot(CRITICAL, 3**0.25, r_max=100.0)
-        assert traj.r_cross is None
+        assert traj.r_event is None
         with pytest.raises(PlapError, match=(
                 r"^shot ends at 100 before 200: outcome positive_decaying: positive ")):
             pohozaev_residual(traj, 200.0)
