@@ -40,10 +40,8 @@ def _add_shot_flags(p: _Parser):
     p.add_argument("--sign", choices=("minus", "plus"), default="minus",
                    help="equation sign: minus for -Delta_p u = ..., plus for Delta_p u = ...")
     p.add_argument("--r-max", type=float, default=100.0, help=_R_MAX_HELP)
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12,
-                   help="absolute tolerance of u and w, minus sign only: a plus shot "
-                        "integrates (log u, log w) with atol = rtol")
+    p.add_argument("--rtol", type=float, default=1e-10,
+                   help="tolerance of each step in log u and log|w|, so relative in u and w")
 
 
 def _sign_from(args):
@@ -82,7 +80,7 @@ def _run_shoot(args) -> int:
     from . import shooting
     traj = shooting.integrate_ivp(shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=_sign_from(args),
-        r_max=args.r_max, rtol=args.rtol, atol=args.atol,
+        r_max=args.r_max, rtol=args.rtol,
         max_step=args.max_step if args.max_step is not None else math.inf,
     ))
     outcome = shooting.classify_outcome(traj)
@@ -222,7 +220,7 @@ def _run_pohozaev(args) -> int:
     from . import shooting
     spec = shooting.IvpSpec(
         params=_params_from(args), u0=args.u0, sign=shooting.EquationSign.MINUS,
-        r_max=args.r_max, rtol=args.rtol, atol=args.atol,
+        r_max=args.r_max, rtol=args.rtol,
     )
     traj = shooting.integrate_ivp(spec)
     rep = shooting.pohozaev_residual(traj, args.r_eval, tol=args.tol)

@@ -1,40 +1,43 @@
 """Radial shooting for -(r^{N-1}|u'|^{p-2}u')' = a r^{N-1+gamma} u^q and its
 sign variant, with outcome classification and the radial Pohozaev identity.
 
-The state is (u, w) with w = r^{N-1}|u'|^{p-2}u', so
-u' = sign(w) (|w| / r^{N-1})^{1/(p-1)} and w' = -+ a r^{N-1+gamma} |u|^{q-1} u
-(minus for EquationMinus), well-defined where u' = 0 for every p > 1.  A plus
-shot keeps u > 0 and w > 0, and its state is (log u, log w), with rates
-u'/u and w'/w.  Both rates are formed once, in logs (``_log_rates``), so no
-power of r, u or w is formed at any radius; a rate past the float range is
-an inf stage, which the integrator rejects.  Initial data at the hand-off
-radius delta0 comes from the origin series, whose log ku and log kw come
-from ``series_logs``:
+The flux is w = r^{N-1}|u'|^{p-2}u', so u' = sign(w) (|w| / r^{N-1})^{1/(p-1)}
+and w' = -+ a r^{N-1+gamma} |u|^{q-1} u (minus for EquationMinus).  Near the
+origin, with log ku and log kw from ``series_logs``,
 
     u(r) = u0 -+ ku r^s + O(r^{2s}),   s = (p+gamma)/(p-1),
-    w(r) = -+ kw r^{N+gamma},   kw = a u0^q/(N+gamma),   ku = (p-1)/(p+gamma) kw^{1/(p-1)},
+    w(r) = -+ kw r^{N+gamma} (1 + O(r^s)),   kw = a u0^q/(N+gamma),
+    ku = (p-1)/(p+gamma) kw^{1/(p-1)}.
 
-so the hand-off error is O(delta0^{2s}) relative; a plus launch is formed
-in logs, so it never leaves the float range.  delta0 is derived, not
-set: ``IvpSpec.delta0`` gives 1e-6 min(1, r_max), shrunk where needed until
-ku delta0^s <= 1e-6 u0, but not below 1e-300, where a tiny s would
-underflow it to 0.
+Up to its event a shot keeps u > 0 and the sign of w, so for both signs its
+state is y = (log(u/u0), log(|w| / (kw r^{N+gamma}))).  It launches at
+(log1p(-+ ku delta0^s / u0), 0), and every constant of the series cancels
+from its rates:
+
+    y0' = -+ s (ku/u0) r^{s-1} e^{y1/(p-1) - y0},   y1' = (N+gamma)/r expm1(q y0 - y1),
+
+so no power of u or w is formed, and a rate past the float range is an inf
+stage, which the integrator rejects.  An error in y is relative in u and
+|w|, so no tolerance is absolute and no result depends on the units of u.
+The hand-off radius delta0 is derived (``IvpSpec.delta0``), and the
+hand-off error is O(delta0^{2s}) relative.
 
 Every label rests on an event the integrator computes, and a shot is one
-integration that ends at it:
+integration that ends at it.  Neither event is reached in logs, so each is
+a closure: the shot stops where the estimated error of closing the rest in
+a profile falls to rtol (``_closure``), and reports the profile's radius:
 
 - plus sign: u and w stay positive and grow to a pole at a finite R, near
-  which u ~ A (R-r)^{-beta}; the shot integrates (log u, log w), stops where
-  the estimated error of closing the rest in the pole's profile (``_pole``)
-  falls to rtol, and reports R, so neither a level of u nor the float range
-  decides the radius and the step count does not grow with q;
+  which u ~ A (R-r)^{-beta} (``_pole``), so neither a level of u nor the
+  float range decides the radius and the step count does not grow with q;
 - minus sign, K < 0 (q < q_E, or N <= p): every positive radial solution
   crosses zero, so the shot runs to its crossing, beyond r_max if it lies
-  there;
+  there, closed in the p-harmonic profile of its frozen flux (``_zero``);
 - minus sign, K >= 0 (q >= q_E): the Pohozaev identity below rules out a
   first zero (at one, its right side is (1-p)|u'|^p R^N < 0 <= a K int),
-  so a computed crossing is indeterminate and a positive shot is judged on
-  its final decade, [r_max/10, r_max].
+  so a computed crossing is indeterminate, and a shot that reaches r_max is
+  positive and decreasing by construction, with the tail slope of its final
+  decade [r_max/10, r_max].
 
 A shot with an event runs up to r = 1e300, so r_max enters it only through
 delta0, and for r_max >= 1 its event radius is the same at every r_max.
@@ -55,8 +58,8 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -98,10 +101,9 @@ class IvpSpec:
     A shot whose label rests on an event (plus sign, or minus with K < 0)
     integrates to that event; a minus shot with K >= 0 integrates to r_max,
     the end of its final decade.  The hand-off radius ``delta0`` follows
-    from params, u0 and r_max; it is not a setting.
-    ``atol`` bounds the absolute error of u and w in a minus shot only: a
-    plus shot integrates (log u, log w) with atol = rtol, so its error is
-    relative in u and w and its results do not depend on the units of u.
+    from params, u0 and r_max; it is not a setting.  ``rtol`` bounds each
+    step's error in log u and log|w|, so it is relative in u and w for
+    both signs.
     """
 
     params: ProblemParams
@@ -109,7 +111,6 @@ class IvpSpec:
     sign: EquationSign = EquationSign.MINUS
     r_max: float = 100.0
     rtol: float = 1e-10
-    atol: float = 1e-12
     max_step: float = math.inf             # refinement-study knob: caps every step
 
     def __post_init__(self):
@@ -119,8 +120,8 @@ class IvpSpec:
             raise ValueError(f"need finite r_max > 0, got {self.r_max}")
         if not self.params.n_dim + self.params.gamma > 0:
             raise ValueError("the origin series needs N + gamma > 0")
-        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
-            raise ValueError(f"rtol, atol must be finite and positive: {self.rtol}, {self.atol}")
+        if not 0 < self.rtol < math.inf:
+            raise ValueError(f"rtol must be finite and positive: {self.rtol}")
         if not (self.max_step > 0):
             raise ValueError("max_step must be positive")
 
@@ -145,50 +146,44 @@ def series_logs(params: ProblemParams, u0: float) -> tuple[float, float, float]:
     return (pr.p + pr.gamma) / (pr.p - 1.0), log_ku, log_kw
 
 
-def series_state(spec: IvpSpec, r: float) -> tuple[float, float]:
-    """(u, w) from the origin series at radius r."""
-    pr = spec.params
-    sgn = float(spec.sign.value)
-    s, log_ku, log_kw = series_logs(pr, spec.u0)
-    log_r = math.log(r)
-    u = spec.u0 + sgn * math.exp(log_ku + s * log_r)
-    w = sgn * math.exp(log_kw + (pr.n_dim + pr.gamma) * log_r)
-    return u, w
+def _log_series_term(spec: IvpSpec) -> float:
+    """log(ku delta0^s / u0), the series term at the launch relative to u0.  The
+    launch state (log1p(-+ e^this), 0) is outside the float range where this is
+    >= 0, which only the 1e-300 floor of delta0 allows."""
+    s, log_ku, _ = series_logs(spec.params, spec.u0)
+    return log_ku + s * math.log(spec.delta0) - math.log(spec.u0)
 
 
-def _launch_state(spec: IvpSpec) -> tuple[float, float]:
-    """The shot's state at delta0 from the origin series: (u, w) for a minus
-    shot, (log u, log w) for a plus shot, formed in logs."""
-    if spec.sign is EquationSign.MINUS:
-        return series_state(spec, spec.delta0)
-    pr = spec.params
-    s, log_ku, log_kw = series_logs(pr, spec.u0)
-    log_d, log_u0 = math.log(spec.delta0), math.log(spec.u0)
-    return (log_u0 + math.log1p(math.exp(log_ku + s * log_d - log_u0)),
-            log_kw + (pr.n_dim + pr.gamma) * log_d)
+def _log_du(spec: IvpSpec):
+    """The map (log r, y1) -> log|u'| = log(s ku) + (s-1) log r + y1/(p-1), on
+    floats or arrays: |u'| = (|w| / r^{N-1})^{1/(p-1)} in the shot's state."""
+    s, log_ku, _ = series_logs(spec.params, spec.u0)
+    log_sku, inv_pm1 = math.log(s) + log_ku, 1.0 / (spec.params.p - 1.0)
+
+    def log_du(log_r, y1):
+        return log_sku + (s - 1.0) * log_r + y1 * inv_pm1
+
+    return log_du
 
 
-def _launch_fault(spec: IvpSpec) -> str | None:
-    """Why the launch state is outside the float range, else None: the series
-    term ku r^s reaches u0 at the first radius where the shot holds the
-    solution's w, or a minus shot's w(delta0) overflows.  A plus shot holds
-    log w, so that radius is delta0; a minus shot holds w, first where w and
-    w' = (N+gamma) w/r are normal floats: delta0, or later where w(delta0)
-    underflows."""
-    pr, f64 = spec.params, sys.float_info
-    s, log_ku, log_kw = series_logs(pr, spec.u0)
-    ng, log_d, log_tiny = pr.n_dim + pr.gamma, math.log(spec.delta0), math.log(f64.min)
-    log_w = log_kw + ng * log_d
-    log_r, w_overflows = log_d, False
-    if spec.sign is EquationSign.MINUS:
-        log_dw = log_w + math.log(ng) - log_d  # w' grows like r^{N-1+gamma}
-        log_r = max(log_d if log_dw >= log_tiny else (
-            log_d + (log_tiny - log_dw) / (ng - 1.0) if ng > 1.0 else math.inf),
-            (log_tiny - log_kw) / ng)
-        w_overflows = log_w > math.log(f64.max)
-    log_term = log_ku + s * log_r - math.log(spec.u0)
-    fault = w_overflows or log_term >= 0.0
-    return f"w(delta0)=exp({log_w:.6g}), series term exp({log_term:.6g}) u0" if fault else None
+def _rhs(spec: IvpSpec):
+    """The shot's rates (y0', y1') at (r, y), on floats; inf past the float range.
+    Past x = q y0 - y1 = 709, where expm1(x) overflows, e^x - 1 = e^x in floats."""
+    log_du, sgn = _log_du(spec), float(spec.sign.value)
+    log_u0, q = math.log(spec.u0), spec.params.q
+    ng = spec.params.n_dim + spec.params.gamma
+    log_ng = math.log(ng)
+
+    def rhs(r, y):
+        y0, y1 = y
+        log_r, x = math.log(r), q * y0 - y1
+        try:
+            return (sgn * math.exp(log_du(log_r, y1) - log_u0 - y0),
+                    ng / r * math.expm1(x) if x < 709.0 else math.exp(log_ng - log_r + x))
+        except OverflowError:  # an inf stage, which rk45 rejects
+            return math.inf, math.inf
+
+    return rhs
 
 
 # The pole.  Near R, u = A x^{-beta} (1 + b x + ...) with x = R - r and beta = p/(q-p+1); the
@@ -209,35 +204,55 @@ def _pole(spec: IvpSpec) -> tuple[float, float]:
     return beta, (pr.n_dim - 1.0 + m * pr.gamma) / (2.0 * (pr.p - 1.0) * (m + beta))
 
 
+# The zero.  With its flux frozen at w(r), the rest of a minus shot is the p-harmonic profile
+# u' = u'(r) (r/t)^m, m = (N-1)/(p-1), whose zero R solves x^ = int_r^R (r/t)^m dt for the
+# remainder x^ = u/|u'|: R = r (1 + (1-m) x^/r)^{1/(1-m)}, r e^{x^/r} at m = 1.  Where
+# 1 + (1-m) x^/r <= 0 the profile stays positive: it has no zero to close to.  The source grows
+# |w| by the fraction (w'/w)(t - r) over the rest, which steepens u' by that over p-1, and so
+# drops u by (x^/r)(x^ w'/w)/(2(p-1)) of r|u'| before R, to leading order.  That moves R by as
+# much, relative, times the profile's conditioning d log R / d(x^/r) = 1/(1 + (1-m) x^/r).  A
+# minus shot stops where the product falls to rtol.  The frozen flux is a lower bound on |w|,
+# so the profile's R lies beyond the solution's own zero: a closure certifies a crossing.
+def _zero(spec: IvpSpec) -> float:
+    """m = (N-1)/(p-1) of the p-harmonic profile derived above."""
+    return (spec.params.n_dim - 1.0) / (spec.params.p - 1.0)
+
+
 def _closure(spec: IvpSpec):
-    """The map (log r, log u, log w) -> (log(x^/r), log of the closure's error
-    estimate) at a node of the plus shot ``spec`` (``_pole``)."""
-    (beta, c), rates = _pole(spec), _log_rates(spec.params)
-    log_beta, log_curve = math.log(beta), math.log(max(1.0, c * c))
-    q1, log_u0 = spec.params.q + 1.0, math.log(spec.u0)
+    """The map (log r, y0, y1) -> (log(x^/r), log of the closure's error
+    estimate) at a node of the shot ``spec``: the pole's (plus, ``_pole``)
+    or the zero's (minus, ``_zero``).  xi = u / (r|u'|) is x^/r of the zero,
+    and d log u / d log r = -+1/xi."""
+    log_du, log_u0, q = _log_du(spec), math.log(spec.u0), spec.params.q
 
-    def closure(log_r, log_u, log_w):
-        log_xr = log_beta + log_u - rates(log_r, 0.0, log_w)[0] - log_r
-        return log_xr, max(log_curve + 3.0 * log_xr, log_xr + q1 * (log_u0 - log_u))
+    def log_xi(log_r, y0, y1):
+        return log_u0 + y0 - log_r - log_du(log_r, y1)
 
-    return closure
+    if spec.sign is EquationSign.PLUS:
+        beta, c = _pole(spec)
+        log_beta, log_curve = math.log(beta), math.log(max(1.0, c * c))
 
+        def pole(log_r, y0, y1):
+            log_xr = log_beta + log_xi(log_r, y0, y1)
+            return log_xr, max(log_curve + 3.0 * log_xr, log_xr - (q + 1.0) * y0)
 
-def _log_rates(params: ProblemParams):
-    """The equation in logs, on floats or arrays: the map (log r, log|u|, log|w|)
-    -> (log|u'|, log|w'|) = ((log|w| - (N-1) log r)/(p-1), log a + (N-1+gamma) log r + q log|u|)."""
-    n1, inv_pm1, q = params.n_dim - 1.0, 1.0 / (params.p - 1.0), params.q
-    log_a, n1g = math.log(params.amplitude), n1 + params.gamma
+        return pole
+    one_m = 1.0 - _zero(spec)
+    pr = spec.params
+    log_source = math.log((pr.n_dim + pr.gamma) / (2.0 * (pr.p - 1.0)))
 
-    def rates(log_r, log_u, log_w):
-        return (log_w - n1 * log_r) * inv_pm1, log_a + n1g * log_r + q * log_u
+    def zero(log_r, y0, y1):
+        # x^ w'/w = (N+gamma) (x^/r) e^{q y0 - y1}; d = (1 + (1-m) x^/r) / (x^/r)
+        log_xr = log_xi(log_r, y0, y1)
+        try:
+            d = math.exp(-log_xr) + one_m
+        except OverflowError:  # x^/r underflows: the shot is at its zero
+            return log_xr, -math.inf
+        if d <= 0.0:
+            return log_xr, math.inf
+        return log_xr, log_source + log_xr + q * y0 - y1 - math.log(d)
 
-    return rates
-
-
-def _log_abs(x: float) -> float:
-    """log|x|, -inf at 0 (a zero u or w gives a zero rate)."""
-    return math.log(abs(x)) if x else -math.inf
+    return zero
 
 
 def _exp(x):
@@ -251,13 +266,12 @@ class Trajectory:
     """Accepted nodes of one shooting run of ``spec`` plus the dense interpolant.
 
     Readers of the trajectory take the equation from its ``spec``.  ``result``
-    is the integrator result in r, on the shot's own state: (u, w) for a
-    minus shot, whose event is the zero crossing, and (log u, log w) for a
-    plus shot, whose event is the blow-up stop (``_pole``).  ``u``, ``w``,
-    ``du`` and ``sample`` give u, w and u' either way, inf where a plus
-    shot's values pass the float range.  A launch outside the float range
-    (``_launch_fault``) is not integrated: ``result`` is the launch node
-    alone, with w = nan and status "launch_out_of_range".
+    is the integrator result in r, on the shot's state; its last node is the
+    closure's stop when the shot ends at its event.  ``u``, ``w``, ``du`` and
+    ``sample`` give u, w and u', inf where a plus shot's values pass the float
+    range.  A launch outside the float range (``_log_series_term``) is not
+    integrated: ``result`` is the launch node alone, with u = u0, w = nan and
+    status "launch_out_of_range".
     """
 
     spec: IvpSpec
@@ -269,11 +283,11 @@ class Trajectory:
 
     @property
     def u(self) -> np.ndarray:
-        return self._values(self.result.ys)[0]
+        return self._values(self.r, self.result.ys)[0]
 
     @property
     def w(self) -> np.ndarray:
-        return self._values(self.result.ys)[1]
+        return self._values(self.r, self.result.ys)[1]
 
     @property
     def status(self) -> str:
@@ -282,21 +296,22 @@ class Trajectory:
     @property
     def r_event(self) -> float | None:
         """The radius of the event the shot ended at, else None: a minus shot's
-        zero crossing, or a plus shot's pole R, closed from the blow-up stop
-        (``_pole``)."""
+        zero crossing (``_zero``) or a plus shot's pole R (``_pole``), closed
+        from the stop."""
         if self.status != "event":
             return None
-        if self.spec.sign is EquationSign.MINUS:
-            return float(self.r[-1])
         r, log_xr, _ = self._stop()
         x = r * math.exp(log_xr)
-        return r + x - _pole(self.spec)[1] * x * x / (r + x)
+        if self.spec.sign is EquationSign.PLUS:
+            return r + x - _pole(self.spec)[1] * x * x / (r + x)
+        one_m = 1.0 - _zero(self.spec)
+        return r * math.exp(x / r if one_m == 0.0 else math.log1p(one_m * x / r) / one_m)
 
     def _stop(self) -> tuple[float, float, float]:
         """(r, log(x^/r), log of the closure's error estimate) at the last node
-        of a plus shot (``_closure``)."""
-        r, (log_u, log_w) = float(self.r[-1]), self.result.ys[-1].tolist()
-        return (r, *_closure(self.spec)(math.log(r), log_u, log_w))
+        (``_closure``)."""
+        r, (y0, y1) = float(self.r[-1]), self.result.ys[-1].tolist()
+        return (r, *_closure(self.spec)(math.log(r), y0, y1))
 
     def du(self, r=None) -> np.ndarray:
         """u' recovered from w: at the nodes, or at radii r, read as ``sample`` reads them."""
@@ -309,7 +324,8 @@ class Trajectory:
         """(u, w) at radii r, from the dense interpolant.  Every verdict reads
         its shot here, at radii its problem fixes, so none depends on where
         the integrator stepped."""
-        return self._values(self._read(r))
+        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        return self._values(r_arr, self._read(r_arr))
 
     def _read(self, r):
         """States at radii r.  One outside the integrated range raises PlapError
@@ -321,72 +337,57 @@ class Trajectory:
             out = classify_outcome(self)
             raise PlapError(f"shot {err}: outcome {out.kind.value}: {out.reason}") from None
 
-    def _values(self, ys):
-        """(u, w) from states of the shot."""
-        if self.spec.sign is EquationSign.MINUS:
-            return ys[:, 0], ys[:, 1]
-        return _exp(ys[:, 0]), _exp(ys[:, 1])
+    def _values(self, r, ys):
+        """(u, w) at radii r from states of the shot."""
+        spec = self.spec
+        _, _, log_kw = series_logs(spec.params, spec.u0)
+        ng = spec.params.n_dim + spec.params.gamma
+        with np.errstate(over="ignore"):
+            u = spec.u0 * np.exp(ys[:, 0])
+        return u, spec.sign.value * _exp(log_kw + ng * np.log(r) + ys[:, 1])
 
     def _du(self, r, ys):
-        """u' = sign(w) |u'|, with log|u'| from the rates in logs (log|u| enters only w')."""
-        if self.spec.sign is EquationSign.MINUS:
-            w = ys[:, 1]
-            with np.errstate(divide="ignore"):  # w = 0: log|w| = -inf, so u' = 0
-                sign, log_w = np.sign(w), np.log(np.abs(w))
-        else:
-            sign, log_w = 1.0, ys[:, 1]
-        log_du, _ = _log_rates(self.spec.params)(np.log(np.asarray(r, dtype=float)), 0.0, log_w)
-        return sign * _exp(log_du)
+        """u' = -+|u'|, with log|u'| from the shot's state (``_log_du``)."""
+        return self.spec.sign.value * _exp(_log_du(self.spec)(np.log(r), ys[:, 1]))
 
 
 def integrate_ivp(spec: IvpSpec) -> Trajectory:
-    """Shoot from delta0 in one integration: (u, w) to a zero crossing (minus),
-    or (log u, log w) to the blow-up stop (plus).
+    """Shoot from delta0 in one integration to the closure's stop (``_closure``).
 
     A plus shot, or a minus shot with K < 0, has an event the theory puts at
     a finite radius and runs up to r = 1e300 to reach it; a minus shot with
-    K >= 0 ends at r_max or at an earlier crossing.  Step-size underflow is
+    K >= 0 ends at r_max or at an earlier stop.  A step's error is held to
+    rtol in y, and a plus step's also to rtol |y|.  Step-size underflow is
     recorded on the trajectory (status "step_collapse"), not raised:
     classification reports it as indeterminate, as it does a launch outside
     the float range.
     """
-    r0 = spec.delta0
-    if _launch_fault(spec):
-        u0 = spec.u0 if spec.sign is EquationSign.MINUS else math.log(spec.u0)
-        ys = np.array([[u0, math.nan]])
+    r0, log_term = spec.delta0, _log_series_term(spec)
+    if log_term >= 0.0:
+        ys = np.array([[0.0, math.nan]])
         return Trajectory(spec, rk45.IntegrationResult(np.array([r0]), ys, ys,
                                                        "launch_out_of_range"))
-    rates = _log_rates(spec.params)
-    if spec.sign is EquationSign.MINUS:
-        def rhs(r, y):
-            u, w = y
-            log_du, log_dw = rates(math.log(r), _log_abs(u), _log_abs(w))
-            try:
-                return math.copysign(math.exp(log_du), w), -math.copysign(math.exp(log_dw), u)
-            except OverflowError:  # an inf stage, which rk45 rejects
-                return math.inf, math.inf
+    rhs, closure, log_rtol = _rhs(spec), _closure(spec), math.log(spec.rtol)
+    stop = [r0, None]
 
-        event, atol = (lambda r, y: y[0]), spec.atol
-        r_end = _R_FAR if pohozaev_sign(spec.params) < 0 else spec.r_max
-    else:
-        closure, log_rtol = _closure(spec), math.log(spec.rtol)
+    def event(r, y):
+        if r > stop[0]:  # an accepted node: rk45 bisects only inside a step it accepted
+            stop[:] = r, y
+        return closure(math.log(r), *y)[1] - log_rtol
 
-        def rhs(r, y):
-            log_u, log_w = y
-            log_du, log_dw = rates(math.log(r), log_u, log_w)
-            try:
-                return math.exp(log_du - log_u), math.exp(log_dw - log_w)
-            except OverflowError:
-                return math.inf, math.inf
-
-        def blowup(r, y):
-            return closure(math.log(r), *y)[1] - log_rtol
-
-        event, atol, r_end = blowup, spec.rtol, _R_FAR
+    plus = spec.sign is EquationSign.PLUS
+    r_end = _R_FAR if plus or pohozaev_sign(spec.params) < 0 else spec.r_max
     res = rk45.integrate(
-        rhs, r0, r_end, _launch_state(spec),
-        rtol=spec.rtol, atol=atol, first_step=0.1 * r0, max_step=spec.max_step, event=event,
+        rhs, r0, r_end, (math.log1p(spec.sign.value * math.exp(log_term)), 0.0),
+        rtol=spec.rtol if plus else 0.0, atol=spec.rtol, first_step=0.1 * r0,
+        max_step=spec.max_step, event=event,
     )
+    if res.status == "event":
+        # A closure needs a node where its estimate is <= rtol, not the root: the
+        # root's state is read off the step's cubic interpolant, whose error a
+        # zero closure amplifies by d log R / d log(x^/r) = 1/d, up to 1.6e4 on
+        # a crossing at r ~ 7e96.  So the shot ends at the accepted node instead.
+        res.ts[-1], res.ys[-1], res.fs[-1] = stop[0], stop[1], rhs(*stop)
     return Trajectory(spec, res)
 
 
@@ -432,21 +433,24 @@ def classify_outcome(traj: Trajectory) -> Outcome:
 
     A plus shot, or a minus shot with K < 0, ran to its event
     (``integrate_ivp``), so no label depends on r_max.  A minus shot with
-    K >= 0 cannot cross zero; if positive at r_max it is judged on its final
-    decade [r_max/10, r_max], read at 64 log-spaced radii (``Trajectory.sample``),
-    so neither its label nor its tail slope depends on where the integrator
-    stepped.  Every outcome carries its reason.
+    K >= 0 cannot cross zero; one that reaches r_max is positive and
+    decreasing by construction, and its tail slope is read at 64 log-spaced
+    radii of its final decade [r_max/10, r_max], so it does not depend on
+    where the integrator stepped.  Every outcome carries its reason.
     """
     spec, r_event = traj.spec, traj.r_event
     if traj.status == "launch_out_of_range":
         return Outcome(OutcomeKind.INDETERMINATE, reason=(
-            f"launch at delta0={spec.delta0:.6g} outside the float range: {_launch_fault(spec)}"))
+            f"launch at delta0={spec.delta0:.6g} outside the float range: "
+            f"series term exp({_log_series_term(spec):.6g}) u0"))
+    if r_event is not None:
+        r, log_xr, log_err = traj._stop()
+        closed = (f"{' beyond r_max' if r_event > spec.r_max else ''}, closed from r={r:.6g} "
+                  f"(x/r={math.exp(log_xr):.2g}, closure error ~{math.exp(log_err):.1g})")
     if spec.sign is EquationSign.PLUS:
         if r_event is not None:
-            r, log_xr, log_err = traj._stop()
-            return Outcome(OutcomeKind.BLOWS_UP, r_event=r_event, reason=(
-                f"pole at r={r_event:.6g}{_beyond(r_event, spec)}, closed from r={r:.6g} "
-                f"(x/r={math.exp(log_xr):.2g}, closure error ~{math.exp(log_err):.1g})"))
+            return Outcome(OutcomeKind.BLOWS_UP, r_event=r_event,
+                           reason=f"pole at r={r_event:.6g}{closed}")
         return _unresolved(traj, "before blow-up")
 
     k = pohozaev_coefficient(spec.params)
@@ -454,8 +458,8 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     sign_k = f"K={k:.3g}<0" if crossing_forced else f"K={k:.3g}>=0"
     if crossing_forced:
         if r_event is not None:
-            return Outcome(OutcomeKind.CROSSES_ZERO, r_event=r_event, reason=(
-                f"crossed at r={r_event:.6g}{_beyond(r_event, spec)}, {sign_k}"))
+            return Outcome(OutcomeKind.CROSSES_ZERO, r_event=r_event,
+                           reason=f"crossed at r={r_event:.6g}{closed}, {sign_k}")
         return _unresolved(traj, f"before a crossing, although {sign_k} forces one")
     if r_event is not None:
         return Outcome(OutcomeKind.INDETERMINATE, reason=(
@@ -465,31 +469,31 @@ def classify_outcome(traj: Trajectory) -> Outcome:
         return _unresolved(traj, f"with {sign_k}")
 
     # Final decade [r_max/10, r_max], clear of the transients near the origin,
-    # on 64 log-spaced samples: the radii read do not depend on where the
-    # integrator stepped, and the last is r_max exactly.  u' has the sign of
-    # w, so u > 0 and w < 0 is "positive and decreasing".
+    # on 64 log-spaced samples ending at r_max exactly: d log u / d log r =
+    # -1/xi < 0 there, read from the state, not from differences of log u.
     r_dec = [spec.r_max * 10.0 ** (k / 63.0 - 1.0) for k in range(64)]
-    u_dec, w_dec = traj.sample(r_dec)
-    u_dec, w_dec = u_dec.tolist(), w_dec.tolist()
-    positive = all(u > 0.0 for u in u_dec)
-    if positive and all(w < 0.0 for w in w_dec):
-        slope = _fit_slope(list(map(math.log, r_dec)), list(map(math.log, u_dec)))
-        return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope, reason=(
-            f"positive and decreasing on [{r_dec[0]:.6g}, {spec.r_max:.6g}], {sign_k} "
-            "rules out a crossing"))
-    return Outcome(OutcomeKind.INDETERMINATE, reason="u positive but not monotone in final decade"
-                   if positive else "sign behavior unresolved in final decade")
+    log_r, closure = list(map(math.log, r_dec)), _closure(spec)
+    slopes = [-math.exp(-closure(lr, y0, y1)[0])
+              for lr, (y0, y1) in zip(log_r, traj._read(r_dec).tolist())]
+    return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=_fit_slope(log_r, slopes), reason=(
+        f"positive and decreasing on [{r_dec[0]:.6g}, {spec.r_max:.6g}], {sign_k} "
+        "rules out a crossing"))
 
 
-def _fit_slope(x: list[float], y: list[float]) -> float:
-    """Least-squares slope of y against x, from centred sums (no LAPACK)."""
-    x_mean, y_mean = left_sum(x) / len(x), left_sum(y) / len(y)
+def _fit_slope(x: list[float], dydx: list[float]) -> float:
+    """Least-squares slope of y against x, summed by parts from dy/dx.
+
+    With xc = x - mean(x), the fit sum xc_i y_i / sum xc_i^2 equals
+    sum_j C_j (y_{j+1} - y_j) / sum xc_i^2, C_j = sum_{i>j} xc_i > 0, and each
+    difference is the trapezoid of dy/dx over [x_j, x_{j+1}].  So the slope
+    is a mean of dy/dx with positive weights, and has their sign where y is
+    flat to rounding.  Sums are left folds (no LAPACK).
+    """
+    x_mean = left_sum(x) / len(x)
     xc = [xi - x_mean for xi in x]
-    return left_sum(map(mul, xc, [yi - y_mean for yi in y])) / left_sum(map(mul, xc, xc))
-
-
-def _beyond(r: float, spec: IvpSpec) -> str:
-    return " beyond r_max" if r > spec.r_max else ""
+    tails = list(accumulate(reversed(xc[1:])))[::-1]  # C_0 ... C_{n-2}
+    steps = [0.5 * (b - a) * (ga + gb) for a, b, ga, gb in zip(x, x[1:], dydx, dydx[1:])]
+    return left_sum(map(mul, tails, steps)) / left_sum(map(mul, xc, xc))
 
 
 def _unresolved(traj: Trajectory, what: str) -> Outcome:
@@ -526,8 +530,8 @@ def _weighted_integral(traj: Trajectory, r_end: float) -> float:
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = mid[:, None] + half[:, None] * _GL_X
-    u = traj.result.sol(pts.ravel())[:, 0].reshape(pts.shape)
-    vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * np.abs(u) ** (pr.q + 1.0)
+    u = traj.sample(pts.ravel())[0].reshape(pts.shape)
+    vals = pts ** (pr.n_dim - 1.0 + pr.gamma) * u ** (pr.q + 1.0)
     # (1, 7) @ (7, 1) per panel rounds like a 7-point dot; an (m, 7) @ (7,) gemv does not.
     panels = half * (vals[:, None, :] @ _GL_W[:, None])[:, 0, 0]
     return left_sum([_series_head(traj.spec), *panels.tolist()])
@@ -607,13 +611,8 @@ def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     r = np.geomspace(lo, hi, _SCALING_SAMPLES)
     u_base, _ = traj.sample(s * r)
     u_resc, _ = traj2.sample(r)
-    # keep clear of an approaching zero crossing, where the relative error
-    # denominator collapses while the absolute error stays at integrator level
-    amp = float(np.max(np.abs(u_resc)))
-    mask = np.abs(u_resc) >= 0.01 * amp
-    r, u_base, u_resc = r[mask], u_base[mask], u_resc[mask]
     predicted = s ** kappa * u_base
-    rel = np.abs(predicted - u_resc) / np.maximum(np.abs(u_resc), spec.atol)
+    rel = np.abs(predicted - u_resc) / u_resc
     worst = float(np.max(rel))
     return IdentityReport(
         label="scaling_covariance",

@@ -120,9 +120,9 @@ class TestExitCodes:
         assert r_blow["2"] * math.exp(log_mu) == pytest.approx(r_blow["1"], rel=1e-7)
 
     def test_launch_outside_float_range_exits_zero(self, capsys):
-        # w(delta0) = exp(-2109) underflows, and w' is a normal float only past
-        # the blow-up; the plus shot holds log w, so it is launched and blows
-        # up where the scaling law puts it.
+        # w(delta0) = exp(-2109) underflows, but a shot holds log(|w| / (kw r^{N+gamma})),
+        # which starts at 0, so it is launched and blows up where the scaling law
+        # puts it.
         shot = ["shoot", "--n", "4", "--p", "5.924603387043973", "--q", "1404.4275907914193",
                 "--gamma", "1.9043013684303007", "--sign", "plus"]
         r_blow = {}
@@ -137,22 +137,22 @@ class TestExitCodes:
             5.924603387043973 + 1.9043013684303007) * math.log(0.23634888595485518)
         assert r_blow["0.23634888595485518"] * math.exp(log_mu) == pytest.approx(
             r_blow["1"], rel=1e-6)
-        # A minus shot holds w itself: w(delta0) = exp(1772) at u0 = 3 overflows,
-        # so the shot is not launched, and its one CSV row is delta0 with u0.
-        code, out, err = run(["shoot", "--n", "2", "--p", "7.596", "--gamma", "0.06534",
-                              "--q", "2237", "--u0", "3"], capsys)
+        # At the 1e-300 floor of delta0 the series term of u0 = 100 is exp(0.428) u0:
+        # the shot is not launched, and its one CSV row is delta0 with u0.
+        code, out, err = run(["shoot", "--n", "8", "--p", "7.2207", "--gamma", "-7.0939",
+                              "--q", "20.5385", "--u0", "100"], capsys)
         assert code == 0, err
         assert err.startswith("outcome=indeterminate  status=launch_out_of_range  nodes=1  ")
-        assert "outside the float range: w(delta0)=exp(1772.2)" in err
-        assert out.splitlines() == ["r,u,du,w", "1.0708288264707167e-144,3.0,nan,nan"]
-        # The same overflow at u0 = 3, and exp(2608) at u0 = 5: the sweep
-        # still prints every row.
-        code, out, err = run(["sweep", "--axis", "u0", "--from", "1", "--to", "5", "--steps", "3",
-                              "--n", "2", "--p", "7.596", "--gamma", "0.06534", "--q", "2237"],
-                             capsys)
+        assert "outside the float range: series term exp(0.42785) u0" in err
+        assert out.splitlines() == ["r,u,du,w", "1e-300,100.0,nan,nan"]
+        # The same launch in a sweep, beside one from u0 = 30: the sweep still
+        # prints every row.
+        code, out, err = run(["sweep", "--axis", "u0", "--from", "30", "--to", "100", "--steps",
+                              "2", "--n", "8", "--p", "7.2207", "--gamma", "-7.0939", "--q",
+                              "20.5385", "--sign", "plus"], capsys)
         assert code == 0, err
         rows = list(csv.reader(io.StringIO(out)))[1:]
-        assert [row[1] for row in rows] == ["crosses_zero", "indeterminate", "indeterminate"]
+        assert [row[1] for row in rows] == ["blows_up", "indeterminate"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -386,7 +386,7 @@ class TestShootCsv:
         assert cli.main(argv) == 0
         err = capsys.readouterr().err
         assert "outcome=crosses_zero" in err
-        assert "reason=crossed at r=6.89685, K=-0.5<0" in err
+        assert "reason=crossed at r=6.89685, closed from r=6.83908 (x/r=0.0084, " in err
 
         spec = shooting.IvpSpec(
             params=cli.ProblemParams(n_dim=3, p=2.0, q=3.0), u0=1.0,
