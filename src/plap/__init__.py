@@ -34,6 +34,7 @@ _EXPORTS = {
         "RecursionSpec", "extremal_log_sequence", "moser_recursion_bound",
         "recursion_bound_report",
     ),
+    "ivp": ("EquationSign", "IvpSpec", "Trajectory", "integrate_ivp"),
     "radial_ops": (
         "Counterexample", "CutoffBarrier", "EvalPoint", "LogBarrier",
         "PowerBarrier", "eval_profile", "fd_agreement",
@@ -42,8 +43,7 @@ _EXPORTS = {
     "reports": ("IdentityReport",),
     "rk45": (),
     "shooting": (
-        "EquationSign", "IvpSpec", "Outcome", "OutcomeKind", "Trajectory",
-        "classify_outcome", "integrate_ivp", "pohozaev_residual",
+        "Outcome", "OutcomeKind", "classify_outcome", "pohozaev_residual",
         "rescaled_spec", "scaling_covariance_report", "scaling_exponent",
         "sweep_outcomes",
     ),

@@ -199,15 +199,19 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
     rms = math.sqrt(len(u) - 2)
 
     def residual(uu):
-        D = np.diff(uu) / dr
+        D = np.diff(uu)
+        D /= dr
         fl, c = _flux_and_dflux(D, p, eps)
-        fl = r_mid_pow * fl
-        c = r_mid_pow * c / dr
+        fl *= r_mid_pow
+        c *= r_mid_pow
+        c /= dr
         scale = max(float(np.max(np.abs(fl))), float(np.max(np.abs(rhs_term))))
-        terms = np.maximum(np.abs(uu[:-1]), np.abs(uu[1:]))
+        terms = np.abs(uu[:-1])
+        np.maximum(terms, np.abs(uu[1:]), out=terms)
         terms *= c
         terms += np.abs(fl)
-        res = fl[1:] - fl[:-1] + rhs_term
+        res = np.subtract(fl[1:], fl[:-1])
+        res += rhs_term
         floor = np.add(terms[:-1], terms[1:], out=fl[:-1])
         floor += np.abs(rhs_term, out=terms[:-1])
         floor *= 8.0 * _EPS_MACH
@@ -236,7 +240,9 @@ def _newton_level(u, r_mid_pow, rhs_term, dr, p, eps):
 
 def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, NewtonInfo]:
     """u on the nodes r, for the load samples f, continued through every eps
-    level; NewtonInfo.iterations includes those of every coarser mesh."""
+    level; NewtonInfo.iterations includes those of every coarser mesh.  The
+    load terms overwrite f, and the coarse mesh's arrays are dropped once u
+    is interpolated from them."""
     p = prob.params.p
     mesh = len(r) - 1
     iterations = 0
@@ -245,12 +251,14 @@ def _continuation(prob: AnnulusProblem, r, f, levels) -> tuple[np.ndarray, Newto
         u_c, coarse = _continuation(prob, r_c, np.interp(r_c, r, f), levels[:1])
         u = np.interp(r, r_c, u_c)
         iterations = coarse.iterations
+        del r_c, u_c
     else:
         u = np.linspace(prob.boundary_inner, prob.boundary_outer, mesh + 1)
     dr = float(r[1] - r[0])
     with np.errstate(all="ignore"):  # a non-finite value ends in NewtonDivergence
         r_mid_pow = (0.5 * (r[:-1] + r[1:])) ** (prob.params.n_dim - 1.0)
-        rhs_term = dr * r[1:-1] ** (prob.params.n_dim - 1.0) * f[1:-1]
+        rhs_term = f[1:-1]  # the load term dr r_i^{N-1} f_i, formed in the load's buffer
+        rhs_term *= dr * r[1:-1] ** (prob.params.n_dim - 1.0)
         for eps in levels:
             it, norm = _newton_level(u, r_mid_pow, rhs_term, dr, p, eps)
             iterations += it

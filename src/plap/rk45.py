@@ -15,16 +15,16 @@ nodes live in three flat float buffers (t, then y and f with d values per
 node), 40 bytes a node for d = 2; the result's node arrays view them
 without a copy, and numpy builds only the dense output ``sol``.
 
-The event is one scalar function g(t, y).  Where g falls through zero over
-an accepted step, from > 0 to <= 0, the root is refined by bisection on the
-dense interpolant to ~1e-10 relative in t and ends the integration as its
-last node; a step that lands exactly on g = 0 has crossed, and a rise
-through zero does not fire.  The integrator never raises on difficult
-problems: it reports status "step_collapse" when h underflows (1e-14 *
-max(|t|, first_step): near t = 0 the step first tried, not 1, sets the
-scale, so a launch at a tiny t0 can step) and "max_steps" when the step
-budget (2e6 accepted steps) runs out, and leaves classification to the
-caller.
+The event is one scalar function g(t, y), read at the accepted nodes.  The
+first accepted node where g has fallen from > 0 to <= 0 ends the
+integration as its last node: no root is sought inside the step, so the
+last state is one the error control accepted.  A node exactly on g = 0 has
+crossed, and a rise through zero does not fire.  The integrator never
+raises on difficult problems: it reports status "step_collapse" when h
+underflows (1e-14 * max(|t|, first_step): near t = 0 the step first tried,
+not 1, sets the scale, so a launch at a tiny t0 can step) and "max_steps"
+when the step budget (2e6 accepted steps) runs out, and leaves
+classification to the caller.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 _E = tuple(b5 - b4 for b5, b4 in zip(_A[-1] + (0.0,), _B4))  # b5 - b4, per stage
 
 _COLLAPSE_FLOOR = 1e-14
-_EVENT_REL_TOL = 1e-10
-_EVENT_MAX_ITER = 200
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
@@ -75,9 +73,8 @@ class IntegrationResult:
 
     def sol(self, t):
         """Dense evaluation at scalar or array t inside [ts[0], ts[-1]], with
-        one ``_hermite`` per point and component on floats, as event
-        refinement evaluates it.  A t outside raises ValueError naming the
-        end it passes.
+        one ``_hermite`` per point and component on floats.  A t outside
+        raises ValueError naming the end it passes.
 
         Returns shape (m, d) for an array of m points and (d,) for a scalar.
         """
@@ -128,7 +125,8 @@ def integrate(
     event: Callable[[float, tuple[float, ...]], float] | None = None,
 ) -> IntegrationResult:
     """Integrate y' = f(t, y) forward from t0 to t1 (t1 > t0), trying first_step
-    first, and end early where ``event`` falls through zero (status "event")."""
+    first, and end early at the first accepted node where ``event`` has fallen
+    through zero (status "event")."""
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     t, y = t0, tuple(map(float, y0))
@@ -174,25 +172,17 @@ def integrate(
             continue
 
         # Accepted.
-        t_new = t + h
+        t, y, fy = t + h, y_new, f_new  # FSAL
         n_steps += 1
+        ts.append(t)
+        ys.extend(y)
+        fs.extend(fy)
         if event is not None:
-            g_new = event(t_new, y_new)
+            g_new = event(t, y)
             if g_old > 0.0 >= g_new:
-                te, ye = _refine_event(event, t, t_new, y, y_new, fy, f_new)
                 status = "event"
-                if te > t:  # a root on the last node is not appended twice
-                    ts.append(te)
-                    ys.extend(ye)
-                    fs.extend(map(float, f(te, ye)))
-                    n_fev += 1
                 break
             g_old = g_new
-
-        ts.append(t_new)
-        ys.extend(y_new)
-        fs.extend(f_new)
-        t, y, fy = t_new, y_new, f_new  # FSAL
 
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         h = min(factor * h, max_step)
@@ -207,27 +197,3 @@ def integrate(
         n_rejected=n_rejected,
         n_fev=n_fev,
     )
-
-
-def _refine_event(g, t0, t1, y0, y1, f0, f1):
-    """Bisect g(t, herm(t)) = 0 inside one accepted step, where g(t0) > 0 >= g(t1)."""
-
-    def herm(t):
-        return tuple([_hermite(t0, t1, *node, t) for node in zip(y0, y1, f0, f1)])
-
-    a, b = t0, t1
-    width_tol = _EVENT_REL_TOL * max(abs(t0), abs(t1), 1e-30)
-    for _ in range(_EVENT_MAX_ITER):
-        if (b - a) <= width_tol:
-            break
-        mid = 0.5 * (a + b)
-        gm = g(mid, herm(mid))
-        if gm == 0.0:
-            a = b = mid
-            break
-        if gm < 0.0:
-            b = mid
-        else:
-            a = mid
-    te = 0.5 * (a + b)
-    return te, herm(te)

@@ -7,12 +7,13 @@ subcommand imports what it uses when it is dispatched.  Nor do they load
 adds seven modules to the interpreter's start-up set.  No module imports
 scipy, so every subcommand, ``verify`` included, runs without it.  The
 annulus solver's Newton systems go through plap's own ``bvp.solve_banded``
-and the crossing and blow-up oracles through ``verify.taylor_oracle``; the
+and the crossing and blow-up oracles through ``taylor.taylor_oracle``; the
 benchmark's tracer wraps ``bvp.solve_banded``, so both names are pinned here.
 Shooting and the annulus solver load no ``numpy.polynomial`` and name no
 LAPACK routine.  The verify board draws its seeded cases from the standard
 library's ``random.Random``, so on numpy 2.x, where ``import numpy`` leaves
-``numpy.random`` unloaded, the whole board loads none of it."""
+``numpy.random`` unloaded, the whole board loads none of it.  Every module compiles from source within
+1 MiB of peak heap, so no single file sets a cold process's peak RSS."""
 
 import ast
 import os
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 import plap
-from plap import AnnulusProblem, ProblemParams, bvp, solve_annulus_dirichlet_detailed, verify
+from plap import AnnulusProblem, ProblemParams, bvp, solve_annulus_dirichlet_detailed, taylor, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -37,7 +38,8 @@ SWEEP = ["sweep", "--axis", "q", "--from", "2", "--to", "6", "--steps", "3",
 BVP = ["bvp", "--n", "3", "--p", "3", "--r-inner", "1", "--r-outer", "3",
        "--b-inner", "1", "--b-outer", "0.2", "--f", "0.5"]
 NUMERICAL_MODULES = [f"plap.{m}" for m in (
-    "barriers", "bvp", "identities", "radial_ops", "rk45", "shooting", "verify")]
+    "barriers", "bvp", "criteria_barriers", "criteria_exact", "identities", "ivp",
+    "radial_ops", "rk45", "shooting", "taylor", "verify")]
 
 NO_SCIPY_COMMANDS = [
     ["classify", "--n", "3", "--p", "2", "--gamma", "0", "--q", "4"],
@@ -151,8 +153,10 @@ class TestStartup:
         assert code == 0, step
         # Positive control: the probe sees numpy and shooting once they load.
         assert "numpy" in loaded and "plap.shooting" in loaded and "plap.runners" in loaded
+        assert "plap.ivp" in loaded
         assert "dataclasses" in loaded and "csv" in loaded
-        for module in ("plap.bvp", "plap.identities", "plap.verify"):
+        for module in ("plap.bvp", "plap.identities", "plap.verify", "plap.taylor",
+                       "plap.criteria_exact", "plap.criteria_barriers"):
             assert module not in loaded
 
     def test_import_and_light_subcommands_never_load_scipy(self):
@@ -174,6 +178,30 @@ class TestStartup:
         assert code == 0, step
         assert module in loaded
         assert of("scipy", loaded) == []
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason=(
+        "the cap was measured on CPython 3.10 and 3.11; 3.12.1 and 3.13 compile "
+        "runners.py at 1,051.9 kB"))
+    def test_every_module_compiles_within_one_mebibyte(self):
+        # A fresh checkout compiles each module from source, and ru_maxrss
+        # keeps the parser's high-water for the largest file.  tracemalloc is
+        # started and stopped around each compile, so each peak is that
+        # file's own, the same in every run.  On CPython 3.11 the largest is
+        # runners.py at 1,008.5 kB.
+        peaks = fresh_python(
+            "import sys, tracemalloc\n"
+            "from pathlib import Path\n"
+            "peaks = {}\n"
+            "for path in sorted(Path(sys.argv[1]).glob('*.py')):\n"
+            "    text = path.read_text()\n"
+            "    tracemalloc.start()\n"
+            "    compile(text, str(path), 'exec')\n"
+            "    peaks[path.name] = tracemalloc.get_traced_memory()[1]\n"
+            "    tracemalloc.stop()\n"
+            "print(repr(peaks))", str(SRC / "plap"))
+        assert len(peaks) == len(list((SRC / "plap").glob("*.py"))) > 0
+        over = {name: peak for name, peak in peaks.items() if peak > 1 << 20}
+        assert over == {}
 
     def test_no_module_imports_scipy(self):
         # Every import statement in src/plap, function bodies included.
@@ -265,7 +293,7 @@ def counting(monkeypatch, owner, name):
 
 class TestTracedEntryPoints:
     """The annulus solve goes through plap's own ``bvp.solve_banded``, the
-    crossing and blow-up oracle through ``verify.taylor_oracle``."""
+    crossing and blow-up oracle through ``taylor.taylor_oracle``."""
 
     def test_annulus_solve_goes_through_bvp_solve_banded(self, monkeypatch):
         prob = AnnulusProblem(ProblemParams(3, 3.0, 3.0), 1.0, 3.0, 1.0, 0.2,
@@ -277,9 +305,9 @@ class TestTracedEntryPoints:
         assert info == ref_info
         np.testing.assert_array_equal(prof.u, ref.u)
 
-    def test_oracle_goes_through_verify_taylor_oracle(self, monkeypatch):
+    def test_oracle_goes_through_taylor_oracle(self, monkeypatch):
         ref = verify.run_one(5)
-        calls = counting(monkeypatch, verify, "taylor_oracle")
+        calls = counting(monkeypatch, taylor, "taylor_oracle")
         res = verify.run_one(5)
         assert len(calls) == 3  # one per crossing shot
         assert res == ref
@@ -300,7 +328,7 @@ EXPORTED = [
     "cutoff_barrier_plap", "cutoff_plap_bound",
     "equation_critical", "errors", "eval_profile", "exponents",
     "extremal_log_sequence", "fd_agreement", "hadamard_lower_bound",
-    "hadamard_monotonicity_check", "identities", "integrate_ivp", "lambda_exponent",
+    "hadamard_monotonicity_check", "identities", "integrate_ivp", "ivp", "lambda_exponent",
     "log_barrier_plap", "moser_recursion_bound", "p_laplacian_fd", "p_laplacian_radial",
     "pohozaev_coefficient", "pohozaev_residual", "power_transform_residual",
     "radial_ops", "recursion_bound_report", "reports", "rescaled_spec", "rk45",
@@ -311,7 +339,7 @@ EXPORTED = [
 
 class TestLazyPackage:
     def test_all_is_the_exported_set(self):
-        assert len(EXPORTED) == 62
+        assert len(EXPORTED) == 63
         assert sorted(plap.__all__) == EXPORTED
         assert set(EXPORTED) <= set(dir(plap))
 

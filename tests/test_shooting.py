@@ -23,16 +23,9 @@ from plap import (
     scaling_exponent,
     sweep_outcomes,
 )
-from plap import rk45, shooting
-from plap.shooting import (
-    _GL_W,
-    _GL_X,
-    _fit_slope,
-    _rhs,
-    _series_head,
-    _weighted_integral,
-    series_logs,
-)
+from plap import ivp, rk45
+from plap.ivp import _rhs, series_logs
+from plap.shooting import _GL_W, _GL_X, _fit_slope, _series_head, _weighted_integral
 
 SUBCRITICAL = ProblemParams(n_dim=3, p=2.0, q=3.0, gamma=0.0)
 CRITICAL = ProblemParams(n_dim=3, p=2.0, q=5.0, gamma=0.0)
@@ -84,7 +77,7 @@ class TestOutcomes:
     def test_crossing_beyond_r_max_matches_taylor_oracle(self):
         # q = 0.97 q_E < q_E crosses at r ~ 113, past r_max = 100: the shot
         # continues to it rather than being labelled positive_decaying.
-        from plap.verify import taylor_launch, taylor_oracle
+        from plap.taylor import taylor_launch, taylor_oracle
 
         params = ProblemParams(n_dim=3, p=2.0, q=4.85, gamma=0.0)
         traj, spec = shoot(params, 1.0, r_max=100.0)
@@ -503,10 +496,10 @@ class TestBlowupClosure:
         # Closed without its c term from a stop at x = eps r, the pole moves by
         # c eps^2 r (to leading order): c is derived with its sign.
         spec = IvpSpec(params=params, u0=1.0, sign=EquationSign.PLUS)
-        assert shooting._pole(spec)[1] == pytest.approx(c, rel=1e-14)
+        assert ivp._pole(spec)[1] == pytest.approx(c, rel=1e-14)
         r_event = classify_outcome(integrate_ivp(spec)).r_event
-        pole = shooting._pole
-        monkeypatch.setattr(shooting, "_pole", lambda spec: (pole(spec)[0], 0.0))
+        pole = ivp._pole
+        monkeypatch.setattr(ivp, "_pole", lambda spec: (pole(spec)[0], 0.0))
         traj = integrate_ivp(spec)
         eps = (traj.r_event - traj.r[-1]) / traj.r[-1]
         assert traj.r_event - r_event == pytest.approx(c * eps ** 2 * traj.r[-1], rel=0.02)
@@ -523,7 +516,7 @@ class TestBlowupClosure:
         spec = IvpSpec(params=params, u0=1.0, sign=EquationSign.PLUS)
         traj = integrate_ivp(spec)
         r_event = classify_outcome(traj).r_event
-        closure = shooting._closure
+        closure = ivp._closure
 
         def tighter(spec):
             def estimate(*logs):
@@ -531,7 +524,7 @@ class TestBlowupClosure:
                 return log_xr, log_err + math.log(8.0)
             return estimate
 
-        monkeypatch.setattr(shooting, "_closure", tighter)
+        monkeypatch.setattr(ivp, "_closure", tighter)
         tight = integrate_ivp(spec)
         assert traj.r[-1] < tight.r[-1] < r_event
         assert abs(classify_outcome(tight).r_event - r_event) <= 1e-9 * r_event
@@ -838,7 +831,7 @@ class TestStepperWork:
         labels = [out.kind.value for out in sweep_outcomes(specs)]
         assert (labels.count("crosses_zero"), labels.count("positive_decaying")) == (48, 16)
         assert len(work) == 64  # one integration per point, to its event or to r_max
-        assert tuple(map(sum, zip(*work))) == (16811, 101314)
+        assert tuple(map(sum, zip(*work))) == (16811, 101266)
 
 
 class TestSpecValidation:

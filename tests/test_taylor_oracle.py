@@ -1,4 +1,4 @@
-"""The Taylor-series oracle behind criteria 5 and 11 (``verify.taylor_oracle``).
+"""The Taylor-series oracle behind criteria 5 and 11 (``taylor.taylor_oracle``).
 
 At p = 2 it is checked against scipy's DOP853, started from the same launch,
 on the criteria's own shots and on seeded draws of both signs.  At p != 2 it
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from plap import EquationSign, IvpSpec, PlapError, ProblemParams, equation_critical, verify
+from plap import EquationSign, IvpSpec, PlapError, ProblemParams, equation_critical
+from plap import taylor
 
 MINUS, PLUS = EquationSign.MINUS, EquationSign.PLUS
 
@@ -30,7 +31,7 @@ def dop853_event(spec):
     v'' = -(N-1) v'/r + ((beta+1) v'^2 - (a/beta) r^gamma)/v)."""
     pr = spec.params
     n, gamma, q, a = pr.n_dim, pr.gamma, pr.q, pr.amplitude
-    r0, u0, du0 = verify.taylor_launch(pr, spec.u0, float(spec.sign.value), spec.delta0)
+    r0, u0, du0 = taylor.taylor_launch(pr, spec.u0, float(spec.sign.value), spec.delta0)
     if spec.sign is MINUS:
         def f(r, y):
             u, du = y
@@ -83,7 +84,7 @@ CRITERIA_SPECS = [
 )
 def test_event_radius_matches_dop853(spec):
     event = "blows_up" if spec.sign is PLUS else "crosses_zero"
-    r_taylor = verify._oracle_radius(spec, event)
+    r_taylor = taylor._oracle_radius(spec, event)
     r_dop = dop853_event(spec)
     assert abs(r_taylor - r_dop) <= 1e-10 * r_dop
 
@@ -108,7 +109,7 @@ def test_weighted_bubble_from_r_one(n, p, gamma):
         return (1.0 + r ** s) ** -b
 
     du1 = -b * s * 2.0 ** (-b - 1.0)  # U'(1)
-    run = verify.taylor_oracle(bubble_params(n, p, gamma), -1.0, 1.0, bubble(1.0),
+    run = taylor.taylor_oracle(bubble_params(n, p, gamma), -1.0, 1.0, bubble(1.0),
                                -abs(du1) ** (p - 1.0), 1e3)
     assert run.event == "r_max" and run.r[0] == 1.0 and run.r[-1] == 1e3
     assert len(run.r) > 20
@@ -129,7 +130,7 @@ PLUS_BUBBLES = [(3, 2.0, 0.0), (3, 1.5, 0.0), (4, 3.0, 1.0), (5, 1.8, -1.0), (8,
     "n,p,gamma", PLUS_BUBBLES, ids=[f"N={n},p={p},gamma={g}" for n, p, g in PLUS_BUBBLES])
 def test_pole_of_the_plus_bubble(n, p, gamma):
     spec = IvpSpec(params=bubble_params(n, p, gamma), u0=1.0, sign=PLUS, r_max=10.0)
-    assert abs(verify._oracle_radius(spec, "blows_up") - 1.0) <= 1e-10
+    assert abs(taylor._oracle_radius(spec, "blows_up") - 1.0) <= 1e-10
 
 
 def test_pole_past_the_float_range_raises():
@@ -137,4 +138,4 @@ def test_pole_past_the_float_range_raises():
     # the pole can be read, and the oracle says so instead of running on to r_max.
     spec = IvpSpec(params=bubble_params(4, 1.3, -1.2), u0=1.0, sign=PLUS, r_max=10.0)
     with pytest.raises(PlapError, match="Taylor oracle left the float range at r="):
-        verify._oracle_radius(spec, "blows_up")
+        taylor._oracle_radius(spec, "blows_up")
