@@ -23,8 +23,9 @@ runners of the other seven subcommands live in ``plap.runners``, which
 unknown subcommand never compile it.  The import
 itself loads ``plap``, ``plap.errors``, ``plap.exponents``, ``argparse``
 (with ``gettext``) and ``__future__``: no ``dataclasses`` (which pulls in
-``inspect``, ``dis`` and ``ast``), and ``json`` or ``csv`` only once a
-subcommand emits output.
+``inspect``, ``dis`` and ``ast``), and ``json`` only once a subcommand emits
+JSON.  ``csv`` is never loaded: CSV rows are joined with commas, since no
+field holds a comma, a quote or a newline.
 """
 
 from __future__ import annotations

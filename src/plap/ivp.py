@@ -88,8 +88,9 @@ class IvpSpec:
     def __post_init__(self):
         if not (self.u0 > 0 and math.isfinite(self.u0)):
             raise ValueError(f"need finite u0 > 0, got {self.u0}")
-        if not (self.r_max > 0 and math.isfinite(self.r_max)):
-            raise ValueError(f"need finite r_max > 0, got {self.r_max}")
+        if not 1e-294 <= self.r_max < math.inf:
+            raise ValueError(f"need finite r_max >= 1e-294, got {self.r_max}: the launch "
+                             "radius 1e-6 r_max has a 1e-300 floor")
         if not self.params.n_dim + self.params.gamma > 0:
             raise ValueError("the origin series needs N + gamma > 0")
         if not 0 < self.rtol < math.inf:

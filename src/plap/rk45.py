@@ -20,11 +20,12 @@ first accepted node where g has fallen from > 0 to <= 0 ends the
 integration as its last node: no root is sought inside the step, so the
 last state is one the error control accepted.  A node exactly on g = 0 has
 crossed, and a rise through zero does not fire.  The integrator never
-raises on difficult problems: it reports status "step_collapse" when h
-underflows (1e-14 * max(|t|, first_step): near t = 0 the step first tried,
-not 1, sets the scale, so a launch at a tiny t0 can step) and "max_steps"
-when the step budget (2e6 accepted steps) runs out, and leaves
-classification to the caller.
+raises on difficult problems: it reports status "step_collapse" when a
+step can no longer advance t, because h is at or below 1e-14 * max(|t|,
+first_step) (near t = 0 the step first tried, not 1, sets the scale, so a
+launch at a tiny t0 can step; at a subnormal t0 that floor underflows to 0)
+or t + h == t, and "max_steps" when the step budget (2e6 accepted steps)
+runs out, and leaves classification to the caller.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def integrate(
     status = "finished"
 
     while t < t1:
-        if h < _COLLAPSE_FLOOR * max(abs(t), first_step):
+        if h <= _COLLAPSE_FLOOR * max(abs(t), first_step) or t + h == t:
             status = "step_collapse"
             break
         if n_steps >= _MAX_STEPS:

@@ -113,7 +113,8 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     K >= 0 cannot cross zero; one that reaches r_max is positive and
     decreasing by construction, and its tail slope is read at 64 log-spaced
     radii of its final decade [r_max/10, r_max], so it does not depend on
-    where the integrator stepped.  Every outcome carries its reason.
+    where the integrator stepped; where it underflows to 0 the label is
+    indeterminate.  Every outcome carries its reason.
     """
     spec, r_event = traj.spec, traj.r_event
     if traj.status == "launch_out_of_range":
@@ -152,9 +153,11 @@ def classify_outcome(traj: Trajectory) -> Outcome:
     log_r, closure = list(map(math.log, r_dec)), _closure(spec)
     slopes = [-math.exp(-closure(lr, y0, y1)[0])
               for lr, (y0, y1) in zip(log_r, traj._read(r_dec).tolist())]
-    return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=_fit_slope(log_r, slopes), reason=(
-        f"positive and decreasing on [{r_dec[0]:.6g}, {spec.r_max:.6g}], {sign_k} "
-        "rules out a crossing"))
+    slope, where = _fit_slope(log_r, slopes), f"on [{r_dec[0]:.6g}, {spec.r_max:.6g}], {sign_k}"
+    if slope < 0.0:
+        return Outcome(OutcomeKind.POSITIVE_DECAYING, tail_slope=slope,
+                       reason=f"positive and decreasing {where} rules out a crossing")
+    return Outcome(OutcomeKind.INDETERMINATE, reason=f"tail slope underflows to 0 {where}")
 
 
 def _fit_slope(x: list[float], dydx: list[float]) -> float:

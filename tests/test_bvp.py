@@ -289,6 +289,7 @@ class TestConvergence:
         )
         sol, info = solve_annulus_dirichlet_detailed(prob)
         assert info.levels_done == 9
+        assert sol.u.size == mesh + 1
         # one bound for every mesh, coarse-mesh iterations included
         assert info.iterations <= 50
         phi, d3max = p_harmonic(3, p, 1.0, 3.0, 1.0, 0.2)
@@ -404,22 +405,25 @@ class TestLinearCase:
         assert (info.iterations, info.residual, info.levels_done) == (0, 0.0, 1)
 
     @pytest.mark.parametrize("mesh", [64, 1024, 8192])
-    @pytest.mark.parametrize("b_inner,rhs,exact,c", [
-        (1.0, None, lambda r: 2.0 / r - 1.0, 0.03),
+    @pytest.mark.parametrize("r_outer,b_inner,b_outer,rhs,exact,c", [
+        (2.0, 1.0, 0.0, None, lambda r: 2.0 / r - 1.0, 0.03),
         # zero boundary values and f = 1: u peaks inside, so D changes sign there
-        (0.0, lambda r: 1.0, lambda r: 7.0 / 6.0 - r ** 2 / 6.0 - 1.0 / r, 0.02),
-    ], ids=["unloaded", "interior-maximum"])
-    def test_one_step_to_the_discretization_error(self, mesh, b_inner, rhs, exact, c):
+        (2.0, 0.0, 0.0, lambda r: 1.0, lambda r: 7.0 / 6.0 - r ** 2 / 6.0 - 1.0 / r, 0.02),
+        # the divergence grid's annulus and data, with f = 0.5
+        (3.0, 1.0, 0.2, lambda r: 0.5, lambda r: 53.0 / 60.0 + 0.2 / r - r ** 2 / 12.0, 0.015),
+    ], ids=["unloaded", "interior-maximum", "grid-annulus"])
+    def test_one_step_to_the_discretization_error(self, mesh, r_outer, b_inner, b_outer, rhs,
+                                                  exact, c):
         prob = AnnulusProblem(
-            params=params(3, 2.0), r_inner=1.0, r_outer=2.0,
-            boundary_inner=b_inner, boundary_outer=0.0, rhs=rhs, mesh_size=mesh,
+            params=params(3, 2.0), r_inner=1.0, r_outer=r_outer,
+            boundary_inner=b_inner, boundary_outer=b_outer, rhs=rhs, mesh_size=mesh,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol, info = solve_annulus_dirichlet_detailed(prob)
         assert (info.iterations, info.levels_done) == (1, 1)
-        # the midpoint flux error is c h^2 on h = 1 / mesh, with c 0.0235 and
-        # 0.0166 for the two cases
+        # the midpoint flux error is c / mesh^2, with c 0.0235, 0.0166 and
+        # 0.0118 for the three cases
         assert np.max(np.abs(sol.u - exact(sol.r))) <= c / mesh ** 2
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -154,6 +155,24 @@ class TestExitCodes:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert [row[1] for row in rows] == ["blows_up", "indeterminate"]
 
+    def test_sweep_of_launches_past_the_float_range_exits_zero(self, capsys):
+        # w(delta0) = exp(1772) at u0 = 3: each point is launched in logs, and
+        # the sweep prints a row for every one.
+        code, out, err = run(["sweep", "--axis", "u0", "--from", "1", "--to", "5", "--steps", "3",
+                              "--n", "2", "--p", "7.596", "--gamma", "0.06534", "--q", "2237"],
+                             capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 4
+
+    def test_overflowing_annulus_solve_exits_two_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(["bvp", "--n", "3", "--p", "2", "--r-inner", "1", "--r-outer",
+                                  "2", "--b-inner", "1e160", "--b-outer", "0", "--mesh-size",
+                                  "64"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "plap bvp: numerical failure: Newton stalled at continuation level eps=1e-10\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -239,6 +258,12 @@ class TestExitCodes:
         assert out.count("\n") == 1 and "PASS" in out
         assert err == ""
 
+    def test_verify_fd_criterion_prints_its_line(self, capsys):
+        code, out, err = run(["verify", "--only", "10"], capsys)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        assert out.startswith("ACCEPTANCE 10 fd_oracle_and_cutoff_bound: PASS - 100 fd points")
+
     def test_verify_runs_a_repeated_selector_once(self, capsys):
         code, out, err = run(["verify", "--only", "9,1,9,1"], capsys)
         assert code == 3
@@ -280,6 +305,11 @@ class TestClassify:
         obj = json.loads(out)
         assert obj["equation_radial_nonexistence"] is False
         assert "boundary" not in obj
+        # The sweep's row at q = q_E: a decaying label and the boundary flag.
+        code, out, _ = run(["sweep", "--axis", "q", "--from", "4", "--to", "6", "--steps", "3",
+                            "--n", "3", "--p", "2"], capsys)
+        assert code == 0
+        assert re.fullmatch(r"5\.0,positive_decaying,,[^,]*,true", out.splitlines()[2])
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         _, out, _ = run(CLASSIFY_ARGS, capsys)
@@ -342,6 +372,23 @@ class TestSweep:
         assert by_q[3.0] == "crosses_zero"
         assert by_q[5.0] == "positive_decaying"
         assert by_q[6.0] == "positive_decaying"
+
+    @pytest.mark.parametrize("lo, hi, steps, columns", [
+        ("2", "6", "9", ["outcome"]),
+        # q = 0.97-0.99 q_E: each crosses at r = 113-582, beyond r_max = 100
+        ("4.85", "4.97", "3", ["axis_value", "outcome", "r_event"]),
+    ], ids=["labels", "crossings-beyond-r-max"])
+    def test_does_not_depend_on_r_max(self, capsys, lo, hi, steps, columns):
+        seen = []
+        for r_max in ("100", "10000"):
+            code, out, _ = run(["sweep", "--axis", "q", "--from", lo, "--to", hi, "--steps", steps,
+                                "--n", "3", "--p", "2", "--u0", "1", "--r-max", r_max], capsys)
+            assert code == 0
+            seen.append([[row[c] for c in columns] for row in csv.DictReader(io.StringIO(out))])
+        assert len(seen[0]) == int(steps)
+        assert seen[0] == seen[1]
+        if "r_event" in columns:
+            assert [row[1] for row in seen[0]] == ["crosses_zero"] * 3
 
 
 class TestSweepAxes:
@@ -483,6 +530,8 @@ class TestOtherSubcommands:
         code, by_np, _ = run(self.HADAMARD_ANNULUS + ["--n", "3", "--p", "3"], capsys)
         assert code == 0
         assert by_lam == by_np
+        lines = by_lam.splitlines()
+        assert (lines[1], lines[-1]) == ("1.0,1.0", "7.389,0.2")
         rows = [(float(row["r"]), float(row["lower_bound"]))
                 for row in csv.DictReader(io.StringIO(by_lam))]
         assert rows[0][1] == 1.0 and rows[-1][1] == 0.2
@@ -500,6 +549,12 @@ class TestOtherSubcommands:
                                   "--delta0", "1e-7"], capsys)
         assert code == 1
         assert "unrecognized arguments: --delta0" in err
+
+    def test_shoot_has_no_absolute_tolerance_flag(self, capsys):
+        code, _, err = run(["shoot", "--n", "3", "--p", "2", "--q", "3", "--u0", "1",
+                            "--atol", "1e-12"], capsys)
+        assert code == 1
+        assert "unrecognized arguments: --atol" in err
 
     def test_pohozaev_balance_at_equation_critical(self, capsys):
         code, out, _ = run(

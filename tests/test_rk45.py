@@ -176,6 +176,19 @@ class TestFailureModes:
         assert res.status == "step_collapse"
         assert res.ts[-1] == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("t0, first_step, floor", [
+        (1e-316, 1e-317, rk45._COLLAPSE_FLOOR),  # 1e-14 * 1e-316 underflows to 0
+        (1.0, 1e-3, 0.0),  # no floor: h shrinks until t + h == t
+    ], ids=["subnormal-launch", "no-floor"])
+    def test_a_step_that_cannot_advance_t_collapses(self, monkeypatch, t0, first_step, floor):
+        # Every stage is inf, so each try is rejected and shrinks h by 5; the
+        # run ends once a step can no longer advance t, instead of retrying.
+        monkeypatch.setattr(rk45, "_COLLAPSE_FLOOR", floor)
+        res = integrate(lambda t, y: [math.inf], t0, 2.0 * t0, [1.0], first_step=first_step)
+        assert res.status == "step_collapse"
+        assert res.ts.tolist() == [t0]
+        assert res.n_rejected <= 30
+
     def test_launch_at_a_tiny_radius_steps(self):
         # y' = y / t (y = t / t0) from t0 = 1e-20: a step of 1e-21 is far
         # below 1e-14 but a tenth of t0, so it is no collapse.

@@ -30,6 +30,8 @@ TAIL_POINTS = [
     (5, 4.137705344564004, 25.551475509264307, 0.4433833325460701, 1.156831390475858),
     (6, 3.3186100032698844, 7.093145365931612, 0.4617330830819686, 0.8281715560065329),
     (6, 5.600502158207148, 85.15618638547791, 0.04297941053181775, 1.7563669634938592),
+    # and the supercritical (3, 2, 6) from u0 = 1, q/q_E = 1.2
+    (3, 2.0, 6.0, 0.0, 1.0),
 ]
 
 
@@ -59,6 +61,8 @@ def test_tail_slope_does_not_depend_on_rtol(point):
         errors.append(math.expm1(state_error(traj)))
     for (s_a, e_a), (s_b, e_b) in itertools.combinations(zip(slopes, errors), 2):
         assert abs(s_a - s_b) <= max(abs(s_a), abs(s_b)) * (e_a + e_b), (slopes, errors)
+    # and within a fixed 1e-5 of the finest from the coarsest
+    assert abs(slopes[0] - slopes[-1]) <= 1e-5 * abs(slopes[-1]), slopes
 
 
 def test_crossing_radius_moves_within_its_conditioning():
@@ -77,8 +81,11 @@ def test_crossing_radius_moves_within_its_conditioning():
         traj = integrate_ivp(replace(spec, rtol=rtol))
         r, u = float(traj.r[-1]), float(traj.u[-1])
         xi = u / (r * abs(float(traj.du()[-1])))
-        radii.append(classify_outcome(traj).r_event)
+        out = classify_outcome(traj)
+        assert out.kind is OutcomeKind.CROSSES_ZERO, out.reason
+        radii.append(out.r_event)
         bounds.append(xi / (1.0 + one_m * xi) * state_error(traj) + rtol)
     assert max(bounds) <= 5e-8, bounds
     for (r_a, b_a), (r_b, b_b) in itertools.combinations(zip(radii, bounds), 2):
         assert abs(r_a - r_b) <= (b_a + b_b) * max(r_a, r_b), (radii, bounds)
+    assert abs(radii[0] - radii[1]) <= 1e-7 * radii[1], radii

@@ -444,6 +444,25 @@ class TestFinalDecade:
         assert out.kind is OutcomeKind.POSITIVE_DECAYING, out.reason
         assert out.tail_slope < 0.0
 
+    def test_tail_slope_below_the_float_range_is_indeterminate(self):
+        # Near the origin d log u / d log r = -s (ku/u0) r^s + ...: at s = 2 the
+        # slope of [1e-161, 1e-160] is subnormal, and from r_max = 1e-200 on
+        # every sample of it underflows to -0, so its sign is not read.
+        supercritical = ProblemParams(3, 2.0, 6.0)
+        near, far = (classify_outcome(integrate_ivp(IvpSpec(params=supercritical, u0=1.0,
+                                                            r_max=r_max)))
+                     for r_max in (1e-160, 1e-200))
+        assert near.kind is OutcomeKind.POSITIVE_DECAYING
+        assert -1e-321 < near.tail_slope < 0.0
+        assert far.kind is OutcomeKind.INDETERMINATE
+        assert far.reason == "tail slope underflows to 0 on [1e-201, 1e-200], K=0.143>=0"
+        # At s = 61 (p = 1.05, gamma = 2) u is flat to 1e-366 on [1e-7, 1e-6]:
+        # each point of the line is labelled, and none ends the sweep.
+        outs = sweep_outcomes([IvpSpec(params=ProblemParams(3, 1.05, q, 2.0), u0=1.0, r_max=1e-6)
+                               for q in (150.0, 175.0, 200.0)])
+        assert [out.kind for out in outs] == [OutcomeKind.INDETERMINATE] * 3
+        assert all("underflows to 0" in out.reason for out in outs)
+
 
 def plus_bubble(n, p, gamma):
     """The params of U = (1 - r^s)^{-(N-p)/(p+gamma)}, s = (p+gamma)/(p-1), which
@@ -481,11 +500,11 @@ class TestBlowupClosure:
             return res
 
         monkeypatch.setattr(rk45, "integrate", counted)
-        out = classify_outcome(integrate_ivp(IvpSpec(params=params, u0=1.0,
-                                                     sign=EquationSign.PLUS)))
+        traj = integrate_ivp(IvpSpec(params=params, u0=1.0, sign=EquationSign.PLUS))
+        out = classify_outcome(traj)
         assert out.kind is OutcomeKind.BLOWS_UP
         assert out.r_event == pytest.approx(r_blow, rel=5e-10)
-        assert sum(steps) <= 1500
+        assert sum(steps) <= 1500 and traj.r.size <= 1500
 
     @pytest.mark.parametrize("params, c", [
         (CRITICAL, 0.5),  # u = (1 - r^2/3)^{-1/2}: beta u/u' = x (1 + x/(2R) + ...)
@@ -853,6 +872,17 @@ class TestSpecValidation:
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
             IvpSpec(params=SUBCRITICAL, **kw)
+
+    @pytest.mark.parametrize("r_max", [1e-295, 1e-310, 1e-320])
+    def test_rejects_an_r_max_below_the_launch_floor(self, r_max):
+        # delta0 = 1e-6 r_max would fall below 1e-300: subnormal at 1e-310, where
+        # no step advances r, and 0 at 1e-320.
+        with pytest.raises(ValueError, match=rf"^need finite r_max >= 1e-294, got {r_max}: "):
+            IvpSpec(params=SUBCRITICAL, u0=1.0, r_max=r_max)
+        spec = IvpSpec(params=SUBCRITICAL, u0=1.0, r_max=1e-294)
+        assert spec.delta0 == 1e-300
+        assert classify_outcome(integrate_ivp(spec)).r_event == pytest.approx(R_CROSS[1.0],
+                                                                              rel=1e-8)
 
     def test_rejects_nonpositive_series_weight(self):
         # The origin series divides by N + gamma.
