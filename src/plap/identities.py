@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .reports import IdentityReport
 
 _RECURSION_TOL = 1e-12
@@ -46,24 +44,21 @@ class RecursionSpec:
             raise ValueError("n_max must be an integer >= 1")
 
 
-def extremal_log_sequence(spec: RecursionSpec) -> np.ndarray:
+def extremal_log_sequence(spec: RecursionSpec) -> list[float]:
     """log phi_n, n = 0..n_max, for the equality sequence phi_n = c^n phi_{n-1}^k."""
-    out = np.empty(spec.n_max + 1)
-    out[0] = math.log(spec.phi0)
+    out = [math.log(spec.phi0)]
     lc = math.log(spec.c)
     for n in range(1, spec.n_max + 1):
-        out[n] = n * lc + spec.k * out[n - 1]
+        out.append(n * lc + spec.k * out[n - 1])
     return out
 
 
 def recursion_bound_report(spec: RecursionSpec, log_phi: Sequence[float]) -> IdentityReport:
     """Check phi_n^{k^{-n}} <= c^{k/(k-1)^2} phi0 for a given log-sequence."""
-    log_phi = np.asarray(log_phi, dtype=float)
-    n = np.arange(len(log_phi))
-    normalized = log_phi * spec.k ** (-n.astype(float))
+    normalized = [float(v) * spec.k ** -n for n, v in enumerate(log_phi)]
     log_bound = (spec.k / (spec.k - 1.0) ** 2) * math.log(spec.c) + math.log(spec.phi0)
-    i_worst = int(np.argmax(normalized))
-    lhs = float(normalized[i_worst])
+    i_worst = max(range(len(normalized)), key=normalized.__getitem__)
+    lhs = normalized[i_worst]
     margin = log_bound - lhs
     scale = max(1.0, abs(log_bound))
     return IdentityReport(

@@ -290,14 +290,15 @@ class Trajectory:
         """u' recovered from w: at the nodes, or at radii r, read as ``sample`` reads them."""
         if r is None:
             return self._du(self.r, self.result.ys)
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        r_arr = np.asarray(r, dtype=float).ravel()
         return self._du(r_arr, self._read(r_arr))
 
     def sample(self, r) -> tuple[np.ndarray, np.ndarray]:
-        """(u, w) at radii r, from the dense interpolant.  Every verdict reads
+        """(u, w) at radii r, a scalar or an array of any shape, read flattened
+        in C order, from the dense interpolant.  Every verdict reads
         its shot here, at radii its problem fixes, so none depends on where
         the integrator stepped."""
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        r_arr = np.asarray(r, dtype=float).ravel()
         return self._values(r_arr, self._read(r_arr))
 
     def _read(self, r):
@@ -306,7 +307,7 @@ class Trajectory:
         when it is needed: ``shooting`` imports this module), so a shot cut
         short fails with its cause; a finished shot reaches r_max."""
         try:
-            return self.result.sol(np.atleast_1d(r))
+            return self.result.sol(r)
         except ValueError as err:
             from . import shooting
             out = shooting.classify_outcome(self)

@@ -12,8 +12,9 @@ less than numpy's per-call overhead.  Every sum of floats is a left fold
 from 0.0 (``left_sum``), so a step rounds the same on every Python: from
 3.12 the builtin ``sum`` of floats is compensated and would not.  Accepted
 nodes live in three flat float buffers (t, then y and f with d values per
-node), 40 bytes a node for d = 2; the result's node arrays view them
-without a copy, and numpy builds only the dense output ``sol``.
+node), 40 bytes a node for d = 2, and the result's node arrays view them
+without a copy.  The dense output ``sol`` fills one more such buffer, d
+values per query point, and returns a view of it.
 
 The event is one scalar function g(t, y), read at the accepted nodes.  The
 first accepted node where g has fallen from > 0 to <= 0 ends the
@@ -73,25 +74,29 @@ class IntegrationResult:
     n_fev: int = 0
 
     def sol(self, t):
-        """Dense evaluation at scalar or array t inside [ts[0], ts[-1]], with
-        one ``_hermite`` per point and component on floats.  A t outside
-        raises ValueError naming the end it passes.
+        """Dense evaluation at t inside [ts[0], ts[-1]], with one ``_hermite``
+        per point and component on floats.  t is a scalar or an array of any
+        shape, read flattened in C order.  A t outside raises ValueError
+        naming the end it passes.
 
-        Returns shape (m, d) for an array of m points and (d,) for a scalar.
+        Returns shape (m, d) for an array of m points and (d,) for a scalar:
+        a view of one flat float buffer that the points fill in order, d
+        values each, so no Python object per point outlives its iteration.
         """
-        ts, rows = self.ts.tolist(), []
-        for x in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+        ts, ys, fs, out = self.ts.tolist(), self.ys.data, self.fs.data, array("d")
+        d = self.ys.shape[1]
+        for x in np.asarray(t, dtype=float).ravel().data:
             if not ts[0] <= x <= ts[-1]:
                 raise ValueError(f"ends at {ts[-1]:.6g} before {x:g}" if x > ts[-1]
                                  else f"starts at {ts[0]:.6g} after {x:g}")
             if len(ts) == 1:
                 # A step collapse at launch leaves one node, whose f may be inf.
-                rows.append(self.ys[0].tolist())
+                out.extend(self.ys[0].tolist())
                 continue
             i = min(bisect_right(ts, x), len(ts) - 1) - 1
-            (y0, y1), (f0, f1) = self.ys[i:i + 2].tolist(), self.fs[i:i + 2].tolist()
-            rows.append([_hermite(ts[i], ts[i + 1], *node, x) for node in zip(y0, y1, f0, f1)])
-        out = np.array(rows).reshape(-1, self.ys.shape[1])
+            out.extend([_hermite(ts[i], ts[i + 1], ys[i, j], ys[i + 1, j], fs[i, j], fs[i + 1, j], x)
+                        for j in range(d)])
+        out = np.frombuffer(out).reshape(-1, d)
         return out[0] if np.ndim(t) == 0 else out
 
 

@@ -267,7 +267,12 @@ def scaling_exponent(params: ProblemParams) -> float:
 
 
 def rescaled_spec(spec: IvpSpec, s: float) -> IvpSpec:
-    """The shooting problem whose solution should equal s^kappa u(s r)."""
+    """The shooting problem whose solution should equal s^kappa u(s r).  Its
+    r_max, r_max/s, keeps the 1e-294 floor of ``IvpSpec`` only for a spec
+    with r_max >= s 1e-294; below, this raises ValueError naming both."""
+    if not spec.r_max / s >= 1e-294:
+        raise ValueError(f"need r_max >= {s * 1e-294:.6g} (s 1e-294 at s={s:g}) to rescale, "
+                         f"got {spec.r_max}")
     return replace(spec, u0=s ** scaling_exponent(spec.params) * spec.u0,
                    r_max=spec.r_max / s, max_step=spec.max_step / s)
 
@@ -275,8 +280,8 @@ def rescaled_spec(spec: IvpSpec, s: float) -> IvpSpec:
 def scaling_covariance_report(spec: IvpSpec) -> IdentityReport:
     """Compare s^kappa u(s r) against the rescaled shot at s = 2, max rel error."""
     s = _SCALING_FACTOR
-    traj = integrate_ivp(spec)
-    traj2 = integrate_ivp(rescaled_spec(spec, s))
+    spec2 = rescaled_spec(spec, s)
+    traj, traj2 = integrate_ivp(spec), integrate_ivp(spec2)
     for tr in (traj, traj2):
         if tr.status not in ("finished", "event"):  # cut short of r_max and of any event
             out = classify_outcome(tr)

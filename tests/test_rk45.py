@@ -2,13 +2,27 @@
 
 import ast
 import math
+import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plap import rk45
+from plap import IvpSpec, ProblemParams, integrate_ivp, rk45
 from plap.rk45 import _hermite, integrate, left_sum
+from plap.shooting import _GL_X
+
+
+@lru_cache(maxsize=None)
+def _pohozaev_read():
+    """The Aubin-Talenti shot (N, p, q) = (3, 2, 5) to r_max = 100, and the
+    points at which the Pohozaev quadrature to r = 50 reads it: 7 per node
+    interval, the last interval cut at 50."""
+    traj = integrate_ivp(IvpSpec(params=ProblemParams(3, 2.0, 5.0), u0=3.0 ** 0.25, r_max=100.0))
+    edges = np.append(traj.r[traj.r < 50.0], 50.0)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return traj.result, (mid[:, None] + half[:, None] * _GL_X).ravel()
 
 
 class TestAccuracy:
@@ -77,6 +91,37 @@ class TestDenseOutput:
             ref.append(_hermite(res.ts[i], res.ts[i + 1], res.ys[i], res.ys[i + 1],
                                 res.fs[i], res.fs[i + 1], t))
         assert np.array_equal(res.sol(ts), np.array(ref))
+
+    def test_log_state_shot_matches_per_point_hermite(self):
+        # Criterion 6's read: the Gauss-Legendre points of the critical shot's
+        # quadrature to r = 50, two log-state components per point.
+        res, pts = _pohozaev_read()
+        assert (res.ts.size, pts.size) == (278, 1764)
+        ref = []
+        for t in pts.tolist():
+            i = min(int(np.searchsorted(res.ts, t, side="right")) - 1, res.ts.size - 2)
+            ref.append([_hermite(*res.ts[i:i + 2].tolist(), *node, t)
+                        for node in zip(*res.ys[i:i + 2].tolist(), *res.fs[i:i + 2].tolist())])
+        assert np.array_equal(res.sol(pts), np.array(ref))
+
+    def test_heap_peak_is_a_small_multiple_of_the_result(self):
+        # sol keeps nothing per point but the d values it writes, so its traced
+        # peak stays within 3x the bytes it returns (a list per point was 12x).
+        res, pts = _pohozaev_read()
+        tracemalloc.start()
+        try:
+            out = res.sol(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1764, 2)
+        assert peak <= 3 * out.nbytes
+
+    def test_radii_of_any_shape_are_read_flattened(self):
+        res = integrate(lambda t, y: [y[1], -y[0]], 0.0, 3.0, [1.0, 0.0], first_step=1e-3)
+        grid = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+        assert np.array_equal(res.sol(grid), res.sol(grid.ravel()))
+        assert np.array_equal(res.sol(grid.T), res.sol(grid.T.ravel()))
 
     def test_nodes_reproduced_exactly(self):
         # The negative span checks both ends of the query window when t < 0.

@@ -340,6 +340,15 @@ class TestTrajectoryInvariants:
         assert w[0] == pytest.approx(traj.w[mid], rel=1e-12)
         assert du[0] == pytest.approx(traj.du()[mid], rel=1e-12)
 
+    def test_radii_of_any_shape_are_read_flattened(self):
+        # A 2-D array of radii reads as its C-order ravel, for u, w and u'.
+        traj, _ = shoot(CRITICAL, 3**0.25, r_max=100.0)
+        grid = np.array([[1.0, 2.0], [3.0, 4.0]])
+        flat = grid.ravel()
+        for got, want in zip(traj.sample(grid), traj.sample(flat)):
+            assert got.shape == (4,) and np.array_equal(got, want)
+        assert np.array_equal(traj.du(grid), traj.du(flat))
+
     def test_tolerance_convergence_of_crossing(self):
         radii = []
         for rtol in (1e-6, 1e-8, 1e-10):
@@ -815,6 +824,17 @@ class TestScaling:
         rep = scaling_covariance_report(spec)
         assert rep.passed
         assert rep.residual <= 1e-6
+
+    def test_rescaling_names_the_floor_of_the_callers_r_max(self):
+        # At s = 2 the rescaled shot's r_max is r_max/2, which needs r_max >= 2e-294
+        # for the 1e-294 floor of IvpSpec; the error names the caller's r_max.
+        spec = IvpSpec(params=SUBCRITICAL, u0=1.0, r_max=1.5e-294)
+        msg = r"^need r_max >= 2e-294 \(s 1e-294 at s=2\) to rescale, got 1\.5e-294$"
+        with pytest.raises(ValueError, match=msg):
+            scaling_covariance_report(spec)
+        with pytest.raises(ValueError, match=msg):
+            rescaled_spec(spec, 2.0)
+        assert scaling_covariance_report(IvpSpec(params=SUBCRITICAL, u0=1.0, r_max=2e-294)).passed
 
 
 class TestSweep:
